@@ -252,8 +252,12 @@ class SpanForest:
                 totals[span.name] += self.self_time(span)
         return totals
 
-    def total(self, name: str) -> float:
-        return sum(s.elapsed_s for s in self.spans if s.name == name)
+    def total(self, name: str, bench: bool = False) -> float:
+        """Summed duration of the spans named ``name``; with ``bench``,
+        only the wrappers' spans (the program may open its own span under
+        the same name inside the wrapped call)."""
+        return sum(s.elapsed_s for s in self.spans if s.name == name
+                   and (not bench or s.attrs.get("bench")))
 
     def chrome_events(self) -> List[Dict[str, Any]]:
         """The forest as Chrome trace-event ``X`` events.
@@ -368,7 +372,7 @@ def layer_metrics(telemetry, extra: Dict[str, float]) -> Dict[str, float]:
         for suffix in (".s", ".self_s"):
             if name.endswith(suffix):
                 values[name] = seconds.get(name[:-len(suffix)], 0.0)
-    screen_total = forest.total("line.screen_lot")
+    screen_total = forest.total("line.screen_lot", bench=True)
     values["line.unexplained_fraction"] = _ratio(
         values["line.screen_lot.self_s"], screen_total)
     values["batch_engine.stream_path_fraction"] = _ratio(

@@ -4,8 +4,9 @@ Both screen one seeded lot through ``ScreeningLine.screen_lot`` under an
 explicit serial ``ExecutionPlan``, repeatedly, for the run's duration.
 A "request" of these workloads is one ``screen_lot`` call; a "resume"
 re-screens the lot with a shard journal that already holds every shard
-(the same journal protocol ``repro serve --resume`` replays).  Replays
-are interleaved with the timed screenings.
+(the same journal protocol ``repro serve --resume`` replays).  Every
+end-to-end metric is reported on every workload, so the lots report
+request and resume rates too: one replay follows each timed screening.
 """
 
 from __future__ import annotations
@@ -32,22 +33,17 @@ PLAN = ExecutionPlan(workers=1)
 #: chunk size, same shard size (shard size keys the noise by design).
 CHECK_PLAN = ExecutionPlan(workers=2, chunk_size=97)
 
-#: Scenario, dies per wafer, ``--tiny`` dies per wafer and the most edge
-#: sites the seed may remove per wafer.  Tester time is counted in whole
-#: parallel passes, so without the edge sites its per-device value would
-#: not depend on the seed; they change the work by under 1%.
-LOTS: Dict[str, Tuple[Dict, int, int, int]] = {
+#: Scenario, dies per wafer and ``--tiny`` dies per wafer.
+LOTS: Dict[str, Tuple[Dict, int, int]] = {
     "event_lot": (dict(architecture="flash", n_bits=6, n_wafers=4),
-                  65536, 1024, 63),
+                  65536, 1024),
     "noisy_lot": (dict(architecture="flash", n_bits=6, n_wafers=2,
                        transition_noise_lsb=0.05, deglitch_depth=3,
                        retest_attempts=1),
-                  1024, 256, 7),
+                  1024, 256),
 }
 
 MIN_REPS = 3
-#: Share of each screening's time spent replaying it from the journal.
-REPLAY_SHARE = 0.25
 SCALAR_SUBSAMPLE = 256
 
 
@@ -70,7 +66,7 @@ def _setup(scenario: Scenario, seed: int, lot_id: str):
     """
     times: List[float] = []
     lot = line = None
-    while len(times) < 3 or (sum(times) < 0.5 and len(times) < 25):
+    while len(times) < 3 or (sum(times) < 1.0 and len(times) < 200):
         lot = line = None
         start = time.perf_counter()
         lot = scenario.draw_lot(seed=seed, lot_id=lot_id)
@@ -84,13 +80,11 @@ class LotRun:
 
     def __init__(self, name: str, seed: int, tiny: bool,
                  ledger: RunLedger, tap: AcceptTap) -> None:
-        kwargs, dies, tiny_dies, edge_sites = LOTS[name]
-        draw_seed, noise_seed, edge_seed = split_seeds(seed, 3)
-        dies = tiny_dies if tiny else dies
-        excluded = int(np.random.default_rng(edge_seed).integers(
-            0, edge_sites + 1))
+        kwargs, dies, tiny_dies = LOTS[name]
+        draw_seed, noise_seed = split_seeds(seed, 2)
         self.name = name
-        self.scenario = Scenario(n_devices=dies - excluded, **kwargs)
+        self.scenario = Scenario(n_devices=tiny_dies if tiny else dies,
+                                 **kwargs)
         self.draw_seed = draw_seed
         self.noise_seed = noise_seed
         self.ledger = ledger
@@ -103,15 +97,13 @@ class LotRun:
         return self.line.screen_lot(self.lot, rng=self.noise_seed,
                                     plan=plan)
 
-    def repeat(self, seconds: float, count: int = 0,
-               replay_share: float = 0.0):
+    def repeat(self, seconds: float, count: int = 0, replay: bool = False):
         """Screen repeatedly for ``seconds`` (or exactly ``count`` times).
 
         A timed run starts with one untimed warm-up screening, which also
-        records a full shard journal.  With ``replay_share``, each timed
-        screening is followed by replays of the lot from that journal for
-        that share of its time (and the run lasts that much longer), so
-        the replays sample the same stretch of time as the screenings.
+        records a full shard journal.  With ``replay``, each timed
+        screening is followed by one replay of the lot from that journal,
+        so the replays sample the same stretch of time as the screenings.
         Returns the screening latencies, the replay latencies, and the
         reports and accept masks of every screening, warm-up included.
         """
@@ -122,28 +114,25 @@ class LotRun:
                     journal_scope(journal):
                 reports.append(self.screen())
                 masks.append(self.tap.take()[self.lot_id])
-        deadline = time.perf_counter() + seconds * (1.0 + replay_share)
+        deadline = time.perf_counter() + seconds
         replayed = set()
         attempts = 0
         while (attempts < count if count
                else attempts < MIN_REPS or time.perf_counter() < deadline):
             attempts += 1
-            until = 0.0
             with self.ledger.operation("screen_lot"):
                 elapsed, report = _timed(self.screen)
                 latencies.append(elapsed)
                 reports.append(report)
                 masks.append(self.tap.take()[self.lot_id])
-                until = time.perf_counter() + replay_share * elapsed
-            while replay_share and (not replayed
-                                    or time.perf_counter() < until):
+            if replay:
                 with self.ledger.operation("journal replay"):
                     journal.begin_attempt()
                     with journal_scope(journal):
-                        elapsed, replay = _timed(self.screen)
+                        elapsed, replayed_report = _timed(self.screen)
                     replays.append(elapsed)
-                    replayed.add(_fingerprint(replay))
-        if replay_share:
+                    replayed.add(_fingerprint(replayed_report))
+        if replay:
             self.tap.take()
             self.ledger.check(f"{self.name}.resume_equals_live",
                               replayed == {_fingerprint(reports[0])})
@@ -202,8 +191,7 @@ def run_untraced(name: str, seed: int, seconds: float, tiny: bool,
                  corrupt: bool, ledger: RunLedger, tap: AcceptTap):
     """The measured run: every end-to-end metric, tracing off."""
     run = LotRun(name, seed, tiny, ledger, tap)
-    latencies, replays, reports, masks = run.repeat(
-        seconds, replay_share=REPLAY_SHARE)
+    latencies, replays, reports, masks = run.repeat(seconds, replay=True)
     rss = peak_rss_mib()
     digest = run.check(reports, masks, corrupt)
     n_devices = run.lot.n_devices

@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload event_lot --seed 1 --seconds 10 \
+    python3 perfbench/run.py --workload event_lot --seed 1 --seconds 25 \
         --trace 0
 
 ``--trace 0`` measures every end-to-end metric of BENCHMARK.json with
@@ -21,9 +21,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+# One BLAS thread per process: the serve pool already runs one worker per
+# core, and extra BLAS threads would measure the scheduler.  Set before
+# numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 WORKLOADS = ("event_lot", "noisy_lot", "serve_mixed")
 

@@ -3,11 +3,16 @@
 An in-process ``ServeServer`` listens on a localhost TCP socket, with a
 checkpoint journal and a 2-worker pool.  Two closed-loop clients each
 send their next request only when the previous result arrives, replaying
-one seeded order of a fixed mix of small requests (see
-:data:`TEMPLATES`).  Every request
+one seeded order of a fixed mix of small requests, one of each kind per
+block, all of one size (see :data:`TEMPLATES`).  Every request
 carries an explicit seed and label, so its result does not depend on
-which client's request arrived first.  A second server then resumes from
-the complete journal.
+which client's request arrived first.
+
+The run is a sequence of rounds.  In each round a live server serves the
+next :data:`ROUND_REQUESTS` requests of the stream and stops, then a
+second server resumes from that round's complete journal.  Rates are
+medians over the rounds, so a short slowdown of the host moves only the
+rounds it falls in; latencies are quantiles over every request.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import os
 import socket
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -36,66 +42,73 @@ from repro.serve.protocol import event_line
 PLAN = ExecutionPlan(workers=2, shard_devices=128)
 CLIENTS = 2
 ROOT_SEED = 2026
+#: Requests per round: seven whole blocks of the mix.
+ROUND_REQUESTS = 56
+#: A run has at least this many rounds, then adds rounds until the run
+#: time is up.
+MIN_ROUNDS = 3
 #: Requests whose records fix the digest and ``tester_s_per_device``:
-#: eight whole blocks of the mix.  The clients keep going past the run
-#: time until this many were sent, so p90 has over ten samples above it.
-PREFIX = 104
+#: the first two rounds.
+PREFIX = 2 * ROUND_REQUESTS
+#: Cold server starts (pool fork and warm-up included) behind ``setup_s``.
+SETUPS = 5
 #: Scenarios per batch ``Campaign.run`` of the output check.
 CHECK_BATCH = 16
 TIMEOUT_S = 120.0
-#: Timed resumes from the complete journal; ``resume_requests_per_s``
-#: uses their median.
-RESUMES = 3
 
-#: The request mix: (name, weight, Scenario kwargs).  Noisy partial q=2
-#: on SAR is left out: it rejects every die at 0.05 LSB of noise.
-TEMPLATES: List[Tuple[str, int, Dict]] = [
-    ("full-noisy-deglitch", 3,
-     dict(n_devices=256, transition_noise_lsb=0.05, deglitch_depth=3)),
-    ("sar-q2", 2, dict(architecture="sar", q=2, n_devices=512)),
-    ("sar-q3-noisy", 1, dict(architecture="sar", q=3, n_devices=256,
-                             transition_noise_lsb=0.05)),
-    ("pipeline-q2", 2, dict(architecture="pipeline", q=2, n_devices=256)),
-    ("pipeline-q3-noisy", 1, dict(architecture="pipeline", q=3,
-                                  n_devices=256,
-                                  transition_noise_lsb=0.05)),
-    ("histogram", 2, dict(method="histogram", n_devices=512)),
-    ("dynamic", 1, dict(method="dynamic", n_devices=256)),
-    ("sprt-burst", 1, dict(flow="sprt", excursion="burst",
-                           n_devices=1024)),
-]
+#: Dies per request, the same for every kind of request.
+DEVICES = 256
 #: Dies per request in ``--tiny`` runs: two shards, so the pool is used.
 TINY_DEVICES = 192
 
+#: The request mix: one request of each kind per block, (name, Scenario
+#: kwargs).  Noise-free partial BIST runs at q=2; noisy partial BIST runs
+#: at q=3, because at 0.05 LSB of noise q=2 rejects every SAR die and all
+#: but a few pipeline dies.
+TEMPLATES: List[Tuple[str, Dict]] = [
+    ("full-noisy-deglitch", dict(transition_noise_lsb=0.05,
+                                 deglitch_depth=3)),
+    ("sar-q2", dict(architecture="sar", q=2)),
+    ("sar-q3-noisy", dict(architecture="sar", q=3,
+                          transition_noise_lsb=0.05)),
+    ("pipeline-q2", dict(architecture="pipeline", q=2)),
+    ("pipeline-q3-noisy", dict(architecture="pipeline", q=3,
+                               transition_noise_lsb=0.05)),
+    ("histogram", dict(method="histogram")),
+    ("dynamic", dict(method="dynamic")),
+    ("sprt-burst", dict(flow="sprt", excursion="burst")),
+]
+
 
 class RequestStream:
-    """The seeded request sequence, shared by the clients (thread-safe)."""
+    """The seeded request sequence, shared by the clients (thread-safe).
 
-    def __init__(self, seed: int, tiny: bool, limit: int = 0) -> None:
+    :meth:`next` hands out requests up to the current ``limit``; each
+    round raises the limit by one round.
+    """
+
+    def __init__(self, seed: int, tiny: bool) -> None:
         mix_seed, request_seed = split_seeds(seed, 2)
         self._mix = np.random.default_rng(mix_seed)
         self._seeds = np.random.default_rng(request_seed)
-        self._block = [i for i, (_, weight, _) in enumerate(TEMPLATES)
-                       for _ in range(weight)]
         self._pending: List[int] = []
         self._tiny = tiny
-        self._limit = limit
         self._lock = threading.Lock()
+        self.limit = 0
         self.issued: List[Dict] = []
 
     def next(self) -> Optional[Dict]:
         with self._lock:
             index = len(self.issued)
-            if self._limit and index >= self._limit:
+            if index >= self.limit:
                 return None
             if not self._pending:
-                # Each block holds every template as often as its weight,
-                # in a seeded order: the mix is fixed, the order is not.
-                self._pending = list(self._mix.permutation(self._block))
-            name, _, kwargs = TEMPLATES[int(self._pending.pop())]
-            kwargs = dict(kwargs, label=f"r{index:05d}-{name}")
-            if self._tiny:
-                kwargs["n_devices"] = TINY_DEVICES
+                # Each block holds every template once, in a seeded
+                # order: the mix is fixed, the order is not.
+                self._pending = list(self._mix.permutation(len(TEMPLATES)))
+            name, kwargs = TEMPLATES[int(self._pending.pop())]
+            kwargs = dict(kwargs, label=f"r{index:05d}-{name}",
+                          n_devices=TINY_DEVICES if self._tiny else DEVICES)
             request = {"id": f"q{index}", "scenario": kwargs,
                        "seed": int(self._seeds.integers(1, 2 ** 31))}
             self.issued.append(request)
@@ -172,8 +185,35 @@ class ServerThread:
         self.join()
 
 
-def _client(port: int, stream: RequestStream, deadline: float,
-            results: Dict, spans: List, ledger: RunLedger) -> None:
+@dataclass
+class Round:
+    """One live session and the resume from its journal."""
+
+    wall: float
+    results: Dict[str, Tuple[Dict, float]]
+    ledger: str
+    masks: Dict[str, np.ndarray]
+    resume_wall: float = float("nan")
+    resumed: Optional[str] = None
+    journal_bytes: int = 0
+    journal_hits: int = 0
+    journal_lookups: int = 0
+
+    @property
+    def requests_per_s(self) -> float:
+        return len(self.results) / self.wall
+
+    @property
+    def devices_per_s(self) -> float:
+        return sum(r["devices"] for r, _ in self.results.values()) / self.wall
+
+    @property
+    def resume_requests_per_s(self) -> float:
+        return len(self.results) / self.resume_wall
+
+
+def _client(port: int, stream: RequestStream, results: Dict, spans: List,
+            ledger: RunLedger) -> None:
     """One closed-loop client: send, wait for the result, repeat.
 
     Files ``label -> (record, latency)`` in ``results`` and the
@@ -183,8 +223,7 @@ def _client(port: int, stream: RequestStream, deadline: float,
         with socket.create_connection(("127.0.0.1", port),
                                       timeout=TIMEOUT_S) as conn:
             reader = conn.makefile("rb")
-            while (time.perf_counter() < deadline
-                   or len(stream.issued) < PREFIX):
+            while True:
                 request = stream.next()
                 if request is None:
                     break
@@ -208,56 +247,80 @@ def _client(port: int, stream: RequestStream, deadline: float,
         ledger.fail(f"client: {type(exc).__name__}: {exc}")
 
 
-def _live(journal: Path, stream: RequestStream, seconds: float,
-          ledger: RunLedger):
-    """Start a server, drive it with the clients, stop it.
-
-    Returns the setup time, the live wall time, ``{label: (record,
-    latency)}`` and the server's final ledger text.
-    """
-    start = time.perf_counter()
+def _live(journal: Path, stream: RequestStream, ledger: RunLedger,
+          tap: AcceptTap) -> Round:
+    """Start a server, drive the next round of requests through the
+    clients, stop it."""
+    journal.unlink(missing_ok=True)
     session = ServerThread(journal).start()
     port = session.wait_listening()
-    setup = time.perf_counter() - start
+    stream.limit += ROUND_REQUESTS
     results: Dict = {}
     spans: List[Tuple[float, float]] = []
-    deadline = time.perf_counter() + seconds
     clients = [threading.Thread(target=_client, args=(
-        port, stream, deadline, results, spans, ledger))
-        for _ in range(CLIENTS)]
+        port, stream, results, spans, ledger)) for _ in range(CLIENTS)]
     for client in clients:
         client.start()
     for client in clients:
-        client.join(TIMEOUT_S + seconds)
+        client.join(TIMEOUT_S)
     session.shutdown()
     wall = (max(e for _, e in spans) - min(s for s, _ in spans)
             if spans else float("nan"))
-    return setup, wall, results, session.server.rolling.ledger()
+    return Round(wall, results, session.server.rolling.ledger(), tap.take(),
+                 journal_bytes=journal.stat().st_size)
 
 
-def _throwaway_setups(journal: Path, count: int) -> List[float]:
-    """Extra cold server starts (pool warm-up included) for ``setup_s``."""
+def _resume(journal: Path, into: Round, ledger: RunLedger, tap: AcceptTap,
+            telemetry=None) -> None:
+    """Resume a fresh server from the round's complete journal; timed."""
+    before = journal_counts(telemetry) if telemetry is not None else (0, 0)
+    with ledger.operation("resume"):
+        start = time.perf_counter()
+        session = ServerThread(journal, resume=True).start()
+        session.join()
+        into.resume_wall = time.perf_counter() - start
+        into.resumed = session.server.rolling.ledger()
+        for _ in range(session.sink.errors):
+            ledger.fail("resumed request reported an error event")
+    tap.take()
+    if telemetry is not None:
+        hits, lookups = journal_counts(telemetry)
+        into.journal_hits = hits - before[0]
+        into.journal_lookups = lookups - before[1]
+
+
+def _rounds(journal: Path, stream: RequestStream, ledger: RunLedger,
+            tap: AcceptTap, *, seconds: float = 0.0, count: int = 0,
+            telemetry=None) -> List[Round]:
+    """Rounds for ``seconds`` (and at least :data:`MIN_ROUNDS`), or
+    exactly ``count`` rounds."""
+    rounds: List[Round] = []
+    deadline = time.perf_counter() + seconds
+    while (len(rounds) < count if count
+           else len(rounds) < MIN_ROUNDS or time.perf_counter() < deadline):
+        done = _live(journal, stream, ledger, tap)
+        _resume(journal, done, ledger, tap, telemetry)
+        rounds.append(done)
+    return rounds
+
+
+def _cold_setups(journal: Path, count: int) -> List[float]:
+    """Cold server starts, pool fork and warm-up included, for
+    ``setup_s``; the pool of the last one stays up for the rounds."""
     times = []
     for _ in range(count):
+        close_default_pool()
         start = time.perf_counter()
         session = ServerThread(journal).start()
         session.wait_listening()
         times.append(time.perf_counter() - start)
         session.shutdown()
-        close_default_pool()
         journal.unlink(missing_ok=True)
     return times
 
 
-def _resume(journal: Path, ledger: RunLedger):
-    """Resume a fresh server from the complete journal; timed."""
-    start = time.perf_counter()
-    session = ServerThread(journal, resume=True).start()
-    session.join()
-    wall = time.perf_counter() - start
-    for _ in range(session.sink.errors):
-        ledger.fail("resumed request reported an error event")
-    return wall, session.server.rolling.ledger()
+def _results(rounds: List[Round]) -> Dict[str, Tuple[Dict, float]]:
+    return {label: value for r in rounds for label, value in r.results.items()}
 
 
 def _normalised(record: Dict) -> Dict:
@@ -299,24 +362,18 @@ def _tester_s_per_device(issued: List[Dict], results: Dict) -> float:
             if devices else float("nan"))
 
 
-def _corrupt(results: Dict, masks: Dict[str, np.ndarray]) -> None:
-    label = min(results)
-    record, latency = results[label]
-    results[label] = (dict(record, accepted=record["accepted"] + 1), latency)
-    masks[label] = ~masks[label]
-
-
-def _worker_pids() -> List[int]:
-    return get_default_pool(PLAN.workers).worker_pids()
-
-
-def _check_outputs(issued, results, live_masks, live_ledger,
-                   resumed_ledgers, tap, ledger, corrupt) -> str:
+def _check_outputs(issued: List[Dict], rounds: List[Round], tap: AcceptTap,
+                   ledger: RunLedger, corrupt: bool) -> str:
+    results = _results(rounds)
+    live_masks = {k: m for r in rounds for k, m in r.masks.items()}
     if corrupt and results:
-        _corrupt(results, live_masks)
+        label = min(results)
+        record, latency = results[label]
+        results[label] = (dict(record, accepted=record["accepted"] + 1),
+                          latency)
+        live_masks[label] = ~live_masks[label]
     ledger.check("serve_mixed.resumed_ledger_equals_live",
-                 resumed_ledgers and all(
-                     resumed == live_ledger for resumed in resumed_ledgers))
+                 rounds and all(r.resumed == r.ledger for r in rounds))
     ledger.check("serve_mixed.enough_requests", len(results) >= PREFIX)
     campaign_masks = _check_campaign(issued, results, tap, ledger)
     digest = _prefix_digest(issued, live_masks)
@@ -336,85 +393,66 @@ def run_untraced(seed: int, seconds: float, tiny: bool, corrupt: bool,
                  ledger: RunLedger, tap: AcceptTap):
     """The measured run: every end-to-end metric, tracing off."""
     journal = _journal_path(seed)
-    close_default_pool()
     try:
-        setups = _throwaway_setups(journal, 2)
+        setups = _cold_setups(journal, SETUPS)
         stream = RequestStream(seed, tiny)
-        setup, wall, results, live_ledger = _live(journal, stream, seconds,
-                                                  ledger)
-        setups.append(setup)
-        live_masks = tap.take()
-        resume_walls, resumed_ledgers = [], []
-        for _ in range(RESUMES):
-            with ledger.operation("resume"):
-                wall_s, resumed = _resume(journal, ledger)
-                resume_walls.append(wall_s)
-                resumed_ledgers.append(resumed)
-        tap.take()
-        rss = peak_rss_mib(_worker_pids())
-        latencies = [lat for _, lat in results.values()]
-        digest = _check_outputs(stream.issued, results, live_masks,
-                                live_ledger, resumed_ledgers, tap, ledger,
-                                corrupt)
+        rounds = _rounds(journal, stream, ledger, tap, seconds=seconds)
+        rss = peak_rss_mib(get_default_pool(PLAN.workers).worker_pids())
+        digest = _check_outputs(stream.issued, rounds, tap, ledger, corrupt)
     finally:
         close_default_pool()
         journal.unlink(missing_ok=True)
+    results = _results(rounds)
+    latencies = [latency for _, latency in results.values()]
     metrics = {
         "setup_s": median(setups),
-        "devices_per_s": sum(r["devices"] for r, _ in results.values())
-        / wall,
-        "requests_per_s": len(results) / wall,
+        "devices_per_s": median([r.devices_per_s for r in rounds]),
+        "requests_per_s": median([r.requests_per_s for r in rounds]),
         "request_latency_p50_s": median(latencies),
         "request_latency_p90_s": percentile90(latencies),
-        "resume_requests_per_s": len(results) / median(resume_walls),
+        "resume_requests_per_s": median(
+            [r.resume_requests_per_s for r in rounds]),
         "peak_rss_mb": rss,
         "tester_s_per_device": _tester_s_per_device(stream.issued, results),
     }
-    info = {"requests": len(results), "latency_samples": len(latencies),
-            "issued": len(stream.issued), "accept_digest": digest}
+    info = {"requests": len(results), "rounds": len(rounds),
+            "latency_samples": len(latencies), "accept_digest": digest}
     return metrics, info
 
 
 def run_traced(seed: int, seconds: float, tiny: bool, corrupt: bool,
                ledger: RunLedger, tap: AcceptTap, tracing):
-    """An untraced pass, then the same requests traced, then a traced
-    resume; the traced pass's outputs are checked."""
+    """Untraced rounds, then as many rounds of the same requests traced;
+    the traced rounds' outputs are checked."""
     journal = _journal_path(seed)
     close_default_pool()
     try:
-        stream = RequestStream(seed, tiny)
-        _, plain_wall, plain, _ = _live(journal, stream, seconds / 2.0,
-                                        ledger)
-        tap.take()
+        plain = _rounds(journal, RequestStream(seed, tiny), ledger, tap,
+                        seconds=seconds / 2.0)
+        # The traced rounds fork a fresh pool under the tracer.
         close_default_pool()
-        journal.unlink(missing_ok=True)
-        count = len(stream.issued)
-        stream = RequestStream(seed, tiny, limit=count)
+        stream = RequestStream(seed, tiny)
         with tracing() as telemetry:
-            _, wall, results, live_ledger = _live(
-                journal, stream, TIMEOUT_S, ledger)
-            live_masks = tap.take()
-            journal_bytes = journal.stat().st_size
-            hits, lookups = journal_counts(telemetry)
-            with ledger.operation("resume"):
-                _, resumed = _resume(journal, ledger)
-            tap.take()
-            hits, lookups = (n - before for n, before in zip(
-                journal_counts(telemetry), (hits, lookups)))
+            rounds = _rounds(journal, stream, ledger, tap, count=len(plain),
+                             telemetry=telemetry)
+        results = _results(rounds)
         ledger.check("serve_mixed.traced_equals_untraced",
                      {k: r for k, (r, _) in results.items()}
-                     == {k: r for k, (r, _) in plain.items()})
-        digest = _check_outputs(stream.issued, results, live_masks,
-                                live_ledger, [resumed], tap, ledger,
-                                corrupt)
+                     == {k: r for k, (r, _) in _results(plain).items()})
+        digest = _check_outputs(stream.issued, rounds, tap, ledger, corrupt)
     finally:
         close_default_pool()
         journal.unlink(missing_ok=True)
+    lookups = sum(r.journal_lookups for r in rounds)
     extra = {
-        "trace_overhead_fraction": wall / plain_wall - 1.0,
-        "serve.journal_bytes": journal_bytes,
-        "serve.replayed_shard_fraction": hits / lookups if lookups else 0.0,
+        "trace_overhead_fraction": sum(r.wall for r in rounds)
+        / sum(r.wall for r in plain) - 1.0,
+        "serve.journal_bytes": sum(r.journal_bytes for r in rounds),
+        "serve.replayed_shard_fraction": (
+            sum(r.journal_hits for r in rounds) / lookups if lookups
+            else 0.0),
         "request_latency_samples": len(results),
     }
-    info = {"requests": len(results), "accept_digest": digest}
+    info = {"requests": len(results), "rounds": len(rounds),
+            "accept_digest": digest}
     return telemetry, extra, info
