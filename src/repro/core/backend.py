@@ -23,9 +23,8 @@ capability flags the kernel consults on its hot paths:
 
 ``numba``
     Optional import.  JIT-compiled event paths
-    (:func:`repro.core.kernel_jit` versions of ``packed_crossing_events``,
-    ``batch_deglitch`` and ``batch_msb_reference``) on top of the compact
-    dtypes.  Selecting it when numba is not importable raises
+    (:func:`repro.core.kernel_jit` versions of ``packed_crossing_events``
+    and ``batch_msb_reference``) on top of the compact dtypes.  Selecting it when numba is not importable raises
     :class:`BackendUnavailableError`.  Documented equivalence tier:
     integer outputs bit-exact, float outputs within ``atol`` (summation
     order may change inside JIT loops).

@@ -146,6 +146,18 @@ class BistConfig:
                                        inl_spec_lsb=self.inl_spec_lsb,
                                        delta_s_lsb=self.resolved_delta_s_lsb())
 
+    @property
+    def msb_tolerance(self) -> int:
+        """Counts the upper bits may stray from the MSB reference counter.
+
+        One whenever transition noise flickers the code around upper-bit
+        boundaries, or a deglitched LSB clocks the counter: the hysteresis
+        filter delays every clock edge by ``deglitch_depth - 1`` samples,
+        so the counter trails each upper-bit step by one count.
+        """
+        return 1 if self.transition_noise_lsb > 0 or self.deglitch_depth > 0 \
+            else 0
+
 
 @dataclass
 class BistResult:
@@ -355,16 +367,14 @@ class BistEngine:
         msb_result = None
         msb_ok = True
         if self._msb_checker is not None:
-            # With transition noise the codes flicker by ±1 around each
-            # upper-bit boundary; clock the reference counter from the
-            # deglitched LSB and allow that one-count flicker.
+            # Clock the reference counter from the deglitched LSB and allow
+            # the one-count slack that noise or the filter introduces.
             clock_stream = None
             if self._deglitch is not None:
                 clock_stream = self._deglitch.apply(record.lsb_waveform)
-            tolerance = 1 if cfg.transition_noise_lsb > 0 else 0
-            msb_result = self._msb_checker.check(record.codes,
-                                                 clock_stream=clock_stream,
-                                                 tolerance=tolerance)
+            msb_result = self._msb_checker.check(
+                record.codes, clock_stream=clock_stream,
+                tolerance=cfg.msb_tolerance)
             msb_ok = msb_result.passed
 
         lsb_result = self._lsb_processor.process(record.lsb_waveform,

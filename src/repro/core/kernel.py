@@ -23,7 +23,11 @@ wrappers over these functions, and the production engines
 :mod:`repro.production.partial_batch`) call them with thousands of rows —
 either directly (the noisy stream paths) or through the event-based fast
 paths built on :func:`packed_crossing_events`, which evaluate the same
-per-sample program only at the samples where anything changes.
+per-sample program only at the samples where anything changes.  The
+full-BIST stream path does the same after quantising: it reduces the code
+matrix to :func:`code_change_events` and checks the MSB reference counter
+with :func:`event_msb_mismatch`, which equals :func:`batch_msb_reference`
+on every input.
 :func:`batch_quantise_shared` is the reference semantics those event
 reductions are equivalence-tested against.  Because every layer reduces to
 the same array program, scalar and batch decisions agree bit for bit by
@@ -60,6 +64,8 @@ __all__ = [
     "batch_code_histogram",
     "batch_histogram_linearity",
     "batch_shared_ramp_histogram",
+    "code_change_events",
+    "event_msb_mismatch",
     "packed_crossing_events",
     "shared_crossing_indices",
 ]
@@ -252,16 +258,39 @@ def packed_crossing_events(crossing: np.ndarray, n_samples: int
     return start_code, mult_p, times_p, live, n_events
 
 
-def batch_quantise_rows(transitions: np.ndarray,
-                        voltages: np.ndarray) -> np.ndarray:
-    """Quantise per-device stimulus rows against per-device curves.
+#: Vectorised ±1 correction passes :func:`batch_quantise_rows` spends on
+#: the elements its first guess misplaced; anything still moving after
+#: them is re-derived with ``searchsorted``.
+QUANTISE_PASSES = 16
+
+
+def batch_quantise_rows(transitions: np.ndarray, voltages: np.ndarray,
+                        stimulus: np.ndarray,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Quantise per-device voltage rows against per-device curves.
 
     The general (noisy) acquisition: each device sees its own voltage
-    waveform (shared ramp plus per-device noise), so the crossing-event
-    shortcut of :func:`batch_quantise_shared` does not apply.  Monotone
-    curves use :func:`numpy.searchsorted`, faulty non-monotone curves the
-    thermometer count — exactly the scalar
-    :meth:`~repro.adc.transfer.TransferFunction.convert` dichotomy.
+    waveform, the shared noise-free ``stimulus`` plus per-device noise.
+    Entry ``[d, t]`` is the number of transitions of device ``d`` at or
+    below ``voltages[d, t]`` — the thermometer count the scalar
+    :meth:`~repro.adc.transfer.TransferFunction.convert` computes for
+    monotone and non-monotone curves alike.  That count does not depend
+    on the order of the transitions, so every row is sorted once and one
+    program serves both kinds of curve:
+
+    1. when ``stimulus`` rises, the noise-free code of every sample is
+       built from the :func:`shared_crossing_indices` segments of the
+       sorted rows (the first guess);
+    2. each element is compared with the two transitions bracketing its
+       guessed code and stepped by ±1, in at most
+       :data:`QUANTISE_PASSES` vectorised passes over the elements that
+       still move;
+    3. any element still unplaced — every element when ``stimulus`` does
+       not rise, such as a sine — is re-derived with a ``searchsorted``
+       of its sorted row.
+
+    The stimulus only seeds the guess, so the result is exact for any
+    input; it is cheap when the noise is small against a code width.
 
     Parameters
     ----------
@@ -269,23 +298,118 @@ def batch_quantise_rows(transitions: np.ndarray,
         ``(devices, n_transitions)`` matrix of transition voltages.
     voltages:
         ``(devices, samples)`` matrix of input voltages.
+    stimulus:
+        The ``(samples,)`` noise-free stimulus the voltages scatter
+        around.
+    out:
+        Optional C-contiguous code matrix of the result's shape and dtype
+        to write into.  A buffer reused from call to call spares the page
+        faults of a fresh allocation of that size.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(devices, samples)`` code matrix in the backend's code dtype
+        (``out`` when given).
     """
     transitions = np.asarray(transitions, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
+    stimulus = np.asarray(stimulus, dtype=float)
     if transitions.ndim != 2 or voltages.ndim != 2:
         raise ValueError("transitions and voltages must be 2-D matrices")
     if transitions.shape[0] != voltages.shape[0]:
         raise ValueError("transitions and voltages must agree on the "
                          "device axis")
-    code_dtype = current_backend().code_dtype(transitions.shape[1] + 1)
-    codes = np.empty(voltages.shape, dtype=code_dtype)
-    for i in range(transitions.shape[0]):
-        row = transitions[i]
-        if np.all(np.diff(row) >= 0):
-            codes[i] = np.searchsorted(row, voltages[i], side="right")
-        else:
-            codes[i] = (voltages[i][:, None] >= row).sum(axis=1)
+    if stimulus.shape != voltages.shape[1:]:
+        raise ValueError("stimulus must hold one voltage per sample")
+    n_devices, n_levels = transitions.shape
+    n_samples = voltages.shape[1]
+    code_dtype = current_backend().code_dtype(n_levels + 1)
+    if out is None:
+        codes = np.empty(voltages.shape, dtype=code_dtype)
+    elif (out.shape != voltages.shape or out.dtype != code_dtype
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous {code_dtype} matrix "
+                         f"of shape {voltages.shape}")
+    else:
+        codes = out
+    if voltages.size == 0:
+        return codes
+    levels = np.sort(transitions, axis=1)
+    if np.all(stimulus[1:] >= stimulus[:-1]):
+        unplaced = _guess_and_correct(levels, voltages, stimulus, codes)
+        unplaced_rows = np.unique(unplaced // n_samples)
+    else:
+        unplaced_rows = range(n_devices)
+    for row in unplaced_rows:
+        codes[row] = np.searchsorted(levels[row], voltages[row],
+                                     side="right")
     return codes
+
+
+def _guess_and_correct(levels: np.ndarray, voltages: np.ndarray,
+                       stimulus: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Steps 1–2 of :func:`batch_quantise_rows` for a rising stimulus.
+
+    Fills ``codes`` and returns the flat indices of the elements that
+    were still moving after the last pass.
+    """
+    n_devices, n_levels = levels.shape
+    n_samples = stimulus.size
+    # Code c is right for v iff bounds[c] <= v < bounds[c + 1].  The NaN
+    # cap fails every comparison, so no element steps past n_levels.
+    bounds = np.empty((n_devices, n_levels + 2))
+    bounds[:, 0] = -np.inf
+    bounds[:, 1:-1] = levels
+    bounds[:, -1] = np.nan
+    # Segment c of a row spans the samples whose noise-free code is c.
+    edges = np.empty((n_devices, n_levels + 2), dtype=np.int64)
+    edges[:, 0] = 0
+    edges[:, 1:-1] = shared_crossing_indices(levels, stimulus)
+    edges[:, -1] = n_samples
+    lengths = np.diff(edges, axis=1).ravel()
+    flat_codes = codes.reshape(-1)
+    flat_codes[:] = np.repeat(np.tile(np.arange(n_levels + 1,
+                                                dtype=codes.dtype),
+                                      n_devices), lengths)
+    up = voltages >= np.repeat(bounds[:, 1:].ravel(),
+                               lengths).reshape(voltages.shape)
+    down = voltages < np.repeat(bounds[:, :-1].ravel(),
+                                lengths).reshape(voltages.shape)
+    # An element that steps keeps stepping the same way until placed.
+    flat_bounds = bounds.ravel()
+    unplaced = []
+    for moved, step, side in ((up, 1, 1), (down, -1, 0)):
+        moving = np.flatnonzero(moved)
+        rows = moving // n_samples
+        v = voltages[rows, moving - rows * n_samples]
+        at = rows * (n_levels + 2) + flat_codes[moving] + side + step
+        flat_codes[moving] += step
+        for _ in range(QUANTISE_PASSES - 1):
+            if not moving.size:
+                break
+            bound = flat_bounds[at]
+            keep = np.flatnonzero(v >= bound if step > 0 else v < bound)
+            moving, v, at = moving[keep], v[keep], at[keep] + step
+            flat_codes[moving] += step
+        unplaced.append(moving)
+    return np.concatenate(unplaced)
+
+
+def code_change_events(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(device, sample)`` indices where a code row changes value.
+
+    Sample ``t`` is an event of device ``d`` when ``codes[d, t] !=
+    codes[d, t - 1]``; the events come sorted by device, then sample —
+    the order every edge-list consumer expects.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 2:
+        raise ValueError("codes must be a (devices, samples) matrix")
+    width = max(codes.shape[1] - 1, 1)
+    flat = np.flatnonzero(codes[:, 1:] != codes[:, :-1])
+    dev = flat // width
+    return dev, flat - dev * width + 1
 
 
 def batch_bit(codes: np.ndarray, index: int) -> np.ndarray:
@@ -367,6 +491,62 @@ def batch_msb_reference(codes: np.ndarray, q: int,
     falling = batch_falling_edges(clock_bit)
     reference = upper[:, :1] + np.cumsum(falling, axis=1)
     return upper, reference, falling
+
+
+def event_msb_mismatch(start_code: np.ndarray, change_dev: np.ndarray,
+                       change_t: np.ndarray, change_code: np.ndarray,
+                       fall_dev: np.ndarray, fall_t: np.ndarray, q: int,
+                       tolerance: int) -> np.ndarray:
+    """The MSB reference-counter check of :func:`batch_msb_reference`,
+    evaluated on events.
+
+    The upper bits change only where the code changes, and the counter
+    only at a falling clock edge, so ``upper - reference`` is constant
+    between those events and the check need only look at them.  The result
+    equals ``(abs(upper - reference) > tolerance).any(axis=1)`` of the
+    matrix kernel.
+
+    Parameters
+    ----------
+    start_code:
+        Per-device code at sample 0.
+    change_dev, change_t, change_code:
+        Code-change events (:func:`code_change_events`) sorted by device,
+        then sample, with the code from each event on.
+    fall_dev, fall_t:
+        Falling clock edges, sorted the same way, at most one per sample.
+    q, tolerance:
+        Partition point and the counts the upper bits may stray.
+
+    Returns
+    -------
+    numpy.ndarray
+        Per-device flag: a mismatch occurred somewhere in the record.
+    """
+    start_upper = np.asarray(start_code, dtype=np.int64) >> q
+    change_upper = np.asarray(change_code, dtype=np.int64) >> q
+    n_devices = start_upper.size
+    span = int(max(change_t.max(initial=0), fall_t.max(initial=0))) + 1
+    change_keys = change_dev * span + change_t
+    fall_keys = fall_dev * span + fall_t
+    n_falls = np.bincount(fall_dev, minlength=n_devices)
+    falls_before = np.cumsum(n_falls) - n_falls
+    mismatch = np.zeros(n_devices, dtype=bool)
+    # At a code change the counter has seen every fall up to it ...
+    seen = (np.searchsorted(fall_keys, change_keys, side="right")
+            - falls_before[change_dev])
+    drift = change_upper - start_upper[change_dev] - seen
+    mismatch[change_dev[np.abs(drift) > tolerance]] = True
+    # ... and at a fall the upper bits are those of the latest change.
+    latest = np.searchsorted(change_keys, fall_keys, side="right") - 1
+    upper = start_upper[fall_dev]
+    held = latest >= 0
+    held[held] = change_dev[latest[held]] == fall_dev[held]
+    upper[held] = change_upper[latest[held]]
+    seen = np.arange(fall_t.size) - falls_before[fall_dev] + 1
+    drift = upper - start_upper[fall_dev] - seen
+    mismatch[fall_dev[np.abs(drift) > tolerance]] = True
+    return mismatch
 
 
 def batch_reconstruct_codes(observed_lsbs: np.ndarray, q: int, n_bits: int,

@@ -1,8 +1,7 @@
 """JIT-compiled event kernels for the ``numba`` backend.
 
-Loop translations of the three event-path kernels the profile says matter
-— :func:`repro.core.kernel.packed_crossing_events`,
-:func:`repro.production.batch_engine.batch_deglitch` and
+Loop translations of two event-path kernels —
+:func:`repro.core.kernel.packed_crossing_events` and
 :func:`repro.core.kernel.batch_msb_reference` — compiled with
 :func:`numba.njit` when numba is importable.  The import is gated: without
 numba the same functions remain plain-Python loop references, which keeps
@@ -30,7 +29,6 @@ NUMBA_AVAILABLE = _numba is not None
 
 __all__ = [
     "NUMBA_AVAILABLE",
-    "batch_deglitch_jit",
     "batch_msb_reference_jit",
     "packed_crossing_events_jit",
 ]
@@ -137,56 +135,3 @@ def batch_msb_reference_jit(codes: np.ndarray, clock_bit: np.ndarray,
     if codes.shape[0] and codes.shape[1]:
         _msb_reference_fill(codes, clock_bit, q, upper, reference, falling)
     return upper, reference, falling
-
-
-# --------------------------------------------------------------------- #
-# batch_deglitch
-# --------------------------------------------------------------------- #
-
-@_jit
-def _hysteresis_rows(values, depth, out):
-    n_devices, n_samples = values.shape
-    for d in range(n_devices):
-        state = values[d, 0]
-        run_value = state
-        run_length = 0
-        for i in range(n_samples):
-            v = values[d, i]
-            if v == run_value:
-                run_length += 1
-            else:
-                run_value = v
-                run_length = 1
-            if run_value != state and run_length >= depth:
-                state = run_value
-            out[d, i] = state
-
-
-@_jit
-def _majority_rows(values, depth, out):
-    window = 2 * depth + 1
-    n_devices, n_samples = values.shape
-    last = n_samples - 1
-    for d in range(n_devices):
-        s = 0
-        for j in range(-depth, depth + 1):
-            s += values[d, min(max(j, 0), last)]
-        for i in range(n_samples):
-            out[d, i] = 1 if 2 * s > window else 0
-            s -= values[d, min(max(i - depth, 0), last)]
-            s += values[d, min(max(i + depth + 1, 0), last)]
-
-
-def batch_deglitch_jit(streams: np.ndarray, depth: int, mode: str
-                       ) -> np.ndarray:
-    """JIT row-wise :class:`~repro.core.deglitch.DeglitchFilter`;
-    bit-exact against ``batch_deglitch`` (int8 0/1 output)."""
-    values = (np.asarray(streams) != 0).astype(np.int8)
-    if depth == 0 or values.shape[1] == 0:
-        return values
-    out = np.empty_like(values)
-    if mode == "majority":
-        _majority_rows(values, depth, out)
-    else:
-        _hysteresis_rows(values, depth, out)
-    return out

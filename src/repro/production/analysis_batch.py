@@ -413,7 +413,8 @@ class BatchHistogramTest:
                             0.0,
                             scalar.transition_noise_lsb * context.lsb_volts,
                             size=(chunk.shape[0], context.n_samples))
-                        codes = batch_quantise_rows(chunk, voltages)
+                        codes = batch_quantise_rows(
+                            chunk, voltages, context.ramp_voltages)
                         # Codes from a (devices, 2**n - 1) transition matrix
                         # are within [0, n_codes), as the kernel requires.
                         counts[lo:hi] = batch_code_histogram(codes, n_codes)
@@ -711,7 +712,8 @@ class BatchDynamicSuite:
                         voltages = np.broadcast_to(
                             context.sine_voltages,
                             (chunk.shape[0], n_samples))
-                    codes = batch_quantise_rows(chunk, voltages)
+                    codes = batch_quantise_rows(chunk, voltages,
+                                                context.sine_voltages)
                     power = analyzer.windowed_power(codes)
                     # Vectorised per-tone bookkeeping: the fundamental is
                     # located per device as an index vector and every figure

@@ -20,17 +20,25 @@ Two execution paths are selected automatically:
     scalar loop and million-device Monte-Carlo runs feasible.
 
 **Stream path** (transition noise, stimulus noise or a deglitch filter
-    configured).  The acquisition is materialised chunk-wise as a 2-D
-    quantisation of the shared ramp; the LSB waveforms are extracted,
-    deglitched and processed as batched array ops, consuming the shared
-    random generator in exactly the order the scalar per-device loop does,
-    so noisy runs also match the scalar engine decision for decision.
+    configured).  Each chunk's noise is drawn into one buffer the shard
+    reuses, in exactly the order the scalar per-device loop consumes the
+    generator, and quantised by :func:`repro.core.kernel.
+    batch_quantise_rows` (the noise-free code of the shared ramp,
+    corrected by vectorised ±1 steps).  From there on only the sparse
+    list of code changes is processed — at 0.05 LSB of noise about one
+    sample in twenty: odd code steps are the raw LSB toggles,
+    :func:`deglitch_edges` filters that toggle list, the filtered toggles
+    go straight to the LSB processing block, and the MSB reference
+    counter is checked at code changes and falling clock edges only
+    (:func:`repro.core.kernel.event_msb_mismatch`), because the mismatch
+    between the upper bits and the counter is constant in between.  Noisy
+    runs therefore match the scalar engine decision for decision.
 
 Both paths feed the same count-limit kernel
 (:func:`repro.core.decision.decide_counts`) the scalar LSB processor uses,
-and the stream path's quantisation and MSB reference counter are the shared
-device-axis kernel of :mod:`repro.core.kernel` — the same array program the
-scalar :class:`~repro.core.msb_checker.MsbChecker` runs with one row.
+and the stream path's event MSB check equals the matrix reference counter
+of :mod:`repro.core.kernel` that the scalar
+:class:`~repro.core.msb_checker.MsbChecker` runs with one row.
 
 :func:`chip_grouping` and :meth:`BatchBistEngine.run_chips` extend the batch
 to multi-converter ICs: consecutive dies share one chip, the chip passes
@@ -65,8 +73,9 @@ from repro.core.backend import (
     resolve_backend_name,
 )
 from repro.core.kernel import (
-    batch_msb_reference,
     batch_quantise_rows,
+    code_change_events,
+    event_msb_mismatch,
     packed_crossing_events,
     shared_crossing_indices,
 )
@@ -82,7 +91,7 @@ from repro.telemetry.core import current_telemetry
 
 __all__ = ["BatchLsbProcessor", "BatchLsbResult", "BatchBistResult",
            "BatchBistEngine", "BatchChipBistResult", "batch_deglitch",
-           "chip_grouping", "chip_noise_seeds"]
+           "chip_grouping", "chip_noise_seeds", "deglitch_edges"]
 
 RngLike = Union[int, np.random.Generator, None]
 
@@ -99,16 +108,24 @@ def _event_chunk_size(n_transitions: int, n_samples: int) -> int:
     return auto_chunk_size(row)
 
 
+#: Working-set budget of one stream-path chunk.  Its sample matrices are
+#: streamed through several times, so they should stay near the cache:
+#: on a 2-core Xeon with 2 MiB of L2 per core, 48–96 devices of 4369
+#: samples ran fastest and chunks of 192 or more ran ~15% slower.
+STREAM_CHUNK_BUDGET_BYTES = 12 << 20
+
+
 def _stream_chunk_size(n_transitions: int, n_samples: int) -> int:
     """Default chunk on the stream path: full per-device sample rows.
 
-    Each device materialises a float64 noise/voltage row, a code row in
-    the backend's code dtype, and a few int8/bool bit streams.
+    Each device materialises a float64 voltage row, the quantiser's two
+    float64 bound rows, a code row in the backend's code dtype and three
+    bool masks (the quantiser's step masks and the code-change mask).
     """
     backend = current_backend()
-    row = n_samples * (16 + backend.code_dtype(n_transitions + 1).itemsize
-                       + 4)
-    return auto_chunk_size(max(row, 1))
+    row = n_samples * (24 + backend.code_dtype(n_transitions + 1).itemsize
+                       + 3)
+    return auto_chunk_size(max(row, 1), budget=STREAM_CHUNK_BUDGET_BYTES)
 
 
 @dataclass
@@ -175,53 +192,113 @@ def batch_deglitch(streams: np.ndarray,
                    filt: DeglitchFilter) -> np.ndarray:
     """Apply a :class:`DeglitchFilter` to every row of a 0/1 stream matrix.
 
-    Row ``d`` of the result equals ``filt.apply(streams[d])`` exactly; both
-    modes are pure array programs over the full (devices, samples) matrix.
-    The majority mode is a batched sliding-window vote.  The hysteresis
-    mode exploits that the filter state can only change at the ``depth``-th
-    sample of a run of equal values (a shorter run never flips it, a longer
-    run has already flipped it), so the output at any sample is the value
-    of the most recent such *trigger* sample — a pair of running maxima
-    over the sample axis, no per-sample state machine.
+    Row ``d`` of the result equals ``filt.apply(streams[d])`` exactly.  The
+    matrix is reduced to its toggle list, filtered by
+    :func:`deglitch_edges` and expanded again.
     """
     streams = np.asarray(streams)
     if streams.ndim != 2:
         raise ValueError("streams must be a (devices, samples) matrix")
-    if current_backend().jit:
-        from repro.core import kernel_jit
-        return kernel_jit.batch_deglitch_jit(streams, filt.depth, filt.mode)
     values = (streams != 0).astype(np.int8)
     if filt.depth == 0 or values.shape[1] == 0:
         return values
-    if filt.mode == "majority":
-        window = 2 * filt.depth + 1
-        padded = np.pad(values, ((0, 0), (filt.depth, filt.depth)),
-                        mode="edge")
-        cumulative = np.concatenate(
-            (np.zeros((values.shape[0], 1), dtype=np.int64),
-             np.cumsum(padded, axis=1)), axis=1)
-        sums = cumulative[:, window:] - cumulative[:, :-window]
-        return (sums * 2 > window).astype(np.int8)
+    out_dev, out_t = deglitch_edges(*code_change_events(values),
+                                    values[:, 0], values.shape[1], filt)
+    toggles = np.zeros(values.shape, dtype=np.int8)
+    toggles[:, 0] = values[:, 0]
+    toggles[out_dev, out_t] = 1
+    return np.bitwise_xor.accumulate(toggles, axis=1)
 
-    n_samples = values.shape[1]
-    idx = np.arange(n_samples)
-    # Start index of the run each sample belongs to, as a running maximum
-    # over the run-start positions seen so far.
-    is_start = np.empty(values.shape, dtype=bool)
-    is_start[:, 0] = True
-    is_start[:, 1:] = values[:, 1:] != values[:, :-1]
-    run_start = np.maximum.accumulate(np.where(is_start, idx, 0), axis=1)
-    # A run reaches the acceptance length at its depth-th sample; the
-    # filter output equals the value at the latest such trigger, or the
-    # initial value when no run has qualified yet.  (Triggers whose value
-    # already equals the state are harmless: the gathered value is the
-    # state itself.)
-    trigger = (idx - run_start) == (filt.depth - 1)
-    last_trigger = np.maximum.accumulate(np.where(trigger, idx, -1), axis=1)
-    gathered = np.take_along_axis(values, np.maximum(last_trigger, 0),
-                                  axis=1)
-    return np.where(last_trigger >= 0, gathered,
-                    values[:, :1]).astype(np.int8)
+
+def _position_in_device(dev: np.ndarray,
+                        n_devices: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Each event's 0-based index within its device, and each device's
+    first event index, for events sorted by device."""
+    counts = np.bincount(dev, minlength=n_devices)
+    first = np.cumsum(counts) - counts
+    return np.arange(dev.size) - first[dev], first
+
+
+def deglitch_edges(edge_dev: np.ndarray, edge_t: np.ndarray,
+                   initial: np.ndarray, n_samples: int,
+                   filt: DeglitchFilter) -> Tuple[np.ndarray, np.ndarray]:
+    """Run a :class:`DeglitchFilter` on 0/1 streams given as toggle lists.
+
+    A stream is its value at sample 0 (``initial``, per device) plus the
+    samples at which it toggles (``edge_dev``/``edge_t``, sorted by
+    device, then sample, every ``t`` in ``[1, n_samples)``).  The filtered
+    stream starts at the same value in both modes, so the result is again
+    a toggle list in the same order, equal to the toggles of
+    ``filt.apply`` on the expanded rows.
+    """
+    if filt.depth == 0 or edge_t.size == 0:
+        return edge_dev, edge_t
+    initial = np.asarray(initial, dtype=np.int64)
+    pos, first = _position_in_device(edge_dev, initial.size)
+    if filt.mode == "majority":
+        return _majority_edges(edge_dev, edge_t, initial, pos, first,
+                               n_samples, filt.depth)
+    # Hysteresis: the run a toggle starts flips the state at its depth-th
+    # sample when it lasts that long and its value differs from the last
+    # run that did.  Runs alternate in value, so "differs" is a parity
+    # test against the previous qualifying run (or the initial run).
+    run_end = np.append(edge_t[1:], n_samples)
+    run_end[np.append(edge_dev[1:] != edge_dev[:-1], True)] = n_samples
+    qualified = np.flatnonzero(run_end - edge_t >= filt.depth)
+    parity = (pos[qualified] + 1) & 1
+    previous = np.zeros_like(parity)
+    previous[1:] = parity[:-1]
+    dev = edge_dev[qualified]
+    previous[1:][dev[1:] != dev[:-1]] = 0
+    flips = qualified[parity != previous]
+    return edge_dev[flips], edge_t[flips] + (filt.depth - 1)
+
+
+def _majority_edges(edge_dev: np.ndarray, edge_t: np.ndarray,
+                    initial: np.ndarray, pos: np.ndarray, first: np.ndarray,
+                    n_samples: int, depth: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Majority-mode :func:`deglitch_edges`.
+
+    The vote at sample ``i`` counts the ones among the edge-padded samples
+    ``i - depth .. i + depth``; it can only change within ``depth`` of a
+    toggle, so it is evaluated at those samples and their predecessors
+    only, from per-run prefix counts of ones.
+    """
+    # Ones before each toggle: a segmented running sum of the lengths of
+    # the runs of ones that precede it.
+    run_start = np.where(pos > 0, np.append(0, edge_t[:-1]), 0)
+    before_value = initial[edge_dev] ^ (pos & 1)
+    ones = np.cumsum((edge_t - run_start) * before_value)
+    ones_before = ones - np.append(0, ones)[first[edge_dev]]
+    keys = edge_dev * n_samples + edge_t
+    n_edges = np.bincount(edge_dev, minlength=initial.size)
+
+    def ones_through(d: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Ones among samples ``0 .. n`` of device ``d`` (``n >= -1``)."""
+        runs = (np.searchsorted(keys, d * n_samples + n, side="right")
+                - first[d])
+        last = np.maximum(first[d] + runs - 1, 0)
+        value = initial[d] ^ (runs & 1)
+        start = np.where(runs > 0, edge_t[last], 0)
+        prefix = np.where(runs > 0, ones_before[last], 0)
+        return np.where(n >= 0, prefix + value * (n - start + 1), 0)
+
+    offsets = np.arange(-depth - 1, depth + 1)
+    where = edge_t[:, None] + offsets
+    inside = (where >= 0) & (where < n_samples)
+    points = np.unique((edge_dev[:, None] * n_samples + where)[inside])
+    d = points // n_samples
+    i = points - d * n_samples
+    final = initial ^ (n_edges & 1)
+    votes = (ones_through(d, np.minimum(i + depth, n_samples - 1))
+             - ones_through(d, np.maximum(i - depth, 0) - 1)
+             + np.maximum(depth - i, 0) * initial[d]
+             + np.maximum(i + depth - (n_samples - 1), 0) * final[d])
+    out = 2 * votes > 2 * depth + 1
+    change = ((np.diff(points) == 1) & (i[1:] > 0)
+              & (out[1:] != out[:-1]))
+    return d[1:][change], i[1:][change]
 
 
 @dataclass
@@ -345,12 +422,12 @@ class BatchLsbProcessor:
         if streams.ndim != 2:
             raise ValueError("lsb_streams must be a (devices, samples) "
                              "matrix")
-        if self.deglitch is not None:
-            streams = batch_deglitch(streams, self.deglitch)
-
-        change = np.diff(streams, axis=1) != 0
-        edge_dev, edge_col = np.nonzero(change)
-        edge_t = edge_col + 1
+        edge_dev, edge_t = code_change_events(streams)
+        if self.deglitch is not None and edge_t.size:
+            edge_dev, edge_t = deglitch_edges(edge_dev, edge_t,
+                                              streams[:, 0],
+                                              streams.shape[1],
+                                              self.deglitch)
         n_edges = np.bincount(edge_dev, minlength=streams.shape[0])
         return self._from_edges(edge_dev, edge_t, n_edges, n_bits=n_bits)
 
@@ -803,7 +880,8 @@ class BatchBistEngine:
                 lo = chip_lo * converters_per_chip
                 hi = chip_hi * converters_per_chip
                 outcomes.append(self._process_streams(
-                    transitions[lo:hi], ctx.ramp_voltages + noise))
+                    transitions[lo:hi], ctx.ramp_voltages + noise,
+                    ctx.ramp_voltages))
             return self._combine(outcomes, transitions.shape[0],
                                  ctx.n_samples)
 
@@ -944,6 +1022,12 @@ class BatchBistEngine:
                 t.count(f"kernel.{context.backend}.devices", n_devices)
             with t.span("engine.bist.run_shard", devices=n_devices):
                 outcomes = []
+                # Voltage and code rows reused by every chunk of the shard.
+                shape = (min(chunk_size, n_devices), context.n_samples)
+                buffers = None if context.event_path else (
+                    np.empty(shape), np.empty(shape, dtype=current_backend()
+                                              .code_dtype(
+                                                  transitions.shape[1] + 1)))
                 for lo, hi in iter_slices(n_devices, chunk_size):
                     chunk = transitions[lo:hi]
                     if context.event_path:
@@ -952,7 +1036,7 @@ class BatchBistEngine:
                     else:
                         outcomes.append(self._run_streams(
                             chunk, context.ramp_voltages,
-                            context.lsb_volts, generator))
+                            context.lsb_volts, generator, buffers))
                 return self._combine(outcomes, n_devices,
                                      context.n_samples)
 
@@ -1074,49 +1158,81 @@ class BatchBistEngine:
 
     def _run_streams(self, transitions: np.ndarray,
                      ramp_voltages: np.ndarray, lsb_volts: float,
-                     generator: np.random.Generator) -> "_ChunkOutcome":
-        """General path materialising the acquisitions chunk-wise."""
+                     generator: np.random.Generator,
+                     buffers: Tuple[np.ndarray, np.ndarray]
+                     ) -> "_ChunkOutcome":
+        """General path materialising the acquisitions chunk-wise.
+
+        The voltages and codes land in the leading rows of the shard's
+        reusable ``buffers``.  ``normal(0, sigma)`` is ``0 + sigma * z``
+        for the same standard normals ``z``, so drawing ``z`` in place,
+        scaling it and adding the ramp reproduces ``ramp + normal(0,
+        sigma)`` bit for bit.
+        """
         cfg = self.config
         n_chunk = transitions.shape[0]
         n_samples = ramp_voltages.size
 
         if cfg.transition_noise_lsb > 0.0:
-            voltages = ramp_voltages + generator.normal(
-                0.0, cfg.transition_noise_lsb * lsb_volts,
-                size=(n_chunk, n_samples))
+            voltages = buffers[0][:n_chunk]
+            generator.standard_normal(out=voltages)
+            voltages *= cfg.transition_noise_lsb * lsb_volts
+            voltages += ramp_voltages
         else:
             voltages = np.broadcast_to(ramp_voltages, (n_chunk, n_samples))
-        return self._process_streams(transitions, voltages)
+        return self._process_streams(transitions, voltages, ramp_voltages,
+                                     buffers[1][:n_chunk])
 
     def _process_streams(self, transitions: np.ndarray,
-                         voltages: np.ndarray) -> "_ChunkOutcome":
+                         voltages: np.ndarray, ramp_voltages: np.ndarray,
+                         codes: Optional[np.ndarray] = None
+                         ) -> "_ChunkOutcome":
         """Quantise per-device voltage rows and run the on-chip blocks.
 
         The noise-provenance-agnostic half of the stream path: callers
         decide how the per-device voltages were produced (shared stream in
         device order, or per-converter child generators in chip mode).
+        Everything after the quantiser works on the code-change events:
+        the odd steps are the raw LSB toggles, the deglitch filter runs
+        on that toggle list, and the MSB reference counter is checked at
+        the code changes and the falling clock edges only.
         """
         cfg = self.config
-        n_chunk = transitions.shape[0]
+        n_chunk, n_samples = voltages.shape
 
-        codes = batch_quantise_rows(transitions, voltages)
+        codes = batch_quantise_rows(transitions, voltages, ramp_voltages,
+                                    out=codes)
+        dev, t = code_change_events(codes)
+        telemetry = current_telemetry()
+        if telemetry.enabled:
+            telemetry.count("engine.bist.stream_events", int(dev.size))
+        flat_codes = codes.reshape(-1)
+        at = dev * n_samples + t
+        after = flat_codes[at].astype(np.int64)
+        start = codes[:, 0].astype(np.int64)
+        initial = start & 1
 
-        lsb_streams = (codes & 1).astype(np.int8)
+        odd = ((after ^ flat_codes[at - 1]) & 1) == 1
+        edge_dev, edge_t = dev[odd], t[odd]
         if self._deglitch is not None:
             # Filter once; the deglitched stream clocks the MSB reference
             # counter and feeds the LSB processing block, as in the scalar
             # engine (which also applies the filter a single time to each).
-            lsb_streams = batch_deglitch(lsb_streams, self._deglitch)
+            edge_dev, edge_t = deglitch_edges(edge_dev, edge_t, initial,
+                                              n_samples, self._deglitch)
         if cfg.check_msb:
-            clock = lsb_streams if self._deglitch is not None else None
-            tolerance = 1 if cfg.transition_noise_lsb > 0 else 0
-            upper, reference, _ = batch_msb_reference(codes, self._msb_q,
-                                                      clock=clock)
-            msb_ok = ~(np.abs(upper - reference) > tolerance).any(axis=1)
+            # The clock falls where a toggle leaves it at 0.
+            pos, _ = _position_in_device(edge_dev, n_chunk)
+            falls = (initial[edge_dev] ^ ((pos + 1) & 1)) == 0
+            msb_ok = ~event_msb_mismatch(start, dev, t, after,
+                                         edge_dev[falls], edge_t[falls],
+                                         self._msb_q, cfg.msb_tolerance)
         else:
             msb_ok = np.ones(n_chunk, dtype=bool)
 
-        lsb_res = self._lsb.process(lsb_streams, n_bits=cfg.n_bits)
+        lsb_res = self._lsb._from_edges(
+            edge_dev, edge_t, np.bincount(edge_dev, minlength=n_chunk),
+            n_bits=cfg.n_bits)
         return _ChunkOutcome.from_lsb(lsb_res, msb_ok)
 
     # ------------------------------------------------------------------ #

@@ -306,7 +306,7 @@ class BatchPartialBistEngine:
                 hi = chip_hi * converters_per_chip
                 chunks.append(self._process_streams(
                     transitions[lo:hi], ctx.ramp_voltages + noise,
-                    ctx.partition.q))
+                    ctx.ramp_voltages, ctx.partition.q))
             return self._build_result(chunks, transitions.shape[0], ctx)
 
     def run_population(self, population: Union[DevicePopulation, Wafer],
@@ -483,7 +483,8 @@ class BatchPartialBistEngine:
             voltages = context.ramp_voltages + generator.normal(
                 0.0, cfg.transition_noise_lsb * context.lsb_volts,
                 size=(transitions.shape[0], context.ramp_voltages.size))
-            return self._process_streams(transitions, voltages, q)
+            return self._process_streams(transitions, voltages,
+                                         context.ramp_voltages, q)
         return self._run_chunk_events(transitions, context.ramp_voltages, q)
 
     def _run_chunk_events(self, transitions: np.ndarray,
@@ -555,7 +556,8 @@ class BatchPartialBistEngine:
         return self._decide(counts, msb_ok, errors)
 
     def _process_streams(self, transitions: np.ndarray,
-                         voltages: np.ndarray, q: int):
+                         voltages: np.ndarray, ramp_voltages: np.ndarray,
+                         q: int):
         """Quantise per-device voltage rows and run the partial flow.
 
         The noise-provenance-agnostic half of the stream path: callers
@@ -566,7 +568,7 @@ class BatchPartialBistEngine:
         n_chunk = transitions.shape[0]
         n_codes = 1 << cfg.n_bits
 
-        codes = batch_quantise_rows(transitions, voltages)
+        codes = batch_quantise_rows(transitions, voltages, ramp_voltages)
 
         # --- on-chip: bits q+1 .. n against the reference counter ------- #
         if cfg.check_msb and q < cfg.n_bits:

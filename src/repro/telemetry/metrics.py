@@ -75,6 +75,16 @@ is a **tolerance** backend (JIT loops may re-associate float sums,
 ``atol`` on the registered backend), so float-derived counters may
 legitimately differ in the last ulp.
 
+The full-BIST batch engine counts its work under ``engine.bist.*``;
+one key describes the stream path's input rather than its volume:
+
+``engine.bist.stream_events``
+    Code-change events the stream path built (samples whose code
+    differs from the previous sample's), next to ``engine.bist.samples``.
+    The ratio events / samples is the event density the path's cost
+    depends on: about 5% at 0.05 LSB of transition noise, approaching
+    half the samples above 0.5 LSB.
+
 The adaptive test flows (:mod:`repro.flows`) count under ``flow.*`` in
 the deterministic ``counters`` block — the sequential station's
 decisions and the wafer-level SPC verdicts depend only on the drawn

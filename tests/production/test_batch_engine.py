@@ -101,6 +101,23 @@ class TestScalarBatchEquivalence:
                                              chunk_size=7)
         np.testing.assert_array_equal(one_chunk.passed, many_chunks.passed)
 
+    def test_noise_free_deglitch_accepts_like_no_filter(self):
+        """A deglitched clock lags the code by depth - 1 samples; the MSB
+        check must allow that one-count lag instead of rejecting every
+        die of a noise-free run."""
+        wafer = Wafer.draw(WaferSpec(n_devices=200,
+                                     sigma_code_width_lsb=0.21), rng=12)
+        plain = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
+        filtered = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
+                              deglitch_depth=3)
+        reference = BatchBistEngine(plain).run_wafer(wafer)
+        batch = BatchBistEngine(filtered).run_wafer(wafer)
+        np.testing.assert_array_equal(batch.passed, reference.passed)
+        assert reference.accept_fraction > 0.5
+        devices = [wafer.device(i) for i in range(40)]
+        scalar = BistEngine(filtered).run_population(devices)
+        np.testing.assert_array_equal(scalar.accepted, reference.passed[:40])
+
     def test_stimulus_noise(self):
         wafer = Wafer.draw(WaferSpec(n_devices=40), rng=6)
         config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,

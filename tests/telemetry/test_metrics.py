@@ -15,11 +15,13 @@ from repro.telemetry import (
 )
 
 
-def _run_campaign(workers: int) -> Telemetry:
+def _run_campaign(workers: int, chunk_size=None) -> Telemetry:
     base = Scenario(n_devices=64, transition_noise_lsb=0.05)
     campaign = Campaign(base.grid(method=["bist", "histogram"]), seed=7)
     with telemetry_session(Telemetry()) as t:
-        campaign.run(plan=ExecutionPlan(workers=workers, shard_devices=16))
+        campaign.run(plan=ExecutionPlan(workers=workers,
+                                        chunk_size=chunk_size,
+                                        shard_devices=16))
     return t
 
 
@@ -76,15 +78,20 @@ class TestMetricsDocument:
 
     def test_non_timing_blocks_identical_across_worker_counts(self):
         """The CI metrics-smoke contract at the library level: counters
-        and context are invariant under the execution geometry; only the
-        timing block may differ."""
+        and context are invariant under the execution geometry (workers
+        and chunk size); only the timing block may differ."""
         d1 = metrics_document(_run_campaign(1), context={"seed": 7})
-        d2 = metrics_document(_run_campaign(2), context={"seed": 7})
+        d2 = metrics_document(_run_campaign(2, chunk_size=5),
+                              context={"seed": 7})
         d1.pop("timing")
         d2.pop("timing")
         assert render_metrics(d1) == render_metrics(d2)
         assert d1["counters"]["campaign.scenarios"] == 2
         assert d1["counters"]["line.devices"] == 128
+        # The stream path's event density: some, but far fewer code
+        # changes than samples at 0.05 LSB of noise.
+        events = d1["counters"]["engine.bist.stream_events"]
+        assert 0 < events < d1["counters"]["engine.bist.samples"] / 4
 
     def test_write_metrics_file(self, tmp_path):
         t = Telemetry()

@@ -19,11 +19,19 @@ from repro.analysis.error_model import (
 )
 from repro.analysis.linearity import linearity_from_code_widths
 from repro.analysis.montecarlo import simulate_counts
+from repro.core.backend import backend_scope, current_backend
 from repro.core.bist_scheme import nl_budget, qmin
 from repro.core.counter import SaturatingCounter
 from repro.core.deglitch import DeglitchFilter
+from repro.core.kernel import (
+    batch_msb_reference,
+    batch_quantise_rows,
+    code_change_events,
+    event_msb_mismatch,
+)
 from repro.core.lsb_processor import LsbProcessor
 from repro.core.limits import CountLimits
+from repro.production.batch_engine import deglitch_edges
 
 
 # --------------------------------------------------------------------------- #
@@ -256,6 +264,92 @@ class TestCountingProperties:
         stream.extend([level] * 3)
         result = LsbProcessor(limits).process(np.array(stream, dtype=np.int8))
         assert list(result.counts) == counts
+
+
+# --------------------------------------------------------------------------- #
+# Stream-path kernels: quantiser, edge-list deglitch, event MSB check
+# --------------------------------------------------------------------------- #
+
+def _toggles(streams: np.ndarray):
+    """Toggle list ``(device, sample)`` of a 0/1 stream matrix."""
+    dev, col = np.nonzero(streams[:, 1:] != streams[:, :-1])
+    return dev, col + 1
+
+
+class TestStreamKernelProperties:
+    @given(st.integers(1, 5), st.integers(1, 15), st.integers(1, 300),
+           st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.0]),
+           st.sampled_from(["ramp", "sine"]), st.booleans(),
+           st.sampled_from(["numpy", "numpy-compact"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_quantiser_equals_thermometer_count(self, n_devices, n_levels,
+                                                n_samples, sigma, kind,
+                                                shuffled, backend, seed):
+        """Every element is the count of transitions at or below it, for
+        monotone and shuffled (non-monotone) rows, voltages sitting exactly
+        on a transition, and noise up to 2 LSB (multi-step corrections)."""
+        rng = np.random.default_rng(seed)
+        levels = (np.arange(1.0, n_levels + 1)
+                  + rng.normal(0.0, 0.3, (n_devices, n_levels)))
+        if shuffled:
+            levels = rng.permuted(levels, axis=1)
+        phase = np.linspace(0.0, 1.0, n_samples)
+        stimulus = (-1.0 + (n_levels + 2) * phase if kind == "ramp"
+                    else (n_levels + 1) / 2 * (1 + np.sin(9.0 * phase)))
+        voltages = stimulus + rng.normal(0.0, sigma, (n_devices, n_samples))
+        hits = rng.random((n_devices, n_samples)) < 0.05
+        rows = np.nonzero(hits)[0]
+        voltages[hits] = levels[rows, rng.integers(0, n_levels, rows.size)]
+        expected = np.stack([(voltages[d][:, None] >= levels[d]).sum(axis=1)
+                             for d in range(n_devices)])
+        with backend_scope(backend):
+            codes = batch_quantise_rows(levels, voltages, stimulus)
+            assert codes.dtype == current_backend().code_dtype(n_levels + 1)
+            out = np.full_like(codes, -1)
+            assert batch_quantise_rows(levels, voltages, stimulus,
+                                       out=out) is out
+        np.testing.assert_array_equal(codes, expected)
+        np.testing.assert_array_equal(out, expected)
+
+    @given(st.integers(1, 6), st.integers(1, 120),
+           st.floats(min_value=0.02, max_value=0.98),
+           st.integers(0, 5), st.sampled_from(["hysteresis", "majority"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_list_deglitch_equals_scalar_filter(self, n_devices,
+                                                     n_samples, p_one, depth,
+                                                     mode, seed):
+        rng = np.random.default_rng(seed)
+        streams = (rng.random((n_devices, n_samples)) < p_one).astype(np.int8)
+        filt = DeglitchFilter(depth, mode)
+        dev, t = deglitch_edges(*_toggles(streams), streams[:, 0],
+                                n_samples, filt)
+        expected = np.stack([filt.apply(row) for row in streams])
+        want_dev, want_t = _toggles(expected)
+        np.testing.assert_array_equal(dev, want_dev)
+        np.testing.assert_array_equal(t, want_t)
+
+    @given(st.integers(1, 5), st.integers(1, 150), st.integers(1, 2),
+           st.integers(0, 1), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_event_msb_check_equals_matrix_counter(self, n_devices,
+                                                   n_samples, q, tolerance,
+                                                   own_clock, seed):
+        rng = np.random.default_rng(seed)
+        steps = rng.choice([-2, -1, 0, 0, 0, 1, 1, 2],
+                           size=(n_devices, n_samples))
+        codes = np.abs(np.cumsum(steps, axis=1)) + rng.integers(
+            0, 8, (n_devices, 1))
+        clock = ((rng.random((n_devices, n_samples)) < 0.5).astype(np.int8)
+                 if own_clock else (codes >> (q - 1)) & 1)
+        upper, reference, _ = batch_msb_reference(codes, q, clock=clock)
+        expected = (np.abs(upper - reference) > tolerance).any(axis=1)
+        dev, t = code_change_events(codes)
+        falls = np.nonzero((clock[:, :-1] == 1) & (clock[:, 1:] == 0))
+        got = event_msb_mismatch(codes[:, 0], dev, t, codes[dev, t],
+                                 falls[0], falls[1] + 1, q, tolerance)
+        np.testing.assert_array_equal(got, expected)
 
 
 # --------------------------------------------------------------------------- #
