@@ -155,8 +155,7 @@ class BistConfig:
         filter delays every clock edge by ``deglitch_depth - 1`` samples,
         so the counter trails each upper-bit step by one count.
         """
-        return 1 if self.transition_noise_lsb > 0 or self.deglitch_depth > 0 \
-            else 0
+        return int(self.transition_noise_lsb > 0 or self.deglitch_depth > 0)
 
 
 @dataclass

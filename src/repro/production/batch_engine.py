@@ -77,6 +77,7 @@ from repro.core.kernel import (
     code_change_events,
     event_msb_mismatch,
     packed_crossing_events,
+    position_in_device,
     shared_crossing_indices,
 )
 from repro.core.limits import CountLimits
@@ -210,15 +211,6 @@ def batch_deglitch(streams: np.ndarray,
     return np.bitwise_xor.accumulate(toggles, axis=1)
 
 
-def _position_in_device(dev: np.ndarray,
-                        n_devices: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Each event's 0-based index within its device, and each device's
-    first event index, for events sorted by device."""
-    counts = np.bincount(dev, minlength=n_devices)
-    first = np.cumsum(counts) - counts
-    return np.arange(dev.size) - first[dev], first
-
-
 def deglitch_edges(edge_dev: np.ndarray, edge_t: np.ndarray,
                    initial: np.ndarray, n_samples: int,
                    filt: DeglitchFilter) -> Tuple[np.ndarray, np.ndarray]:
@@ -234,7 +226,7 @@ def deglitch_edges(edge_dev: np.ndarray, edge_t: np.ndarray,
     if filt.depth == 0 or edge_t.size == 0:
         return edge_dev, edge_t
     initial = np.asarray(initial, dtype=np.int64)
-    pos, first = _position_in_device(edge_dev, initial.size)
+    pos, first = position_in_device(edge_dev, initial.size)
     if filt.mode == "majority":
         return _majority_edges(edge_dev, edge_t, initial, pos, first,
                                n_samples, filt.depth)
@@ -1222,7 +1214,7 @@ class BatchBistEngine:
                                               n_samples, self._deglitch)
         if cfg.check_msb:
             # The clock falls where a toggle leaves it at 0.
-            pos, _ = _position_in_device(edge_dev, n_chunk)
+            pos, _ = position_in_device(edge_dev, n_chunk)
             falls = (initial[edge_dev] ^ ((pos + 1) & 1)) == 0
             msb_ok = ~event_msb_mismatch(start, dev, t, after,
                                          edge_dev[falls], edge_t[falls],

@@ -82,8 +82,8 @@ one key describes the stream path's input rather than its volume:
     Code-change events the stream path built (samples whose code
     differs from the previous sample's), next to ``engine.bist.samples``.
     The ratio events / samples is the event density the path's cost
-    depends on: about 5% at 0.05 LSB of transition noise, approaching
-    half the samples above 0.5 LSB.
+    depends on; for a 6-bit flash at 64 samples per code it is about 5%
+    at 0.05 LSB of transition noise, 47% at 0.5 LSB and 81% at 2 LSB.
 
 The adaptive test flows (:mod:`repro.flows`) count under ``flow.*`` in
 the deterministic ``counters`` block — the sequential station's
