@@ -1,7 +1,7 @@
-"""Kernel-backend benchmark: per-backend throughput, fast path, memory.
+"""Kernel benchmark: crossing-index fast path and code-matrix memory.
 
-Three scalars back the backend seam's acceptance claims, recorded into
-the ``BENCH_*.json`` trajectory:
+Two scalars back the kernel's acceptance claims, recorded into the
+``BENCH_*.json`` trajectory:
 
 ``kernel.event_fast_path_speedup``
     The arithmetic crossing-index fast path
@@ -10,37 +10,23 @@ the ``BENCH_*.json`` trajectory:
     historical ``np.searchsorted`` per-row reference it replaced, same
     inputs, bit-identical outputs asserted.  Claim: >= 1.5x.
 ``kernel.compact_memory_ratio_8bit``
-    Bytes of an 8-bit code matrix under ``numpy`` (int64) over
-    ``numpy-compact`` (int16), measured off the actual kernel outputs.
+    Bytes of an 8-bit code matrix stored as int64 over the kernel's
+    compact code matrix (int16), measured off the actual kernel output.
     Claim: >= 2x (the int16 compaction gives 4x).
-``kernel.<backend>.devices_per_s``
-    Full-BIST event-path screening throughput per shipping backend; the
-    ``numba`` row appears only where the optional dependency is
-    installed (the CI matrix leg).
 
-Results across backends are asserted identical (integer outputs) before
-any timing is recorded, so a backend can never buy throughput with
-wrong answers.  Wall-clock thresholds stay out of the gating tier-1 run
-for the usual reason: shared CI runners make timing assertions hostage
-to co-tenant load, so the committed trajectory is the enforcement
-point.
+Wall-clock thresholds stay out of the gating tier-1 run for the usual
+reason: shared CI runners make timing assertions hostage to co-tenant
+load, so the committed trajectory is the enforcement point.
 """
 
 import time
 
 import numpy as np
 
-from repro.core import BistConfig
-from repro.core.backend import available_backends, backend_scope
 from repro.core.kernel import batch_quantise_shared, shared_crossing_indices
-from repro.production import BatchBistEngine, Wafer, WaferSpec
 from repro.reporting import format_table
 
 REPEATS = 5
-
-#: Backends timed by the throughput sweep (numba only when installed).
-BACKENDS = [name for name in ("numpy", "numpy-compact", "numba")
-            if name in available_backends()]
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -86,47 +72,16 @@ def test_compaction_memory_ratio(bench, report):
     transitions = np.sort(rng.uniform(-0.55, 0.55, (2000, 255)), axis=1)
     voltages = np.linspace(-0.6, 0.6, 255 * 16 + 1)
 
-    wide = batch_quantise_shared(transitions, voltages)
-    with backend_scope("numpy-compact"):
-        narrow = batch_quantise_shared(transitions, voltages)
-    np.testing.assert_array_equal(wide, narrow)
+    narrow = batch_quantise_shared(transitions, voltages)
+    wide = narrow.astype(np.int64)
     ratio = wide.nbytes / narrow.nbytes
     bench("kernel.compact_memory_ratio_8bit", ratio)
-    bench("kernel.code_matrix_bytes_numpy", wide.nbytes)
+    bench("kernel.code_matrix_bytes_int64", wide.nbytes)
     bench("kernel.code_matrix_bytes_compact", narrow.nbytes)
     report("kernel: 8-bit code-matrix compaction",
            format_table(
-               ["backend", "dtype", "bytes", "ratio"],
-               [["numpy", str(wide.dtype), str(wide.nbytes), "1.00"],
-                ["numpy-compact", str(narrow.dtype), str(narrow.nbytes),
+               ["storage", "dtype", "bytes", "ratio"],
+               [["int64", str(wide.dtype), str(wide.nbytes), "1.00"],
+                ["kernel", str(narrow.dtype), str(narrow.nbytes),
                  f"{ratio:.2f}"]],
                title="2000 devices x (4081 samples as codes)"))
-
-
-def test_per_backend_event_throughput(bench, report):
-    wafer = Wafer.draw(WaferSpec(n_bits=6, sigma_code_width_lsb=0.21,
-                                 n_devices=4096), rng=3)
-    engine = BatchBistEngine(
-        BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0))
-
-    results = {}
-    rows = []
-    for name in BACKENDS:
-        with backend_scope(name):
-            results[name] = engine.run_wafer(wafer, rng=0)
-            seconds = _best_of(lambda: engine.run_wafer(wafer, rng=0))
-        rate = wafer.spec.n_devices / seconds
-        bench(f"kernel.{name}.devices_per_s", rate)
-        rows.append([name, f"{seconds:.4f}", f"{rate:,.0f}"])
-    # Integer decisions must agree bit for bit across every backend
-    # before the timing means anything.
-    reference = results["numpy"]
-    for name, result in results.items():
-        np.testing.assert_array_equal(reference.passed, result.passed,
-                                      err_msg=name)
-        np.testing.assert_array_equal(reference.measured_max_dnl_lsb,
-                                      result.measured_max_dnl_lsb,
-                                      err_msg=name)
-    report("kernel: full-BIST event path by backend",
-           format_table(["backend", "seconds", "devices/s"], rows,
-                        title="4096-die wafer, 6-bit, noise-free"))

@@ -444,14 +444,6 @@ class Campaign:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def _screen_scenario(self, label: str, seed: int, line: ScreeningLine,
-                         lot: Lot, plan: Optional[ExecutionPlan],
-                         parent_span_id: Optional[int]
-                         ) -> Tuple[LotScreeningReport, ResultStore]:
-        """Screen one scenario (thin shim over :func:`screen_scenario`)."""
-        return screen_scenario(label, seed, line, lot, plan=plan,
-                               parent_span_id=parent_span_id)
-
     def _run_interleaved(self, labels: List[str], seeds: List[int],
                          lines: List[ScreeningLine], lots: List[Lot],
                          plan: ExecutionPlan,
@@ -553,8 +545,7 @@ class Campaign:
                         campaign_span.span_id)
                 else:
                     results = [
-                        self._screen_scenario(label, seed, line, lot,
-                                              plan, None)
+                        screen_scenario(label, seed, line, lot, plan=plan)
                         for label, seed, line, lot in zip(
                             labels, seeds, lines, lots)]
             finally:

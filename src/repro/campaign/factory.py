@@ -29,8 +29,8 @@ __all__ = ["BatchEngine", "default_tester", "make_engine",
            "sequential_policy"]
 
 #: Union of the engine types :func:`make_engine` can return — every one of
-#: them implements the :class:`~repro.production.execution.WaferEngine`
-#: protocol with the same ``run_wafer``/``run_transitions`` signatures.
+#: them is a :class:`~repro.production.execution.WaferEngine` with the same
+#: ``run_wafer``/``run_transitions`` signatures.
 BatchEngine = Union[BatchBistEngine, BatchPartialBistEngine,
                     BatchHistogramTest, BatchDynamicSuite]
 
@@ -45,9 +45,7 @@ def make_engine(scenario: Scenario, *,
     ----------
     scenario:
         The declarative run description; ``method``/``q``/
-        ``samples_per_code`` select and parameterise the engine, and
-        ``scenario.backend`` is passed to every engine as its kernel
-        backend (``None`` defers to the ambient default).
+        ``samples_per_code`` select and parameterise the engine.
     config:
         Optional measurement configuration overriding the scenario-derived
         :meth:`~repro.campaign.scenario.Scenario.bist_config` — the hook
@@ -65,31 +63,28 @@ def make_engine(scenario: Scenario, *,
     :class:`~repro.production.partial_batch.BatchPartialBistEngine`,
     :class:`~repro.production.analysis_batch.BatchHistogramTest` or
     :class:`~repro.production.analysis_batch.BatchDynamicSuite` — all
-    conforming to the :class:`~repro.production.execution.WaferEngine`
-    protocol with identical run signatures, so callers drive them
+    built on the :class:`~repro.production.execution.WaferEngine`
+    skeleton with identical run signatures, so callers drive them
     uniformly.
     """
     if config is None:
         config = scenario.bist_config()
     method = scenario.method
-    backend = scenario.backend
     if method == "histogram":
         return BatchHistogramTest(
             samples_per_code=scenario.samples_per_code,
             dnl_spec_lsb=config.dnl_spec_lsb,
             inl_spec_lsb=config.inl_spec_lsb,
             transition_noise_lsb=config.transition_noise_lsb,
-            seed=config.seed,
-            backend=backend)
+            seed=config.seed)
     if method == "dynamic":
         return BatchDynamicSuite(
             analyzer=dynamic_analyzer,
             spec=dynamic_spec,
             transition_noise_lsb=config.transition_noise_lsb,
-            seed=config.seed,
-            backend=backend)
+            seed=config.seed)
     if scenario.q is None:
-        return BatchBistEngine(config, backend=backend)
+        return BatchBistEngine(config)
     if config.deglitch_depth > 0:
         raise ValueError(
             "the partial-BIST flow has no deglitch filter; "
@@ -103,7 +98,7 @@ def make_engine(scenario: Scenario, *,
         check_msb=config.check_msb,
         transition_noise_lsb=config.transition_noise_lsb,
         start_margin_lsb=config.start_margin_lsb,
-        seed=config.seed), backend=backend)
+        seed=config.seed))
 
 
 def sequential_policy(scenario: Scenario, *,

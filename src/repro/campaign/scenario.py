@@ -7,8 +7,8 @@ was assembled by hand: pick an engine class, build its config, wire a
 :class:`~repro.production.line.ScreeningLine`, repeat with slightly
 different knobs.  A :class:`Scenario` replaces that with a single frozen
 dataclass naming everything a run depends on — architecture, method, ``q``,
-resolution, noise, wafer geometry, tester choice, seed — that every backend
-consumes:
+resolution, noise, wafer geometry, tester choice, seed — that every consumer
+reads:
 
 * :func:`repro.campaign.factory.make_engine` turns a scenario into the
   right batch engine (the only place engines are constructed);
@@ -32,7 +32,6 @@ from itertools import product
 from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.adc.backends import ARCHITECTURES
-from repro.core.backend import backend_names
 from repro.core.engine import BistConfig
 from repro.economics.cost_model import TesterModel
 from repro.flows.excursions import EXCURSIONS, apply_excursion
@@ -104,14 +103,6 @@ class Scenario:
         ``"digital"``, ``"mixed"``, or ``None`` for the per-method default
         (digital for the full BIST, mixed-signal for everything that
         captures analog-driven data).
-    backend:
-        Kernel backend name (see :mod:`repro.core.backend`):
-        ``"numpy"``, ``"numpy-compact"`` or ``"numba"``.  ``None``
-        (default) lets the engines resolve the ambient/process default
-        at ``prepare`` time.  A campaign grid can sweep this axis —
-        integer results are bit-identical between ``numpy`` and
-        ``numpy-compact``, so the axis deduplicates the physics while
-        exercising the dtype-compacted kernels.
     flow:
         Test flow: ``"fixed"`` (the paper's fixed-count decision,
         default) or ``"sprt"`` — the adaptive sequential flow of
@@ -155,7 +146,6 @@ class Scenario:
     retest_attempts: int = 0
     bin_edges_lsb: Tuple[float, ...] = DEFAULT_BIN_EDGES_LSB
     tester: Optional[str] = None
-    backend: Optional[str] = None
     flow: str = "fixed"
     excursion: Optional[str] = None
     seed: Optional[int] = None
@@ -205,10 +195,6 @@ class Scenario:
         if self.tester not in TESTER_CHOICES:
             raise ValueError(f"unknown tester {self.tester!r}; "
                              f"expected one of {TESTER_CHOICES}")
-        if self.backend is not None and self.backend not in backend_names():
-            raise ValueError(
-                f"unknown kernel backend {self.backend!r}; "
-                f"registered: {', '.join(backend_names())}")
         if self.flow not in FLOWS:
             raise ValueError(f"unknown flow {self.flow!r}; "
                              f"expected one of {FLOWS}")

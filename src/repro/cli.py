@@ -69,12 +69,6 @@ from repro.core import (
     PopulationBistResult,
     qmin,
 )
-from repro.core.backend import (
-    BackendUnavailableError,
-    backend_names,
-    backend_scope,
-    resolve_backend_name,
-)
 from repro.production import (
     SCREENING_METHODS,
     BatchBistEngine,
@@ -111,15 +105,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chunk-size", type=int, default=None,
         help="devices materialised per chunk inside each shard (memory "
-             "knob; never changes results; default: derived from the "
-             "kernel backend's per-row bytes)")
-    parser.add_argument(
-        "--backend", choices=backend_names(), default=None,
-        help="kernel backend the batched engines run on: numpy (default), "
-             "numpy-compact (narrow dtypes, integer outputs "
-             "bit-identical) or numba (JIT event paths, needs the "
-             "optional numba package); default: the REPRO_KERNEL_BACKEND "
-             "environment variable, else numpy")
+             "knob; never changes results; default: each engine's "
+             "working-set budget divided by its per-device row bytes)")
     parser.add_argument(
         "--pool-reuse", action=argparse.BooleanOptionalAction,
         default=True,
@@ -793,15 +780,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     transition_noise_lsb=args.noise,
                     retest_attempts=args.retest,
                     tester=args.tester)
-    # The backend rides on the scenarios themselves (a grid axis like any
-    # other), so the ledger records which kernels screened each lot and a
-    # numpy vs numpy-compact pair of runs byte-diffs over the same grid.
     scenarios = base.grid(architecture=args.arch,
                           method=args.method,
                           q=args.q,
                           flow=getattr(args, "flow", ["fixed"]),
-                          excursion=getattr(args, "excursion", [None]),
-                          backend=getattr(args, "backend", None))
+                          excursion=getattr(args, "excursion", [None]))
     campaign = Campaign(scenarios, seed=args.seed)
     result = campaign.run(plan=_plan_from_args(args))
 
@@ -883,11 +866,6 @@ def _metrics_context(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             context[key] = value
-    # The kernel backend changes what ran (dtypes, event paths), so it is
-    # part of the deterministic context, resolved the same way the
-    # engines resolve it (flag, else REPRO_KERNEL_BACKEND, else numpy).
-    context["kernel.backend"] = resolve_backend_name(
-        getattr(args, "backend", None))
     return context
 
 
@@ -907,17 +885,9 @@ def _run_with_telemetry(handler, args: argparse.Namespace) -> int:
     telemetry = Telemetry(
         progress_every=DEFAULT_PROGRESS_EVERY if progress else 0)
     try:
-        backend = resolve_backend_name(getattr(args, "backend", None))
-    except BackendUnavailableError as exc:
-        raise SystemExit(str(exc))
-    try:
         with telemetry_session(telemetry):
-            # Ambient backend for the whole command: engines resolve it
-            # in prepare(), pin it on their shard contexts and re-enter
-            # it inside run_shard, so worker processes see the same one.
-            with backend_scope(backend):
-                with telemetry.timer(f"cli.{args.command}") as timer:
-                    code = handler(args)
+            with telemetry.timer(f"cli.{args.command}") as timer:
+                code = handler(args)
     finally:
         # One command = one process: release the persistent pool (and any
         # shared-memory segments it kept warm) before printing epilogues.

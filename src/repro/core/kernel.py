@@ -35,14 +35,12 @@ scalar and batch decisions agree bit for bit by construction.
 All functions take and return plain :mod:`numpy` arrays; none of them draw
 random numbers or hold state.
 
-Every function runs against the ambient :class:`~repro.core.backend.
-KernelBackend` (see :func:`~repro.core.backend.backend_scope`): the
-``numpy`` backend reproduces the historical float64/int64 kernel bit for
-bit including dtypes, ``numpy-compact`` stores the large code / crossing /
-histogram matrices in the narrowest safe dtype (identical values), and
-``numba`` additionally dispatches the event kernels to the JIT loops in
-:mod:`repro.core.kernel_jit`.  Reductions and transient intermediates stay
-int64 regardless of backend so compaction can never wrap.
+The large persistent matrices are stored in the narrowest integer dtype
+that holds them with ×2 headroom — :func:`code_dtype` for code matrices,
+:func:`index_dtype` for crossing and sample indices, :func:`hist_dtype`
+for histograms — while reductions and transient intermediates stay int64,
+so nothing can wrap.  :func:`auto_chunk_size` turns an engine's per-row
+byte estimate under those dtypes into its default chunk size.
 """
 
 from __future__ import annotations
@@ -51,9 +49,11 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import current_backend
-
 __all__ = [
+    "CHUNK_BUDGET_BYTES",
+    "CHUNK_CAP",
+    "CHUNK_FLOOR",
+    "auto_chunk_size",
     "batch_quantise_shared",
     "batch_quantise_rows",
     "batch_bit",
@@ -64,11 +64,67 @@ __all__ = [
     "batch_histogram_linearity",
     "batch_shared_ramp_histogram",
     "code_change_events",
+    "code_dtype",
     "event_msb_mismatch",
+    "hist_dtype",
+    "index_dtype",
     "packed_crossing_events",
     "position_in_device",
     "shared_crossing_indices",
 ]
+
+
+#: Working-set budget per engine chunk: the default ``chunk_size`` is the
+#: number of device rows whose materialised per-row state fits this many
+#: bytes (bounded by [CHUNK_FLOOR, CHUNK_CAP]).  Sized so a chunk's hot
+#: arrays stay cache/bandwidth friendly while amortising NumPy call
+#: overhead.
+CHUNK_BUDGET_BYTES = 32 << 20
+CHUNK_FLOOR = 64
+CHUNK_CAP = 65536
+
+
+def auto_chunk_size(row_bytes: int,
+                    budget: int = CHUNK_BUDGET_BYTES,
+                    floor: int = CHUNK_FLOOR,
+                    cap: int = CHUNK_CAP) -> int:
+    """Memory-bandwidth-aware default chunk size.
+
+    ``row_bytes`` is the engine's estimate of bytes materialised per
+    device row inside one chunk (noise matrices, code matrices, event
+    intermediates) under the dtypes below.  Chunking never changes
+    results, so this default only sets the working-set size.
+    """
+    row_bytes = max(int(row_bytes), 1)
+    return int(max(floor, min(cap, budget // row_bytes)))
+
+
+# Each dtype keeps ×2 headroom above the largest value it stores, so
+# in-dtype arithmetic like ``code << 1`` or an off-by-one sentinel can
+# never wrap.  Reductions (flat bincount keys, cumsum counters) stay int64
+# at the call sites.
+
+def code_dtype(n_levels: int) -> np.dtype:
+    """Dtype for ADC code matrices holding values in ``[0, n_levels)``."""
+    if 2 * n_levels <= np.iinfo(np.int16).max:
+        return np.dtype(np.int16)
+    if 2 * n_levels <= np.iinfo(np.int32).max:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
+def index_dtype(n_samples: int) -> np.dtype:
+    """Dtype for sample/crossing indices in ``[0, n_samples]``."""
+    if 2 * (n_samples + 1) <= np.iinfo(np.int32).max:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
+def hist_dtype(n_samples: int) -> np.dtype:
+    """Dtype for per-code histogram counts (bounded by ``n_samples``)."""
+    if n_samples + 1 <= np.iinfo(np.uint32).max:
+        return np.dtype(np.uint32)
+    return np.dtype(np.int64)
 
 
 def _uniform_ramp_step(voltages: np.ndarray) -> Optional[float]:
@@ -106,13 +162,12 @@ def shared_crossing_indices(transitions: np.ndarray,
     so the result is bit-exact by construction on every input; non-linear
     or noisy stimuli skip the fast path entirely.
 
-    The returned dtype is the active backend's
-    :meth:`~repro.core.backend.KernelBackend.index_dtype`.
+    The returned dtype is :func:`index_dtype`.
     """
     transitions = np.asarray(transitions, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
     n_samples = voltages.size
-    out_dtype = current_backend().index_dtype(n_samples)
+    out_dtype = index_dtype(n_samples)
     flat = transitions.ravel()
     step = _uniform_ramp_step(voltages)
     if step is None:
@@ -163,8 +218,8 @@ def batch_quantise_shared(transitions: np.ndarray,
     Returns
     -------
     numpy.ndarray
-        ``(devices, samples)`` integer code matrix (int64, or the active
-        backend's compact code dtype); row ``d`` equals
+        ``(devices, samples)`` code matrix in :func:`code_dtype`; row
+        ``d`` equals
         ``TransferFunction.convert`` of device ``d`` applied to
         ``voltages``.
     """
@@ -186,8 +241,8 @@ def batch_quantise_shared(transitions: np.ndarray,
             + crossing).ravel()
     steps = np.bincount(keys, minlength=n_devices * (n_samples + 1))
     steps = steps.reshape(n_devices, n_samples + 1)[:, :n_samples]
-    code_dtype = current_backend().code_dtype(transitions.shape[1] + 1)
-    return np.cumsum(steps, axis=1, dtype=code_dtype)
+    return np.cumsum(steps, axis=1,
+                     dtype=code_dtype(transitions.shape[1] + 1))
 
 
 def packed_crossing_events(crossing: np.ndarray, n_samples: int
@@ -226,14 +281,6 @@ def packed_crossing_events(crossing: np.ndarray, n_samples: int
     crossing = np.asarray(crossing)
     if crossing.ndim != 2:
         raise ValueError("crossing must be a (devices, levels) matrix")
-    backend = current_backend()
-    mult_dtype = backend.code_dtype(crossing.shape[1] + 1)
-    time_dtype = backend.index_dtype(n_samples)
-    if backend.jit:
-        from repro.core import kernel_jit
-        return kernel_jit.packed_crossing_events_jit(
-            np.ascontiguousarray(crossing, dtype=np.int64), n_samples,
-            mult_dtype, time_dtype)
     n_devices = crossing.shape[0]
     start_code = (crossing == 0).sum(axis=1)
 
@@ -247,8 +294,10 @@ def packed_crossing_events(crossing: np.ndarray, n_samples: int
     n_events = np.bincount(ev_dev, minlength=n_devices)
     width = int(n_events.max()) if n_events.size else 0
 
-    mult_p = np.zeros((n_devices, width), dtype=mult_dtype)
-    times_p = np.full((n_devices, width), n_samples, dtype=time_dtype)
+    mult_p = np.zeros((n_devices, width),
+                      dtype=code_dtype(crossing.shape[1] + 1))
+    times_p = np.full((n_devices, width), n_samples,
+                      dtype=index_dtype(n_samples))
     live = np.zeros((n_devices, width), dtype=bool)
     starts = np.concatenate(([0], np.cumsum(n_events)[:-1]))
     pos = np.arange(uniq.size) - np.repeat(starts, n_events)
@@ -311,7 +360,7 @@ def batch_quantise_rows(transitions: np.ndarray, voltages: np.ndarray,
     Returns
     -------
     numpy.ndarray
-        ``(devices, samples)`` code matrix in the backend's code dtype
+        ``(devices, samples)`` code matrix in :func:`code_dtype`
         (``out`` when given).
     """
     transitions = np.asarray(transitions, dtype=float)
@@ -326,12 +375,12 @@ def batch_quantise_rows(transitions: np.ndarray, voltages: np.ndarray,
         raise ValueError("stimulus must hold one voltage per sample")
     n_devices, n_levels = transitions.shape
     n_samples = voltages.shape[1]
-    code_dtype = current_backend().code_dtype(n_levels + 1)
+    dtype = code_dtype(n_levels + 1)
     if out is None:
-        codes = np.empty(voltages.shape, dtype=code_dtype)
-    elif (out.shape != voltages.shape or out.dtype != code_dtype
+        codes = np.empty(voltages.shape, dtype=dtype)
+    elif (out.shape != voltages.shape or out.dtype != dtype
           or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous {code_dtype} matrix "
+        raise ValueError(f"out must be a C-contiguous {dtype} matrix "
                          f"of shape {voltages.shape}")
     else:
         codes = out
@@ -466,9 +515,8 @@ def batch_msb_reference(codes: np.ndarray, q: int,
         ``(upper, reference, falling)`` — the per-sample upper bits, the
         reference-counter values, and the falling-edge indicator matrix.
         Callers derive mismatches as ``abs(upper - reference) > tolerance``.
-        ``reference`` and ``falling`` are int64 on every backend (the
-        counter is an unbounded cumulative sum); ``upper`` shares the
-        code dtype.
+        ``reference`` and ``falling`` are int64 (the counter is an
+        unbounded cumulative sum); ``upper`` shares the code dtype.
     """
     codes = np.asarray(codes)
     if codes.dtype.kind != "i":
@@ -483,12 +531,6 @@ def batch_msb_reference(codes: np.ndarray, q: int,
         clock_bit = (np.asarray(clock) != 0).astype(np.int64)
         if clock_bit.shape != codes.shape:
             raise ValueError("clock must match codes in shape")
-    if current_backend().jit:
-        from repro.core import kernel_jit
-        return kernel_jit.batch_msb_reference_jit(
-            np.ascontiguousarray(codes, dtype=np.int64),
-            np.ascontiguousarray(clock_bit, dtype=np.int64), q,
-            codes.dtype)
     upper = codes >> q
     falling = batch_falling_edges(clock_bit)
     reference = upper[:, :1] + np.cumsum(falling, axis=1)
@@ -599,8 +641,7 @@ def batch_reconstruct_codes(observed_lsbs: np.ndarray, q: int, n_bits: int,
     upper = initial[:, None] + np.cumsum(falling, axis=1)
     codes = (upper << q) + observed
     codes = np.clip(codes, 0, (1 << n_bits) - 1)
-    code_dtype = current_backend().code_dtype(1 << n_bits)
-    return codes.astype(code_dtype, copy=False)
+    return codes.astype(code_dtype(1 << n_bits), copy=False)
 
 
 def batch_shared_ramp_histogram(transitions: np.ndarray,
@@ -628,8 +669,8 @@ def batch_shared_ramp_histogram(transitions: np.ndarray,
     -------
     numpy.ndarray
         ``(devices, n_transitions + 1)`` integer matrix of per-code
-        sample counts (int64, or the backend's compact histogram dtype);
-        every row sums to ``voltages.size``.
+        sample counts in :func:`hist_dtype`; every row sums to
+        ``voltages.size``.
     """
     transitions = np.asarray(transitions, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
@@ -650,8 +691,7 @@ def batch_shared_ramp_histogram(transitions: np.ndarray,
     padded[:, 1:-1] = boundaries
     padded[:, -1] = n_samples
     counts = np.diff(padded, axis=1)
-    hist_dtype = current_backend().hist_dtype(n_samples)
-    return counts.astype(hist_dtype, copy=False)
+    return counts.astype(hist_dtype(n_samples), copy=False)
 
 
 def batch_histogram_linearity(counts: np.ndarray
@@ -677,7 +717,7 @@ def batch_histogram_linearity(counts: np.ndarray
         ``(dnl, inl, measurable)`` — two ``(devices, n_codes - 2)`` float
         matrices in LSB and the per-device validity mask.
     """
-    counts = np.asarray(counts, dtype=current_backend().float_dtype())
+    counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] < 3:
         raise ValueError("counts must be a (devices, >=3 codes) matrix")
     inner = counts[:, 1:-1]
@@ -707,5 +747,5 @@ def batch_code_histogram(codes: np.ndarray, n_codes: int) -> np.ndarray:
     keys = (np.arange(n_devices, dtype=np.int64)[:, None] * n_codes
             + codes).ravel()
     counts = np.bincount(keys, minlength=n_devices * n_codes)
-    hist_dtype = current_backend().hist_dtype(codes.shape[1])
-    return counts.reshape(n_devices, n_codes).astype(hist_dtype, copy=False)
+    return counts.reshape(n_devices, n_codes).astype(
+        hist_dtype(codes.shape[1]), copy=False)

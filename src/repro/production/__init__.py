@@ -42,10 +42,11 @@ Overview
     other half of the paper's BIST-vs-conventional comparison, now
     runnable at wafer scale on the same kernel.
 
-:mod:`repro.production.execution` — :class:`ExecutionPlan` and
-    :class:`ShardExecutor`, the deterministic scale-out layer.  Any engine
-    implementing the :class:`WaferEngine` protocol (all four above) can be
-    sharded over worker processes; per-shard-index
+:mod:`repro.production.execution` — :class:`WaferEngine`, the skeleton
+    all four engines above are built on (entry points, chunk loop with the
+    noise draw, telemetry, merge), plus :class:`ExecutionPlan` and
+    :class:`ShardExecutor`, the deterministic scale-out layer.  Any
+    engine can be sharded over worker processes; per-shard-index
     :class:`numpy.random.SeedSequence` spawning makes the results
     bit-identical for any ``(workers, chunk_size)``, with ``workers=1``
     as the in-process serial fallback.

@@ -46,9 +46,11 @@ when every converter on it passes, and the wall-clock test time is that of
 a single shared ramp — the paper's parallel-test argument, evaluated for a
 whole lot at once.
 
-The engine implements the :class:`~repro.production.execution.WaferEngine`
-protocol (``prepare`` → ``run_shard`` → ``merge``), so any run can be
-scaled out over worker processes with an
+The engine is built on the :class:`~repro.production.execution.WaferEngine`
+skeleton, which owns the entry points, the chunk loop (noise draw and
+quantisation included) and the merge; this module supplies the per-run
+context and the two chunk kernels.  Any run can therefore be scaled out
+over worker processes with an
 :class:`~repro.production.execution.ExecutionPlan` — bit-identical for any
 ``(workers, chunk_size)`` thanks to per-shard-index seed spawning.
 """
@@ -56,7 +58,7 @@ scaled out over worker processes with an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,26 +68,23 @@ from repro.adc.transfer import batch_max_dnl, batch_max_inl
 from repro.core.decision import decide_counts
 from repro.core.deglitch import DeglitchFilter
 from repro.core.engine import BistConfig, BistEngine, PopulationBistResult
-from repro.core.backend import (
-    auto_chunk_size,
-    backend_scope,
-    current_backend,
-    resolve_backend_name,
-)
 from repro.core.kernel import (
-    batch_quantise_rows,
+    auto_chunk_size,
     code_change_events,
+    code_dtype,
     event_msb_mismatch,
+    index_dtype,
     packed_crossing_events,
     position_in_device,
     shared_crossing_indices,
 )
 from repro.core.limits import CountLimits
 from repro.production.execution import (
+    ConcatResult,
     ExecutionPlan,
+    ShardContext,
     ShardExecutor,
-    iter_slices,
-    resolve_plan_seed,
+    WaferEngine,
 )
 from repro.production.lot import Wafer
 from repro.telemetry.core import current_telemetry
@@ -102,10 +101,9 @@ def _event_chunk_size(n_transitions: int, n_samples: int) -> int:
 
     The working set per device is the crossing-index row plus a handful of
     same-shaped intermediates (masks, diffs, packed events), so the row
-    estimate is four index-rows wide under the active backend's dtype.
+    estimate is four index-rows wide.
     """
-    backend = current_backend()
-    row = 4 * max(n_transitions, 1) * backend.index_dtype(n_samples).itemsize
+    row = 4 * max(n_transitions, 1) * index_dtype(n_samples).itemsize
     return auto_chunk_size(row)
 
 
@@ -120,12 +118,10 @@ def _stream_chunk_size(n_transitions: int, n_samples: int) -> int:
     """Default chunk on the stream path: full per-device sample rows.
 
     Each device materialises a float64 voltage row, the quantiser's two
-    float64 bound rows, a code row in the backend's code dtype and three
-    bool masks (the quantiser's step masks and the code-change mask).
+    float64 bound rows, a code row and three bool masks (the quantiser's
+    step masks and the code-change mask).
     """
-    backend = current_backend()
-    row = n_samples * (24 + backend.code_dtype(n_transitions + 1).itemsize
-                       + 3)
+    row = n_samples * (24 + code_dtype(n_transitions + 1).itemsize + 3)
     return auto_chunk_size(max(row, 1), budget=STREAM_CHUNK_BUDGET_BYTES)
 
 
@@ -170,23 +166,22 @@ class _ChunkOutcome:
         self.n_transitions[mask] = sub.n_transitions
         self.measured_max_dnl_lsb[mask] = sub.measured_max_dnl_lsb
 
-
-@dataclass(frozen=True)
-class _BistShardContext:
-    """Per-run state shared by every shard of one batched BIST run.
-
-    Computed once by :meth:`BatchBistEngine.prepare` in the parent process
-    and shipped (pickled) to each shard: the shared stimulus record, the
-    execution-path selection and the resolved kernel-backend name (so
-    worker processes enter the identical backend scope).  Holds no
-    per-device state.
-    """
-
-    ramp_voltages: np.ndarray
-    n_samples: int
-    lsb_volts: float
-    event_path: bool
-    backend: str = "numpy"
+    def result(self, samples_taken: int,
+               limits: CountLimits) -> "BatchBistResult":
+        """The chunk's :class:`BatchBistResult`."""
+        lsb_passed = self.dnl_passed & self.inl_passed & self.transitions_ok
+        return BatchBistResult(
+            n_devices=int(lsb_passed.size),
+            passed=lsb_passed & self.msb_passed,
+            lsb_passed=lsb_passed,
+            dnl_passed=self.dnl_passed,
+            inl_passed=self.inl_passed,
+            transitions_ok=self.transitions_ok,
+            msb_passed=self.msb_passed,
+            n_transitions=self.n_transitions,
+            measured_max_dnl_lsb=self.measured_max_dnl_lsb,
+            samples_taken=samples_taken,
+            limits=limits)
 
 
 def batch_deglitch(streams: np.ndarray,
@@ -446,7 +441,7 @@ class BatchLsbProcessor:
 
 
 @dataclass
-class BatchBistResult:
+class BatchBistResult(ConcatResult):
     """Per-device outcome of one batched BIST run.
 
     All arrays have one entry per device; ``passed`` is the accept/reject
@@ -485,34 +480,6 @@ class BatchBistResult:
     def off_chip_bits_transferred(self) -> int:
         """Pass/fail flags read out for the whole batch (one per device)."""
         return self.n_devices
-
-    @classmethod
-    def merge(cls, shards: "Sequence[BatchBistResult]") -> "BatchBistResult":
-        """Concatenate per-shard results (in shard order) into one batch.
-
-        The shards must come from one run: same limits and acquisition
-        length.  This is the ``merge`` leg of the
-        :class:`~repro.production.execution.WaferEngine` protocol.
-        """
-        shards = list(shards)
-        if not shards:
-            raise ValueError("cannot merge an empty shard list")
-        if any(s.samples_taken != shards[0].samples_taken for s in shards):
-            raise ValueError("shards disagree on the acquisition length")
-        return cls(
-            n_devices=sum(s.n_devices for s in shards),
-            passed=np.concatenate([s.passed for s in shards]),
-            lsb_passed=np.concatenate([s.lsb_passed for s in shards]),
-            dnl_passed=np.concatenate([s.dnl_passed for s in shards]),
-            inl_passed=np.concatenate([s.inl_passed for s in shards]),
-            transitions_ok=np.concatenate([s.transitions_ok
-                                           for s in shards]),
-            msb_passed=np.concatenate([s.msb_passed for s in shards]),
-            n_transitions=np.concatenate([s.n_transitions for s in shards]),
-            measured_max_dnl_lsb=np.concatenate(
-                [s.measured_max_dnl_lsb for s in shards]),
-            samples_taken=shards[0].samples_taken,
-            limits=shards[0].limits)
 
 
 def chip_grouping(passed: np.ndarray,
@@ -565,9 +532,14 @@ def _validated_chip_seeds(transitions: np.ndarray, converters_per_chip: int,
                           rng: Union[int, None]) -> np.ndarray:
     """Validate a chip-mode batch and derive its per-chip noise seeds.
 
-    Shared by the full- and partial-BIST noisy chip paths: checks the chip
-    geometry and returns :func:`chip_noise_seeds` for the whole batch.
+    Checks the seed type and the chip geometry and returns
+    :func:`chip_noise_seeds` for the whole batch.
     """
+    if rng is not None and not isinstance(rng, (int, np.integer)):
+        raise ValueError(
+            "noisy chip runs take an integer seed (or None) so the "
+            "per-converter child seeds match the scalar per-chip replay "
+            "(MultiAdcBistController.run_chip, PartialBistEngine.run)")
     if not 1 <= converters_per_chip <= 63:
         raise ValueError("converters_per_chip must be within [1, 63]")
     n_devices = transitions.shape[0]
@@ -579,78 +551,27 @@ def _validated_chip_seeds(transitions: np.ndarray, converters_per_chip: int,
                             n_devices // converters_per_chip)
 
 
-def _chip_noise_rows(seeds: np.ndarray, converters_per_chip: int,
-                     sigma: float, n_samples: int) -> np.ndarray:
-    """Per-converter acquisition-noise rows for a run of chips.
+def _chip_noise_rows(seeds: np.ndarray, converters_per_chip: int):
+    """The noise draw of a run of chips, for the skeleton's chunk loop.
 
     Converter ``j`` of chip ``c`` draws its row from child ``j`` of
     ``SeedSequence(seeds[c])`` — the controller-parity spawning scheme the
-    regression vectors pin, stated once and shared by the full- and
-    partial-BIST noisy chip modes so the two can never silently diverge.
+    regression vectors pin.  Every row has its own generator, so how the
+    devices are chunked cannot change any row.
     """
-    noise = np.empty((seeds.size * converters_per_chip, n_samples))
-    row = 0
-    for chip_seed in seeds:
-        children = np.random.SeedSequence(
-            int(chip_seed)).spawn(converters_per_chip)
-        for child in children:
-            noise[row] = np.random.default_rng(child).normal(
-                0.0, sigma, size=n_samples)
-            row += 1
-    return noise
+    children = [child for chip_seed in seeds
+                for child in np.random.SeedSequence(
+                    int(chip_seed)).spawn(converters_per_chip)]
 
+    def draw(out: np.ndarray, first: int) -> None:
+        for row, child in zip(out, children[first:first + len(out)]):
+            np.random.default_rng(child).standard_normal(out=row)
 
-def build_chip_result(passed: np.ndarray, converters_per_chip: int,
-                      samples_taken: int,
-                      sample_rate: float) -> "BatchChipBistResult":
-    """Assemble a :class:`BatchChipBistResult` from per-converter verdicts.
-
-    Shared by the full- and partial-BIST batch engines, whose ``run_chips``
-    differ only in how the per-converter decisions are produced.
-    """
-    chip_passed, registers = chip_grouping(passed, converters_per_chip)
-    return BatchChipBistResult(
-        n_chips=int(chip_passed.size),
-        converters_per_chip=int(converters_per_chip),
-        chip_passed=chip_passed,
-        converter_passed=np.asarray(passed, dtype=bool),
-        result_registers=registers,
-        samples_taken=int(samples_taken),
-        test_time_s=samples_taken / sample_rate)
-
-
-def resolve_population_matrix(population: Union["DevicePopulation", "Wafer"]
-                              ) -> Tuple[np.ndarray, float, float]:
-    """A population's ``(transitions, full_scale, sample_rate)`` triple.
-
-    Accepts either matrix-backed :class:`~repro.production.lot.Wafer`
-    objects or :class:`~repro.adc.population.DevicePopulation` batches —
-    the two population substrates every batch engine screens.
-    """
-    if isinstance(population, Wafer):
-        return (population.transitions, population.spec.full_scale,
-                population.spec.sample_rate)
-    return (population.transition_matrix(), population.spec.full_scale,
-            population.spec.sample_rate)
-
-
-def population_truth_mask(transitions: np.ndarray, dnl_spec_lsb: float,
-                          inl_spec_lsb: Optional[float] = None
-                          ) -> np.ndarray:
-    """True static-linearity classification of a transition matrix.
-
-    The matrix form of :func:`repro.core.engine.true_goodness` (and of
-    :meth:`repro.production.lot.Wafer.good_mask`), shared by every batch
-    Monte-Carlo path so all engines score against one criterion.
-    """
-    good = batch_max_dnl(transitions) <= dnl_spec_lsb
-    if inl_spec_lsb is not None:
-        good &= batch_max_inl(transitions) <= inl_spec_lsb
-    return good
+    return draw
 
 
 @dataclass
-class BatchChipBistResult:
+class BatchChipBistResult(ConcatResult):
     """Per-chip outcome of a batched multi-converter BIST run.
 
     The batched analogue of
@@ -695,35 +616,130 @@ class BatchChipBistResult:
         """Chip-level test-time reduction of the shared-ramp arrangement."""
         return float(self.converters_per_chip)
 
-    @classmethod
-    def merge(cls, shards: "Sequence[BatchChipBistResult]"
-              ) -> "BatchChipBistResult":
-        """Concatenate per-shard chip results (in shard order).
 
-        The shards must come from one run: same chip geometry and
-        acquisition length.
+class BistWaferEngine(WaferEngine):
+    """What the full- and partial-BIST batch engines share.
+
+    Both take a configuration with ``n_bits``, the specification, the
+    noise level and the default ``seed``; on top of the
+    :class:`~repro.production.execution.WaferEngine` skeleton they share
+    chip mode (:meth:`run_chips`) and truth-scored Monte-Carlo runs
+    (:meth:`run_population`).
+    """
+
+    @property
+    def seed(self) -> Optional[int]:
+        """Default seed of the acquisition noise."""
+        return self.config.seed
+
+    def _check_columns(self, transitions: np.ndarray) -> None:
+        """Reject a transition matrix of the wrong resolution."""
+        n_bits = self.config.n_bits
+        expected_cols = (1 << n_bits) - 1
+        if transitions.ndim != 2 or transitions.shape[1] != expected_cols:
+            raise ValueError(
+                f"configuration is for {n_bits}-bit converters; expected "
+                f"a (devices, {expected_cols}) transition matrix, got shape "
+                f"{transitions.shape}")
+
+    def run_chips(self, wafer: Wafer, converters_per_chip: int,
+                  rng: RngLike = None,
+                  chunk_size: Optional[int] = None,
+                  plan: Optional[ExecutionPlan] = None
+                  ) -> BatchChipBistResult:
+        """Run the batched BIST on a wafer of multi-converter ICs.
+
+        Consecutive dies form one chip; all converters of a chip share the
+        stimulus ramp, and a chip passes when every converter on it
+        passes.  With transition noise configured, chip ``c`` draws its
+        per-converter noise from independent child generators seeded by
+        :func:`chip_noise_seeds` (from ``rng``, else the configured
+        seed), exactly the scheme of
+        :class:`~repro.core.controller.MultiAdcBistController`, so the
+        scalar per-chip replay with ``chip_noise_seeds(seed, n_chips)[c]``
+        reproduces each chip's verdict and result register bit for bit.
+        Each converter's noise depends only on its chip's seed, so
+        sharding the chip axis over workers cannot change any chip's
+        acquisition: chip-mode runs are plan-invariant by construction.
         """
-        shards = list(shards)
-        if not shards:
-            raise ValueError("cannot merge an empty shard list")
-        first = shards[0]
-        if any(s.converters_per_chip != first.converters_per_chip
-               or s.samples_taken != first.samples_taken for s in shards):
-            raise ValueError("shards disagree on the chip geometry or "
-                             "acquisition length")
-        return cls(
-            n_chips=sum(s.n_chips for s in shards),
-            converters_per_chip=first.converters_per_chip,
-            chip_passed=np.concatenate([s.chip_passed for s in shards]),
-            converter_passed=np.concatenate([s.converter_passed
-                                             for s in shards]),
-            result_registers=np.concatenate([s.result_registers
-                                             for s in shards]),
-            samples_taken=first.samples_taken,
-            test_time_s=first.test_time_s)
+        spec = wafer.spec
+        if self.config.transition_noise_lsb == 0.0:
+            result = self.run_wafer(wafer, rng=rng, chunk_size=chunk_size,
+                                    plan=plan)
+        else:
+            transitions = wafer.transitions
+            seeds = _validated_chip_seeds(transitions, converters_per_chip,
+                                          self._resolve_seed(rng))
+            context = self.prepare(transitions, spec.full_scale,
+                                   spec.sample_rate)
+            executor = ShardExecutor(plan if plan is not None
+                                     else ExecutionPlan())
+            bounds = executor.plan.shard_bounds(transitions.shape[0],
+                                                align=converters_per_chip)
+            chunk = (chunk_size if chunk_size is not None
+                     else executor.plan.chunk_size)
+            result = ConcatResult.merge(executor.map(
+                self._noisy_chip_shard,
+                [(context, transitions[lo:hi],
+                  seeds[lo // converters_per_chip:hi // converters_per_chip],
+                  converters_per_chip, chunk)
+                 for lo, hi in bounds]))
+        chip_passed, registers = chip_grouping(result.passed,
+                                               converters_per_chip)
+        return BatchChipBistResult(
+            n_chips=int(chip_passed.size),
+            converters_per_chip=int(converters_per_chip),
+            chip_passed=chip_passed,
+            converter_passed=result.passed,
+            result_registers=registers,
+            samples_taken=result.samples_taken,
+            test_time_s=result.samples_taken / spec.sample_rate)
+
+    def _noisy_chip_shard(self, context: ShardContext,
+                          transitions: np.ndarray, seeds: np.ndarray,
+                          converters_per_chip: int,
+                          chunk_size: Optional[int] = None):
+        """One chip-aligned device slice of a noisy chip-mode run."""
+        return self._run_chunks(context, transitions, chunk_size,
+                                _chip_noise_rows(seeds, converters_per_chip))
+
+    def run_population(self, population: Union[DevicePopulation, Wafer],
+                       rng: RngLike = None,
+                       dnl_spec_lsb: Optional[float] = None,
+                       inl_spec_lsb: Optional[float] = None,
+                       plan: Optional[ExecutionPlan] = None
+                       ) -> PopulationBistResult:
+        """Monte-Carlo run scored against the devices' true linearity.
+
+        Accepts a :class:`~repro.adc.population.DevicePopulation` or a
+        :class:`~repro.production.lot.Wafer` and returns the
+        :class:`~repro.core.engine.PopulationBistResult` the scalar
+        ``run_population`` loop produces, with identical accept and
+        truly-good vectors.
+        """
+        cfg = self.config
+        if dnl_spec_lsb is None:
+            dnl_spec_lsb = cfg.dnl_spec_lsb
+        if inl_spec_lsb is None:
+            inl_spec_lsb = cfg.inl_spec_lsb
+        transitions = (population.transitions
+                       if isinstance(population, Wafer)
+                       else population.transition_matrix())
+        spec = population.spec
+        result = self.run_transitions(transitions,
+                                      full_scale=spec.full_scale,
+                                      sample_rate=spec.sample_rate, rng=rng,
+                                      plan=plan)
+        # The matrix form of repro.core.engine.true_goodness.
+        truly_good = batch_max_dnl(transitions) <= dnl_spec_lsb
+        if inl_spec_lsb is not None:
+            truly_good &= batch_max_inl(transitions) <= inl_spec_lsb
+        return PopulationBistResult(n_devices=result.n_devices,
+                                    accepted=result.passed,
+                                    truly_good=truly_good)
 
 
-class BatchBistEngine:
+class BatchBistEngine(BistWaferEngine):
     """Run the paper's BIST on every device of a batch at once.
 
     Parameters
@@ -732,17 +748,12 @@ class BatchBistEngine:
         The measurement configuration, shared with the scalar
         :class:`~repro.core.engine.BistEngine`; both engines derive the
         identical ramp, limits and on-chip blocks from it.
-    backend:
-        Optional kernel-backend name (see :mod:`repro.core.backend`).
-        ``None`` resolves the ambient backend at :meth:`prepare` time; the
-        resolved name travels on the shard context so worker processes
-        compute under the same backend.
     """
 
-    def __init__(self, config: BistConfig, *,
-                 backend: Optional[str] = None) -> None:
+    name = "bist"
+
+    def __init__(self, config: BistConfig) -> None:
         self.config = config
-        self._backend = backend
         self._limits = config.limits()
         self._deglitch = (DeglitchFilter(config.deglitch_depth,
                                          config.deglitch_mode)
@@ -756,10 +767,6 @@ class BatchBistEngine:
         self._scalar = BistEngine(config)
         self._msb_q = 1
 
-    # ------------------------------------------------------------------ #
-    # Properties
-    # ------------------------------------------------------------------ #
-
     @property
     def limits(self) -> CountLimits:
         """The count limits in use."""
@@ -770,274 +777,35 @@ class BatchBistEngine:
         return self._scalar.gate_count()
 
     # ------------------------------------------------------------------ #
-    # Entry points
+    # Skeleton hooks
     # ------------------------------------------------------------------ #
 
-    def run_wafer(self, wafer: Wafer, rng: RngLike = None,
-                  chunk_size: Optional[int] = None,
-                  plan: Optional[ExecutionPlan] = None) -> BatchBistResult:
-        """Run the batched BIST on every die of a wafer."""
-        spec = wafer.spec
-        return self.run_transitions(wafer.transitions,
-                                    full_scale=spec.full_scale,
-                                    sample_rate=spec.sample_rate,
-                                    rng=rng, chunk_size=chunk_size,
-                                    plan=plan)
-
-    def run_chips(self, wafer: Wafer, converters_per_chip: int,
-                  rng: RngLike = None,
-                  chunk_size: Optional[int] = None,
-                  plan: Optional[ExecutionPlan] = None
-                  ) -> BatchChipBistResult:
-        """Run the batched BIST on a wafer of multi-converter ICs.
-
-        Consecutive dies form one chip; all converters of a chip share the
-        stimulus ramp, and the chip-level decisions equal what
-        :class:`~repro.core.controller.MultiAdcBistController` decides for
-        the same converters — evaluated here for the whole wafer in one
-        array program.  With transition noise configured, chip ``c`` draws
-        its per-converter noise from independent child generators seeded
-        by :func:`chip_noise_seeds`, exactly the controller's scheme, so
-        ``MultiAdcBistController.run_chip(dies, rng=chip_noise_seeds(rng,
-        n_chips)[c])`` reproduces each chip's verdict and result register
-        bit for bit.
-        """
-        if self.config.transition_noise_lsb > 0.0:
-            return self._run_chips_noisy(wafer, converters_per_chip, rng,
-                                         chunk_size=chunk_size, plan=plan)
-        result = self.run_wafer(wafer, rng=rng, chunk_size=chunk_size,
-                                plan=plan)
-        return build_chip_result(result.passed, converters_per_chip,
-                                 result.samples_taken,
-                                 wafer.spec.sample_rate)
-
-    def _run_chips_noisy(self, wafer: Wafer, converters_per_chip: int,
-                         rng: RngLike,
-                         chunk_size: Optional[int] = None,
-                         plan: Optional[ExecutionPlan] = None
-                         ) -> BatchChipBistResult:
-        """Chip mode with per-converter noise seeds (controller parity).
-
-        The per-chip noise is derived from :func:`chip_noise_seeds` alone,
-        so sharding the chip axis over workers cannot change any chip's
-        acquisition: chip-mode runs are plan-invariant by construction.
-        """
+    def _context(self, transitions: np.ndarray, full_scale: float,
+                 sample_rate: float) -> ShardContext:
+        """The shared ramp record and the execution-path selection."""
         cfg = self.config
-        if rng is not None and not isinstance(rng, (int, np.integer)):
-            raise ValueError(
-                "noisy chip runs take an integer seed (or None) so the "
-                "per-converter child seeds match "
-                "MultiAdcBistController.run_chip")
-        transitions = wafer.transitions
-        spec = wafer.spec
-        ctx = self.prepare(transitions, spec.full_scale, spec.sample_rate)
-        seeds = _validated_chip_seeds(transitions, converters_per_chip, rng)
+        self._check_columns(transitions)
+        proxy = IdealADC(cfg.n_bits, full_scale, sample_rate)
+        ramp = self._scalar.build_ramp(proxy)
+        n_samples = ramp.n_samples_for_adc(proxy,
+                                           margin_lsb=cfg.start_margin_lsb)
+        times = np.arange(n_samples) / sample_rate
+        event_path = (cfg.transition_noise_lsb == 0.0
+                      and cfg.stimulus_noise_lsb == 0.0
+                      and self._deglitch is None)
+        chunk = _event_chunk_size if event_path else _stream_chunk_size
+        return ShardContext(
+            stimulus=ramp.voltage(times),
+            noise_volts=cfg.transition_noise_lsb * proxy.lsb,
+            event_path=event_path,
+            default_chunk=chunk(transitions.shape[1], n_samples))
 
-        executor = ShardExecutor(plan if plan is not None
-                                 else ExecutionPlan())
-        bounds = executor.plan.shard_bounds(transitions.shape[0],
-                                            align=converters_per_chip)
-        chunk = (chunk_size if chunk_size is not None
-                 else executor.plan.chunk_size)
-        results = executor.map(
-            self._noisy_chip_shard,
-            [(ctx, transitions[lo:hi],
-              seeds[lo // converters_per_chip:hi // converters_per_chip],
-              converters_per_chip, chunk)
-             for lo, hi in bounds])
-        result = BatchBistResult.merge(results)
-        return build_chip_result(result.passed, converters_per_chip,
-                                 ctx.n_samples, spec.sample_rate)
-
-    def _noisy_chip_shard(self, ctx: _BistShardContext,
-                          transitions: np.ndarray, seeds: np.ndarray,
-                          converters_per_chip: int,
-                          chunk_size: Optional[int] = None
-                          ) -> BatchBistResult:
-        """One chip-aligned device slice of a noisy chip-mode run."""
-        cfg = self.config
-        n_chips = transitions.shape[0] // converters_per_chip
-        sigma = cfg.transition_noise_lsb * ctx.lsb_volts
-        with backend_scope(ctx.backend):
-            if chunk_size is None:
-                chunk_size = _stream_chunk_size(transitions.shape[1],
-                                                ctx.n_samples)
-            chips_per_chunk = max(1, chunk_size // converters_per_chip)
-
-            outcomes = []
-            for chip_lo, chip_hi in iter_slices(n_chips, chips_per_chunk):
-                noise = _chip_noise_rows(seeds[chip_lo:chip_hi],
-                                         converters_per_chip, sigma,
-                                         ctx.n_samples)
-                lo = chip_lo * converters_per_chip
-                hi = chip_hi * converters_per_chip
-                outcomes.append(self._process_streams(
-                    transitions[lo:hi], ctx.ramp_voltages + noise,
-                    ctx.ramp_voltages))
-            return self._combine(outcomes, transitions.shape[0],
-                                 ctx.n_samples)
-
-    def run_population(self, population: Union[DevicePopulation, Wafer],
-                       rng: RngLike = None,
-                       dnl_spec_lsb: Optional[float] = None,
-                       inl_spec_lsb: Optional[float] = None,
-                       plan: Optional[ExecutionPlan] = None
-                       ) -> PopulationBistResult:
-        """Drop-in batched replacement for ``BistEngine.run_population``.
-
-        Accepts a :class:`~repro.adc.population.DevicePopulation` or a
-        :class:`~repro.production.lot.Wafer` and returns the same
-        :class:`~repro.core.engine.PopulationBistResult` the scalar loop
-        produces, with identical accept and truly-good vectors.
-        """
-        cfg = self.config
-        if dnl_spec_lsb is None:
-            dnl_spec_lsb = cfg.dnl_spec_lsb
-        if inl_spec_lsb is None:
-            inl_spec_lsb = cfg.inl_spec_lsb
-        transitions, full_scale, sample_rate = \
-            resolve_population_matrix(population)
-        result = self.run_transitions(transitions, full_scale=full_scale,
-                                      sample_rate=sample_rate, rng=rng,
-                                      plan=plan)
-        truly_good = population_truth_mask(transitions, dnl_spec_lsb,
-                                           inl_spec_lsb)
-        return PopulationBistResult(n_devices=result.n_devices,
-                                    accepted=result.passed,
-                                    truly_good=truly_good)
-
-    def run_transitions(self, transitions: np.ndarray,
-                        full_scale: float = 1.0,
-                        sample_rate: float = 1e6,
-                        rng: RngLike = None,
-                        chunk_size: Optional[int] = None,
-                        plan: Optional[ExecutionPlan] = None
-                        ) -> BatchBistResult:
-        """Run the batched BIST on a ``(devices, transitions)`` matrix.
-
-        Parameters
-        ----------
-        transitions:
-            Transition-voltage matrix, one row per device under test.
-        full_scale, sample_rate:
-            Geometry/clock shared by the batch (one test insertion).
-        rng:
-            Seed or generator for the acquisition noise.  Without a plan
-            it is consumed in device order exactly as the scalar
-            population loop consumes it; with a plan it must be a seed
-            (or ``None``) and per-shard child seeds are spawned from it.
-        chunk_size:
-            Devices processed per chunk; defaults to a large chunk on the
-            event path and a smaller one on the stream path (which holds
-            full ``(devices, samples)`` matrices in memory).
-        plan:
-            Optional :class:`~repro.production.execution.ExecutionPlan`
-            scaling the run out over worker processes; results are
-            bit-identical for any ``(workers, chunk_size)`` of the plan.
-        """
-        cfg = self.config
-        transitions = np.asarray(transitions, dtype=float)
-        if plan is not None:
-            return ShardExecutor(plan).run(
-                self, transitions, full_scale, sample_rate,
-                rng=resolve_plan_seed(rng, cfg.seed), chunk_size=chunk_size)
-        generator = (rng if isinstance(rng, np.random.Generator)
-                     else np.random.default_rng(
-                         rng if rng is not None else cfg.seed))
-        context = self.prepare(transitions, full_scale, sample_rate)
-        return self.run_shard(context, transitions, generator, chunk_size)
-
-    # ------------------------------------------------------------------ #
-    # WaferEngine protocol
-    # ------------------------------------------------------------------ #
-
-    def prepare(self, transitions: np.ndarray, full_scale: float = 1.0,
-                sample_rate: float = 1e6) -> _BistShardContext:
-        """Validate a batch and derive the shared per-run context."""
-        cfg = self.config
-        expected_cols = (1 << cfg.n_bits) - 1
-        if transitions.ndim != 2 or transitions.shape[1] != expected_cols:
-            raise ValueError(
-                f"configuration is for {cfg.n_bits}-bit converters; expected "
-                f"a (devices, {expected_cols}) transition matrix, got shape "
-                f"{transitions.shape}")
-        with current_telemetry().span("engine.bist.prepare",
-                                      devices=int(transitions.shape[0])):
-            proxy = IdealADC(cfg.n_bits, full_scale, sample_rate)
-            ramp = self._scalar.build_ramp(proxy)
-            n_samples = ramp.n_samples_for_adc(
-                proxy, margin_lsb=cfg.start_margin_lsb)
-            times = np.arange(n_samples) / sample_rate
-            return _BistShardContext(
-                ramp_voltages=ramp.voltage(times),
-                n_samples=n_samples,
-                lsb_volts=proxy.lsb,
-                event_path=(cfg.transition_noise_lsb == 0.0
-                            and cfg.stimulus_noise_lsb == 0.0
-                            and self._deglitch is None),
-                backend=resolve_backend_name(self._backend))
-
-    def run_shard(self, context: _BistShardContext, transitions: np.ndarray,
-                  rng: RngLike = None,
-                  chunk_size: Optional[int] = None) -> BatchBistResult:
-        """Run one contiguous device slice of a prepared batch.
-
-        ``rng`` is the shard's own seed (plan mode) or the run's shared
-        generator (legacy serial mode); either way the noise stream is
-        consumed in device order, chunked transparently.
-        """
-        transitions = np.asarray(transitions, dtype=float)
-        generator = (rng if isinstance(rng, np.random.Generator)
-                     else np.random.default_rng(rng))
-        with backend_scope(context.backend):
-            if chunk_size is None:
-                chunk_size = (
-                    _event_chunk_size(transitions.shape[1],
-                                      context.n_samples)
-                    if context.event_path
-                    else _stream_chunk_size(transitions.shape[1],
-                                            context.n_samples))
-            if chunk_size < 1:
-                raise ValueError("chunk_size must be positive")
-
-            n_devices = transitions.shape[0]
-            t = current_telemetry()
-            if t.enabled:
-                t.count("engine.bist.shards")
-                t.count("engine.bist.devices", n_devices)
-                t.count("engine.bist.samples",
-                        n_devices * context.n_samples)
-                t.count("engine.bist.event_path_devices"
-                        if context.event_path
-                        else "engine.bist.stream_path_devices", n_devices)
-                t.count(f"kernel.{context.backend}.shards")
-                t.count(f"kernel.{context.backend}.devices", n_devices)
-            with t.span("engine.bist.run_shard", devices=n_devices):
-                outcomes = []
-                # Voltage and code rows reused by every chunk of the shard.
-                shape = (min(chunk_size, n_devices), context.n_samples)
-                buffers = None if context.event_path else (
-                    np.empty(shape), np.empty(shape, dtype=current_backend()
-                                              .code_dtype(
-                                                  transitions.shape[1] + 1)))
-                for lo, hi in iter_slices(n_devices, chunk_size):
-                    chunk = transitions[lo:hi]
-                    if context.event_path:
-                        outcomes.append(self._run_events(
-                            chunk, context.ramp_voltages))
-                    else:
-                        outcomes.append(self._run_streams(
-                            chunk, context.ramp_voltages,
-                            context.lsb_volts, generator, buffers))
-                return self._combine(outcomes, n_devices,
-                                     context.n_samples)
-
-    def merge(self, shard_results: Sequence[BatchBistResult]
-              ) -> BatchBistResult:
-        """Combine per-shard results (in shard order) into one result."""
-        with current_telemetry().span("engine.bist.merge",
-                                      shards=len(shard_results)):
-            return BatchBistResult.merge(shard_results)
+    def _run_chunk(self, context: ShardContext, transitions: np.ndarray,
+                   codes: Optional[np.ndarray]) -> BatchBistResult:
+        """Decisions for one chunk, on events or on its code matrix."""
+        outcome = (self._run_events(transitions, context.stimulus)
+                   if codes is None else self._run_streams(codes))
+        return outcome.result(context.n_samples, self._limits)
 
     # ------------------------------------------------------------------ #
     # Event path: crossing indices only, no sample matrix
@@ -1145,55 +913,19 @@ class BatchBistEngine:
         return _ChunkOutcome.from_lsb(lsb_res, msb_ok)
 
     # ------------------------------------------------------------------ #
-    # Stream path: chunked 2-D quantisation of the shared ramp
+    # Stream path: the quantised code matrix, reduced to code changes
     # ------------------------------------------------------------------ #
 
-    def _run_streams(self, transitions: np.ndarray,
-                     ramp_voltages: np.ndarray, lsb_volts: float,
-                     generator: np.random.Generator,
-                     buffers: Tuple[np.ndarray, np.ndarray]
-                     ) -> "_ChunkOutcome":
-        """General path materialising the acquisitions chunk-wise.
+    def _run_streams(self, codes: np.ndarray) -> "_ChunkOutcome":
+        """Run the on-chip blocks over a chunk's quantised acquisitions.
 
-        The voltages and codes land in the leading rows of the shard's
-        reusable ``buffers``.  ``normal(0, sigma)`` is ``0 + sigma * z``
-        for the same standard normals ``z``, so drawing ``z`` in place,
-        scaling it and adding the ramp reproduces ``ramp + normal(0,
-        sigma)`` bit for bit.
+        Everything works on the code-change events: the odd steps are the
+        raw LSB toggles, the deglitch filter runs on that toggle list, and
+        the MSB reference counter is checked at the code changes and the
+        falling clock edges only.
         """
         cfg = self.config
-        n_chunk = transitions.shape[0]
-        n_samples = ramp_voltages.size
-
-        if cfg.transition_noise_lsb > 0.0:
-            voltages = buffers[0][:n_chunk]
-            generator.standard_normal(out=voltages)
-            voltages *= cfg.transition_noise_lsb * lsb_volts
-            voltages += ramp_voltages
-        else:
-            voltages = np.broadcast_to(ramp_voltages, (n_chunk, n_samples))
-        return self._process_streams(transitions, voltages, ramp_voltages,
-                                     buffers[1][:n_chunk])
-
-    def _process_streams(self, transitions: np.ndarray,
-                         voltages: np.ndarray, ramp_voltages: np.ndarray,
-                         codes: Optional[np.ndarray] = None
-                         ) -> "_ChunkOutcome":
-        """Quantise per-device voltage rows and run the on-chip blocks.
-
-        The noise-provenance-agnostic half of the stream path: callers
-        decide how the per-device voltages were produced (shared stream in
-        device order, or per-converter child generators in chip mode).
-        Everything after the quantiser works on the code-change events:
-        the odd steps are the raw LSB toggles, the deglitch filter runs
-        on that toggle list, and the MSB reference counter is checked at
-        the code changes and the falling clock edges only.
-        """
-        cfg = self.config
-        n_chunk, n_samples = voltages.shape
-
-        codes = batch_quantise_rows(transitions, voltages, ramp_voltages,
-                                    out=codes)
+        n_chunk, n_samples = codes.shape
         dev, t = code_change_events(codes)
         telemetry = current_telemetry()
         if telemetry.enabled:
@@ -1226,32 +958,3 @@ class BatchBistEngine:
             edge_dev, edge_t, np.bincount(edge_dev, minlength=n_chunk),
             n_bits=cfg.n_bits)
         return _ChunkOutcome.from_lsb(lsb_res, msb_ok)
-
-    # ------------------------------------------------------------------ #
-    # Chunk aggregation
-    # ------------------------------------------------------------------ #
-
-    def _combine(self, outcomes, n_devices: int,
-                 n_samples: int) -> BatchBistResult:
-        """Concatenate per-chunk outcomes into one per-device result."""
-        dnl_passed = np.concatenate([o.dnl_passed for o in outcomes])
-        inl_passed = np.concatenate([o.inl_passed for o in outcomes])
-        transitions_ok = np.concatenate([o.transitions_ok
-                                         for o in outcomes])
-        msb_passed = np.concatenate([o.msb_passed for o in outcomes])
-        n_transitions = np.concatenate([o.n_transitions for o in outcomes])
-        measured = np.concatenate([o.measured_max_dnl_lsb
-                                   for o in outcomes])
-        lsb_passed = dnl_passed & inl_passed & transitions_ok
-        return BatchBistResult(
-            n_devices=n_devices,
-            passed=lsb_passed & msb_passed,
-            lsb_passed=lsb_passed,
-            dnl_passed=dnl_passed,
-            inl_passed=inl_passed,
-            transitions_ok=transitions_ok,
-            msb_passed=msb_passed,
-            n_transitions=n_transitions,
-            measured_max_dnl_lsb=measured,
-            samples_taken=n_samples,
-            limits=self._limits)

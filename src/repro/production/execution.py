@@ -1,14 +1,16 @@
 """Deterministic scale-out execution: sharded, multi-worker batch runs.
 
 Every batch engine in :mod:`repro.production` is an array program over the
-device axis, and until now each carried its own hand-rolled chunk loop on a
-single core.  This module is the shared execution layer that scales any of
-them out: an :class:`ExecutionPlan` describes *how* a wafer is executed
-(worker count, per-chunk memory budget, shard granularity) and a
-:class:`ShardExecutor` runs any engine conforming to the
-:class:`WaferEngine` protocol — ``prepare`` once, ``run_shard`` per device
-slice (possibly in parallel worker processes), ``merge`` the per-shard
-results back into one wafer-level result.
+device axis built on one skeleton, :class:`WaferEngine`: it owns the entry
+points, the chunk loop with its noise draw and quantisation, the telemetry
+and the merge, and each engine supplies only its per-run
+:class:`ShardContext` and its chunk kernel.  This module is also the
+execution layer that scales any of them out: an :class:`ExecutionPlan`
+describes *how* a wafer is executed (worker count, per-chunk memory
+budget, shard granularity) and a :class:`ShardExecutor` runs the engine —
+``prepare`` once, ``run_shard`` per device slice (possibly in parallel
+worker processes), ``merge`` the per-shard results back into one
+wafer-level result.
 
 Determinism is the design centre, not an afterthought:
 
@@ -46,8 +48,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Iterator,
@@ -60,6 +63,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.kernel import batch_quantise_rows, code_dtype
 from repro.production.pool import (
     AUTO_SHARE_MIN_BYTES,
     SharedWaferBuffer,
@@ -72,11 +76,16 @@ from repro.production.pool import (
 from repro.telemetry.core import current_telemetry
 from repro.telemetry.log import ShardProgress
 
+if TYPE_CHECKING:
+    from repro.production.lot import Wafer
+
 __all__ = [
     "DEFAULT_SHARD_DEVICES",
+    "ConcatResult",
     "ExcursionAbort",
     "ExecutionAborted",
     "ExecutionPlan",
+    "ShardContext",
     "ShardExecutor",
     "WaferEngine",
     "abort_scope",
@@ -364,13 +373,11 @@ class ExecutionPlan:
         Devices materialised per intra-shard chunk (bounds the transient
         ``(devices, samples)`` matrices).  ``None`` keeps each engine's
         own default, which is memory-bandwidth aware: the engine divides
-        :data:`repro.core.backend.CHUNK_BUDGET_BYTES` by its estimate of
-        the bytes materialised per device row *under the active kernel
-        backend's dtypes* (see
-        :func:`repro.core.backend.auto_chunk_size`), so compacted rows
-        get proportionally wider chunks.  Chunking is RNG-transparent,
-        so this is purely a memory/throughput knob: it never changes
-        results.
+        a working-set budget by its estimate of the bytes materialised
+        per device row under the kernel's compact dtypes (see
+        :func:`repro.core.kernel.auto_chunk_size`).  Chunking is
+        RNG-transparent, so this is purely a memory/throughput knob: it
+        never changes results.
     shard_devices:
         Devices per shard — the unit of dispatch *and* of per-shard seed
         spawning.  Changing it re-partitions the seed blocks and therefore
@@ -419,38 +426,248 @@ class ExecutionPlan:
         return list(iter_slices(n_devices, size))
 
 
-class WaferEngine:
-    """Protocol every shardable batch engine implements.
+#: Result fields that count rows: summed by :meth:`ConcatResult.merge`.
+_ROW_COUNT_FIELDS = ("n_devices", "n_chips")
 
-    ``prepare(transitions, full_scale, sample_rate)``
-        Validate the batch and derive the shared per-run context (stimulus
-        record, limits, partition…).  Runs once, in the parent; the
-        context is shipped to every shard and must be picklable and small
-        (no per-device state).
-    ``run_shard(context, transitions, rng, chunk_size)``
-        Run the engine on a contiguous device slice.  ``rng`` is the
-        shard's own seed (plan mode) or a shared generator (legacy serial
-        mode); ``chunk_size`` bounds intra-shard materialisation.
-        Must depend only on its arguments — never on which process or in
-        which order it runs.
-    ``merge(shard_results)``
-        Combine per-shard results (in shard order) into the wafer-level
-        result; delegates to the result type's ``merge`` classmethod.
 
-    The class exists for documentation and ``isinstance`` convenience;
-    engines are duck-typed and need not inherit from it.
+class ConcatResult:
+    """Merge for per-device result dataclasses: concatenate the parts.
+
+    Every batch result (full, chip, partial, histogram, dynamic) inherits
+    this one ``merge``, which joins per-chunk results into a shard result
+    and per-shard results into a wafer result.
     """
 
-    def prepare(self, transitions: np.ndarray, full_scale: float,
-                sample_rate: float) -> Any:
+    @classmethod
+    def merge(cls, parts: Sequence[Any]) -> Any:
+        """Concatenate results (in device order) into one result.
+
+        Array fields are concatenated, the row count (``n_devices`` or
+        ``n_chips``) is summed, and every other field must be equal across
+        the parts, or a :class:`ValueError` names the field.
+        """
+        parts = list(parts)
+        if not parts:
+            raise ValueError("cannot merge an empty shard list")
+        kind = type(parts[0])
+        values = {}
+        for field in fields(kind):
+            name = field.name
+            column = [getattr(part, name) for part in parts]
+            first = column[0]
+            if name in _ROW_COUNT_FIELDS:
+                values[name] = sum(column)
+            elif isinstance(first, np.ndarray):
+                values[name] = np.concatenate(column)
+            elif all(value is first or value == first for value in column):
+                values[name] = first
+            else:
+                raise ValueError(f"shards disagree on {name}")
+        return kind(**values)
+
+
+@dataclass(frozen=True)
+class ShardContext:
+    """Per-run state shared by every shard of one engine run.
+
+    Built once by :meth:`WaferEngine.prepare` in the parent and shipped
+    (pickled) to each shard, so it holds no per-device state.  Engines
+    extend it with whatever their chunk kernel needs.
+    """
+
+    #: The shared noise-free stimulus, one voltage per sample.
+    stimulus: np.ndarray
+    #: Standard deviation of the acquisition noise in volts (0: none).
+    noise_volts: float
+    #: Whether chunks run on crossing events instead of sample matrices.
+    event_path: bool
+    #: Devices per chunk when the caller passes no ``chunk_size``.
+    default_chunk: int
+
+    @property
+    def n_samples(self) -> int:
+        """Length of the acquisition record."""
+        return int(self.stimulus.size)
+
+
+class WaferEngine:
+    """The skeleton every shardable batch engine is built on.
+
+    A subclass supplies a telemetry ``name`` (counters and spans are
+    ``engine.<name>.*``), a ``seed`` (the default noise seed) and two
+    methods:
+
+    ``_context(transitions, full_scale, sample_rate)``
+        Validate the batch and derive its :class:`ShardContext`.
+    ``_run_chunk(context, transitions, codes)``
+        The chunk kernel: the decisions for a slice of devices, as a
+        :class:`ConcatResult` dataclass.  ``codes`` is the quantised
+        ``(devices, samples)`` acquisition, or ``None`` on the event
+        path.
+
+    The base class owns everything else:
+
+    ``run_wafer`` / ``run_transitions``
+        With a plan the run goes to :class:`ShardExecutor`; without one a
+        single generator, from ``rng`` or the engine's seed, is consumed
+        in device order.
+    ``prepare(transitions, full_scale, sample_rate)``
+        ``_context`` inside an ``engine.<name>.prepare`` span.  Runs once,
+        in the parent.
+    ``run_shard(context, transitions, rng, chunk_size)``
+        Run the engine on a contiguous device slice.  ``rng`` is the
+        shard's own seed (plan mode) or a shared generator (planless
+        mode).  Depends only on its arguments — never on which process
+        or in which order it runs.
+    ``merge(shard_results)``
+        Combine per-shard results (in shard order) with
+        :meth:`ConcatResult.merge`.
+    """
+
+    name = ""
+    seed: Optional[int] = None
+
+    def _context(self, transitions: np.ndarray, full_scale: float,
+                 sample_rate: float) -> ShardContext:
         raise NotImplementedError
 
-    def run_shard(self, context: Any, transitions: np.ndarray,
-                  rng: Any = None, chunk_size: Optional[int] = None) -> Any:
+    def _run_chunk(self, context: Any, transitions: np.ndarray,
+                   codes: Optional[np.ndarray]) -> Any:
         raise NotImplementedError
+
+    def _resolve_seed(self, rng: Any) -> Any:
+        """``rng``, or the engine's ``seed`` when ``rng`` is ``None``."""
+        return self.seed if rng is None else rng
+
+    def run_wafer(self, wafer: "Wafer", rng: Any = None,
+                  chunk_size: Optional[int] = None,
+                  plan: Optional[ExecutionPlan] = None) -> Any:
+        """Run the engine on every die of a wafer."""
+        spec = wafer.spec
+        return self.run_transitions(wafer.transitions,
+                                    full_scale=spec.full_scale,
+                                    sample_rate=spec.sample_rate,
+                                    rng=rng, chunk_size=chunk_size,
+                                    plan=plan)
+
+    def run_transitions(self, transitions: np.ndarray,
+                        full_scale: float = 1.0,
+                        sample_rate: float = 1e6,
+                        rng: Any = None,
+                        chunk_size: Optional[int] = None,
+                        plan: Optional[ExecutionPlan] = None) -> Any:
+        """Run the engine on a ``(devices, transitions)`` matrix.
+
+        Parameters
+        ----------
+        transitions:
+            Transition-voltage matrix, one row per device under test.
+        full_scale, sample_rate:
+            Geometry/clock shared by the batch (one test insertion).
+        rng:
+            Seed or generator for the acquisition noise; ``None`` means
+            the engine's ``seed``.  Without a plan it is consumed in
+            device order exactly as a scalar loop over the devices
+            consumes it; with a plan it must be a seed and per-shard
+            child seeds are spawned from it.
+        chunk_size:
+            Devices processed per chunk (bounds the transient
+            ``(devices, samples)`` matrices); ``None`` keeps the engine's
+            default.
+        plan:
+            Optional :class:`ExecutionPlan` scaling the run out over
+            worker processes; results are bit-identical for any
+            ``(workers, chunk_size)`` of the plan.
+        """
+        transitions = np.asarray(transitions, dtype=float)
+        rng = self._resolve_seed(rng)
+        if plan is not None:
+            return ShardExecutor(plan).run(
+                self, transitions, full_scale, sample_rate,
+                rng=resolve_plan_seed(rng, None), chunk_size=chunk_size)
+        context = self.prepare(transitions, full_scale, sample_rate)
+        return self.run_shard(context, transitions, rng, chunk_size)
+
+    def prepare(self, transitions: np.ndarray, full_scale: float = 1.0,
+                sample_rate: float = 1e6) -> ShardContext:
+        """Validate a batch and derive the shared per-run context."""
+        with current_telemetry().span(f"engine.{self.name}.prepare",
+                                      devices=int(transitions.shape[0])):
+            return self._context(transitions, full_scale, sample_rate)
+
+    def run_shard(self, context: ShardContext, transitions: np.ndarray,
+                  rng: Any = None, chunk_size: Optional[int] = None) -> Any:
+        """Run one contiguous device slice of a prepared batch.
+
+        ``rng`` is the shard's own seed (plan mode) or the run's shared
+        generator (planless mode); either way the noise stream is
+        consumed in device order, so chunking never changes it.
+        """
+        generator = (rng if isinstance(rng, np.random.Generator)
+                     else np.random.default_rng(rng))
+        return self._run_chunks(
+            context, transitions, chunk_size,
+            lambda out, first: generator.standard_normal(out=out))
 
     def merge(self, shard_results: Sequence[Any]) -> Any:
-        raise NotImplementedError
+        """Combine per-shard results (in shard order) into one result."""
+        with current_telemetry().span(f"engine.{self.name}.merge",
+                                      shards=len(shard_results)):
+            return ConcatResult.merge(shard_results)
+
+    def _run_chunks(self, context: ShardContext, transitions: np.ndarray,
+                    chunk_size: Optional[int],
+                    draw: Callable[[np.ndarray, int], Any]) -> Any:
+        """The chunk loop of :meth:`run_shard`.
+
+        ``draw(out, first)`` fills ``out`` with the standard normals of
+        the shard's devices ``first .. first + len(out)``.  ``normal(0,
+        σ)`` is ``0 + σ·z`` for the same standard normals ``z``, so
+        drawing ``z`` in place, scaling it and adding the stimulus
+        reproduces ``stimulus + normal(0, σ)`` bit for bit.  The voltage
+        and code buffers are allocated once per shard and reused by every
+        chunk; no result keeps a view of them.
+        """
+        transitions = np.asarray(transitions, dtype=float)
+        if chunk_size is None:
+            chunk_size = context.default_chunk
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be positive")
+        n_devices, n_levels = transitions.shape
+        n_samples = context.n_samples
+        t = current_telemetry()
+        if t.enabled:
+            t.count(f"engine.{self.name}.shards")
+            t.count(f"engine.{self.name}.devices", n_devices)
+            t.count(f"engine.{self.name}.samples", n_devices * n_samples)
+            path = "event" if context.event_path else "stream"
+            t.count(f"engine.{self.name}.{path}_path_devices", n_devices)
+        with t.span(f"engine.{self.name}.run_shard", devices=n_devices):
+            # An empty slice still yields one (empty) chunk result.
+            bounds = list(iter_slices(n_devices, chunk_size)) or [(0, 0)]
+            if context.event_path:
+                return ConcatResult.merge(
+                    [self._run_chunk(context, transitions[lo:hi], None)
+                     for lo, hi in bounds])
+            shape = (min(chunk_size, n_devices), n_samples)
+            codes = np.empty(shape, dtype=code_dtype(n_levels + 1))
+            noise = np.empty(shape) if context.noise_volts > 0.0 else None
+            parts = []
+            for lo, hi in bounds:
+                if noise is None:
+                    voltages = np.broadcast_to(context.stimulus,
+                                               (hi - lo, n_samples))
+                else:
+                    voltages = noise[:hi - lo]
+                    draw(voltages, lo)
+                    voltages *= context.noise_volts
+                    voltages += context.stimulus
+                chunk = transitions[lo:hi]
+                parts.append(self._run_chunk(
+                    context, chunk,
+                    batch_quantise_rows(chunk, voltages, context.stimulus,
+                                        out=codes[:hi - lo])))
+            return ConcatResult.merge(parts)
 
 
 class ShardExecutor:
@@ -459,8 +676,7 @@ class ShardExecutor:
     The executor owns the one scheduling loop of the production subsystem:
     split the device axis into the plan's shards, spawn one seed per shard
     index, dispatch the shards (inline for ``workers=1``, over a process
-    pool otherwise) and merge the results in shard order.  Every batch
-    engine's former per-engine chunk loop now lives here, once.
+    pool otherwise) and merge the results in shard order.
     """
 
     def __init__(self, plan: ExecutionPlan) -> None:

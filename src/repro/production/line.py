@@ -256,9 +256,6 @@ class ScreeningLine:
         FFT configuration and pass/fail limits of the dynamic method;
         defaults to a 4096-sample Hann analyzer with an ENOB floor one bit
         below the nominal resolution.
-    backend:
-        Kernel backend name (see :mod:`repro.core.backend`) the line's
-        engine runs on; ``None`` resolves the ambient/default backend.
     flow:
         ``"fixed"`` (default) runs the paper's fixed-count decision;
         ``"sprt"`` mounts the adaptive sequential flow of
@@ -284,7 +281,6 @@ class ScreeningLine:
                  method: str = "bist",
                  dynamic_analyzer: Optional[DynamicAnalyzer] = None,
                  dynamic_spec: Optional[DynamicSpec] = None,
-                 backend: Optional[str] = None,
                  flow: str = "fixed",
                  sprt_alpha: Optional[float] = None,
                  sprt_beta: Optional[float] = None) -> None:
@@ -319,7 +315,6 @@ class ScreeningLine:
             deglitch_depth=config.deglitch_depth,
             retest_attempts=retest_attempts,
             bin_edges_lsb=tuple(float(e) for e in bin_edges_lsb),
-            backend=backend,
             flow=flow)
         self.config = config
         self.flow = flow
@@ -366,7 +361,6 @@ class ScreeningLine:
                    method=scenario.method,
                    dynamic_analyzer=dynamic_analyzer,
                    dynamic_spec=dynamic_spec,
-                   backend=scenario.backend,
                    flow=scenario.flow)
         # Keep the caller's full scenario (geometry, seed, label included)
         # rather than the line's measurement-only reconstruction.
@@ -632,7 +626,7 @@ class ScreeningLine:
                         spec.full_scale, spec.sample_rate)
                     code_ok = code_pass_matrix(
                         wafer.transitions[:devices_done],
-                        context.ramp_voltages, self.engine.limits,
+                        context.stimulus, self.engine.limits,
                         saturate=self.config.counter_saturate)
                     decision = sprt_decide(code_ok, policy,
                                            fixed_decision=result.passed)

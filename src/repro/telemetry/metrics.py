@@ -52,31 +52,13 @@ failure path itself stays under the ``pool.`` prefix (and therefore
 evicted) and ``pool.rebuilt`` (a submission retried against a fresh
 pool).
 
-The kernel-backend seam (:mod:`repro.core.backend`) adds two families of
-keys:
-
-``counters`` → ``kernel.<backend>.*``
-    ``kernel.<backend>.shards`` / ``kernel.<backend>.devices`` — shards
-    and devices each engine ran under backend ``<backend>`` (``numpy``,
-    ``numpy-compact`` or ``numba``).  They live in the deterministic
-    ``counters`` block: the backend is part of *what ran*, pinned on the
-    shard context, so the counts are byte-identical for any execution
-    geometry under a fixed backend choice.
-``context`` → ``kernel.backend``
-    The CLI records the resolved backend name (``--backend`` flag, else
-    the ``REPRO_KERNEL_BACKEND`` environment variable, else ``numpy``)
-    in the deterministic ``context`` block.
-
-Equivalence tiers, for readers diffing documents across backends:
-``numpy`` and ``numpy-compact`` are **bit-exact** on integer outputs
-(compaction narrows dtypes, never values), so their ``counters`` blocks
-match except for the ``kernel.<backend>.*`` names themselves; ``numba``
-is a **tolerance** backend (JIT loops may re-associate float sums,
-``atol`` on the registered backend), so float-derived counters may
-legitimately differ in the last ulp.
-
-The full-BIST batch engine counts its work under ``engine.bist.*``;
-one key describes the stream path's input rather than its volume:
+Every batch engine counts its work under ``engine.<name>.*`` (``bist``,
+``partial``, ``histogram``, ``dynamic``): ``shards``, ``devices``,
+``samples``, and ``event_path_devices`` / ``stream_path_devices`` —
+devices whose chunks ran on crossing events / on materialised sample
+matrices (the dynamic suite always materialises them; noisy chip-mode
+shards count like any other).  One full-BIST key describes the stream
+path's input rather than its volume:
 
 ``engine.bist.stream_events``
     Code-change events the stream path built (samples whose code

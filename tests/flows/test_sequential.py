@@ -131,7 +131,7 @@ class TestObservationStream:
         spec = wafer.spec
         ctx = engine.prepare(wafer.transitions, spec.full_scale,
                              spec.sample_rate)
-        code_ok = code_pass_matrix(wafer.transitions, ctx.ramp_voltages,
+        code_ok = code_pass_matrix(wafer.transitions, ctx.stimulus,
                                    engine.limits,
                                    saturate=scenario.bist_config()
                                    .counter_saturate)
@@ -146,7 +146,7 @@ class TestObservationStream:
                              spec.sample_rate)
         broken = wafer.transitions.copy()
         broken[0] = broken[0, ::-1]  # fold the first device's levels
-        code_ok = code_pass_matrix(broken, ctx.ramp_voltages,
+        code_ok = code_pass_matrix(broken, ctx.stimulus,
                                    engine.limits)
         assert not code_ok[0].any()
 

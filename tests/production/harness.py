@@ -40,7 +40,6 @@ from repro.core import (
     PartialBistConfig,
     PartialBistEngine,
 )
-from repro.core.backend import backend_scope
 from repro.production import (
     BatchBistEngine,
     BatchDynamicSuite,
@@ -90,59 +89,6 @@ def assert_batch_results_identical(reference, candidate) -> None:
             np.testing.assert_array_equal(a, b, err_msg=field.name)
         else:
             assert a == b, field.name
-
-
-def assert_batch_results_close(reference, candidate,
-                               atol: float) -> None:
-    """Tolerance-tier equality of two batch result dataclasses.
-
-    The contract of backends registered with ``equivalence="tolerance"``
-    (the JIT backend): integer/bool arrays and scalars stay bit-exact,
-    float arrays may differ by ``atol`` (JIT loops can re-associate float
-    sums).  NaNs still compare positionally equal.
-    """
-    assert type(reference) is type(candidate)
-    for field in dataclasses.fields(reference):
-        a = getattr(reference, field.name)
-        b = getattr(candidate, field.name)
-        if isinstance(a, np.ndarray) and np.issubdtype(a.dtype,
-                                                       np.floating):
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=atol,
-                                       equal_nan=True,
-                                       err_msg=field.name)
-        elif isinstance(a, np.ndarray):
-            np.testing.assert_array_equal(a, b, err_msg=field.name)
-        else:
-            assert a == b, field.name
-
-
-def assert_backend_equivalent(run, candidate: str,
-                              reference: str = "numpy", *,
-                              bit_exact: bool = True,
-                              atol: float = 0.0):
-    """One engine run must agree between two kernel backends.
-
-    ``run`` is a callable taking no arguments and returning a batch
-    result; it is invoked once under :func:`backend_scope(reference)
-    <repro.core.backend.backend_scope>` and once under the candidate
-    backend, so engines constructed inside it (with ``backend=None``)
-    resolve the ambient backend under test.
-
-    ``bit_exact=True`` asserts the ``numpy``/``numpy-compact`` tier:
-    every field identical value for value (compaction may narrow dtypes,
-    never change values).  ``bit_exact=False`` asserts the tolerance
-    tier of JIT backends: integer fields exact, float arrays within
-    ``atol``.  Returns ``(reference_result, candidate_result)``.
-    """
-    with backend_scope(reference):
-        ref = run()
-    with backend_scope(candidate):
-        cand = run()
-    if bit_exact:
-        assert_batch_results_identical(ref, cand)
-    else:
-        assert_batch_results_close(ref, cand, atol=atol)
-    return ref, cand
 
 
 def assert_plan_invariant(run, shard_devices: int = 64,

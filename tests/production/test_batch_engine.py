@@ -18,10 +18,12 @@ from repro.core import (
     CountLimits,
     LsbProcessor,
     MultiAdcBistController,
+    PartialBistConfig,
 )
 from repro.production import (
     BatchBistEngine,
     BatchLsbProcessor,
+    BatchPartialBistEngine,
     Wafer,
     WaferSpec,
     batch_deglitch,
@@ -320,6 +322,25 @@ class TestNoisyChipModeControllerParity:
         singles = BatchBistEngine(config).run_wafer(wafer, rng=0)
         expected, _ = chip_grouping(singles.passed, 4)
         np.testing.assert_array_equal(chips.chip_passed, expected)
+
+    @pytest.mark.parametrize("engine", [
+        BatchBistEngine(BistConfig(seed=5, transition_noise_lsb=0.05,
+                                   deglitch_depth=3)),
+        BatchPartialBistEngine(PartialBistConfig(
+            n_bits=6, q=3, dnl_spec_lsb=1.0, transition_noise_lsb=0.03,
+            seed=5)),
+    ], ids=["full", "partial"])
+    def test_unseeded_noisy_chips_use_the_configured_seed(self, engine):
+        """``rng=None`` falls back to ``config.seed``, as every other
+        entry point does, instead of drawing OS entropy."""
+        wafer = Wafer.draw(WaferSpec(n_devices=64), rng=3)
+        seeded = engine.run_chips(wafer, 4, rng=5)
+        for _ in range(3):
+            unseeded = engine.run_chips(wafer, 4)
+            np.testing.assert_array_equal(unseeded.converter_passed,
+                                          seeded.converter_passed)
+            np.testing.assert_array_equal(unseeded.result_registers,
+                                          seeded.result_registers)
 
 
 

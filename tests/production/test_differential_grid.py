@@ -5,21 +5,12 @@ noise × q × device count) drives all four scalar↔batch contracts — full
 BIST, partial BIST, conventional histogram test, dynamic suite — through
 the shared harness, so a regression on any execution path of any engine
 family shows up as a single failing grid cell.
-
-``TestBackendGrid`` is the kernel-backend sibling: the same grid, each
-engine family run under every non-default backend and compared against
-the ``numpy`` reference at the backend's registered equivalence tier —
-bit-exact for ``numpy-compact`` (dtype compaction must never change a
-value), within ``atol`` on float fields for ``numba`` (whose leg skips
-when the optional dependency is absent).
 """
 
-import numpy as np
 import pytest
 
 from harness import (
     DIFFERENTIAL_GRID,
-    assert_backend_equivalent,
     assert_dynamic_equivalent,
     assert_full_bist_equivalent,
     assert_histogram_equivalent,
@@ -28,13 +19,7 @@ from harness import (
 )
 from repro.analysis import DynamicAnalyzer, DynamicSpec
 from repro.core import BistConfig, PartialBistConfig
-from repro.core.backend import available_backends, get_backend
-from repro.production import (
-    BatchBistEngine,
-    BatchDynamicSuite,
-    BatchHistogramTest,
-    BatchPartialBistEngine,
-)
+from repro.production import BatchDynamicSuite, BatchHistogramTest
 
 
 @pytest.mark.parametrize("architecture,noise,q,n_devices", DIFFERENTIAL_GRID)
@@ -69,66 +54,3 @@ class TestDifferentialGrid:
             spec=DynamicSpec(min_enob=5.0),
             transition_noise_lsb=noise)
         assert_dynamic_equivalent(suite, wafer, rng=5)
-
-
-#: Non-default backends swept against the numpy reference; the numba leg
-#: only runs where the optional dependency is installed (CI matrix).
-CANDIDATE_BACKENDS = [
-    pytest.param("numpy-compact", id="numpy-compact"),
-    pytest.param("numba", id="numba", marks=pytest.mark.skipif(
-        "numba" not in available_backends(),
-        reason="optional numba backend not installed")),
-]
-
-
-def _tier(candidate: str) -> dict:
-    """The registered equivalence tier of a backend, as harness kwargs."""
-    backend = get_backend(candidate)
-    return {"bit_exact": backend.equivalence == "bit-exact",
-            "atol": backend.atol}
-
-
-@pytest.mark.parametrize("candidate", CANDIDATE_BACKENDS)
-@pytest.mark.parametrize("architecture,noise,q,n_devices", DIFFERENTIAL_GRID)
-class TestBackendGrid:
-    """numpy vs each other backend, engine family × grid cell."""
-
-    def test_full_bist(self, architecture, noise, q, n_devices, candidate):
-        wafer = draw_wafer(n_devices, architecture, seed=29)
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
-                            transition_noise_lsb=noise,
-                            deglitch_depth=3 if noise > 0 else 0)
-        assert_backend_equivalent(
-            lambda: BatchBistEngine(config).run_population(wafer, rng=5),
-            candidate, **_tier(candidate))
-
-    def test_partial_bist(self, architecture, noise, q, n_devices,
-                          candidate):
-        wafer = draw_wafer(n_devices, architecture, seed=29)
-        config = PartialBistConfig(n_bits=6, q=q, dnl_spec_lsb=0.5,
-                                   inl_spec_lsb=1.0,
-                                   transition_noise_lsb=noise)
-        assert_backend_equivalent(
-            lambda: BatchPartialBistEngine(config).run_wafer(
-                wafer, rng=np.random.default_rng(5)),
-            candidate, **_tier(candidate))
-
-    def test_histogram(self, architecture, noise, q, n_devices, candidate):
-        wafer = draw_wafer(n_devices, architecture, seed=29)
-        assert_backend_equivalent(
-            lambda: BatchHistogramTest(
-                samples_per_code=16.0, dnl_spec_lsb=0.5,
-                inl_spec_lsb=1.0,
-                transition_noise_lsb=noise).run_wafer(
-                    wafer, rng=np.random.default_rng(5)),
-            candidate, **_tier(candidate))
-
-    def test_dynamic(self, architecture, noise, q, n_devices, candidate):
-        wafer = draw_wafer(min(n_devices, 60), architecture, seed=29)
-        assert_backend_equivalent(
-            lambda: BatchDynamicSuite(
-                analyzer=DynamicAnalyzer(n_samples=1024),
-                spec=DynamicSpec(min_enob=5.0),
-                transition_noise_lsb=noise).run_wafer(
-                    wafer, rng=np.random.default_rng(5)),
-            candidate, **_tier(candidate))

@@ -9,6 +9,8 @@ validation, shard bounds, sliced wafer draws, plan-threaded screening
 lines and the shard-merge of the result store.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from harness import (
 )
 from repro.analysis import DynamicAnalyzer, DynamicSpec
 from repro.core import BistConfig, PartialBistConfig
+from repro.core.bist_scheme import PartialBistPartition
 from repro.production import (
     BatchBistEngine,
     BatchBistResult,
@@ -307,91 +310,118 @@ class TestResultStoreMerge:
         assert "sar/full" in table
 
 
+def _merge_case(kind):
+    """``(whole, parts, field, bad_value)`` for one result type.
+
+    ``parts`` split ``whole`` by devices (by chips in chip mode); the
+    noisy engines consume one shared generator across the parts, exactly
+    as the whole run does.  ``field`` is a non-array field and
+    ``bad_value`` a value that no part of the run can carry.
+    """
+    if kind == "chip":
+        wafer = draw_wafer(64, "flash", seed=1)
+        engine = BatchBistEngine(_bist_config(0.0))
+        whole = engine.run_chips(wafer, 4)
+        parts = [engine.run_chips(
+            Wafer(dataclasses.replace(wafer.spec, n_devices=hi - lo),
+                  wafer.transitions[lo:hi]), 4)
+            for lo, hi in [(0, 24), (24, 64)]]
+        return whole, parts, "converters_per_chip", 8
+    wafer = draw_wafer(60, "sar", seed=1)
+    engine, field, bad = {
+        "full": (BatchBistEngine(_bist_config(0.05)), "samples_taken", 1),
+        "partial": (BatchPartialBistEngine(PartialBistConfig(
+            n_bits=6, q=2, dnl_spec_lsb=0.5, transition_noise_lsb=0.03)),
+            "partition", PartialBistPartition(n_bits=6, q=3)),
+        "histogram": (BatchHistogramTest(samples_per_code=16.0,
+                                         transition_noise_lsb=0.04),
+                      "n_bits", 7),
+        "dynamic": (BatchDynamicSuite(
+            analyzer=DynamicAnalyzer(n_samples=1024),
+            spec=DynamicSpec(min_enob=5.0), transition_noise_lsb=0.05),
+            "fundamental_hz", 1.0),
+    }[kind]
+    whole = engine.run_wafer(wafer, rng=5)
+    context = engine.prepare(wafer.transitions)
+    generator = np.random.default_rng(5)
+    parts = [engine.run_shard(context, wafer.transitions[lo:hi], generator)
+             for lo, hi in [(0, 25), (25, 60)]]
+    return whole, parts, field, bad
+
+
+@pytest.mark.parametrize("kind", ["full", "chip", "partial", "histogram",
+                                  "dynamic"])
 class TestResultMergeClassmethods:
-    def test_empty_merge_rejected(self):
+    """One merge serves every result type: the same three rules each."""
+
+    def test_empty_merge_rejected(self, kind):
+        whole, _, _, _ = _merge_case(kind)
         with pytest.raises(ValueError):
-            BatchBistResult.merge([])
+            type(whole).merge([])
 
-    def test_mismatched_shards_rejected(self):
-        wafer = draw_wafer(40, "flash", seed=1)
-        engine = BatchBistEngine(_bist_config(0.0))
-        a = engine.run_wafer(wafer)
-        b = engine.run_wafer(wafer)
-        b.samples_taken += 1
-        with pytest.raises(ValueError):
-            BatchBistResult.merge([a, b])
+    def test_mismatched_shards_rejected(self, kind):
+        whole, parts, field, bad = _merge_case(kind)
+        parts[1] = dataclasses.replace(parts[1], **{field: bad})
+        with pytest.raises(ValueError, match=field):
+            type(whole).merge(parts)
 
-    def test_merge_concatenates_in_shard_order(self):
-        wafer = draw_wafer(60, "flash", seed=1)
-        engine = BatchBistEngine(_bist_config(0.0))
-        whole = engine.run_wafer(wafer)
-        context = engine.prepare(wafer.transitions)
-        parts = [engine.run_shard(context, wafer.transitions[lo:hi])
-                 for lo, hi in [(0, 25), (25, 60)]]
-        assert_batch_results_identical(whole, BatchBistResult.merge(parts))
+    def test_merge_concatenates_in_shard_order(self, kind):
+        whole, parts, _, _ = _merge_case(kind)
+        assert_batch_results_identical(whole, type(whole).merge(parts))
 
 
-class TestBackendChunkDefaults:
-    """The backend-derived default chunk size is a pure memory knob.
+class TestChunkDefaults:
+    """The default chunk size is a pure memory knob.
 
-    ``chunk_size=None`` now resolves to a memory-bandwidth-aware default
-    computed from the active backend's per-row bytes; these tests pin
-    (a) that the default dispatch stays byte-identical to any explicit
-    chunk size, under both the plain and compacted backends, and (b)
-    that compacted rows really do widen the default.
+    ``chunk_size=None`` resolves to a memory-bandwidth-aware default
+    computed from the per-row bytes under the kernel's compact dtypes;
+    these tests pin that the default dispatch stays byte-identical to any
+    explicit chunk size, and the two full-BIST formulas.
     """
 
-    def _run(self, engine, wafer, chunk_size, backend):
-        from repro.core.backend import backend_scope
+    def _run(self, engine, wafer, chunk_size):
+        return engine.run_wafer(wafer, rng=np.random.default_rng(5),
+                                chunk_size=chunk_size)
 
-        with backend_scope(backend):
-            return engine.run_wafer(wafer, rng=np.random.default_rng(5),
-                                    chunk_size=chunk_size)
-
-    @pytest.mark.parametrize("backend", ["numpy", "numpy-compact"])
-    def test_default_chunk_is_byte_identical_full_bist(self, backend):
+    def test_default_chunk_is_byte_identical_full_bist(self):
         wafer = draw_wafer(90, "flash", seed=3)
         engine = BatchBistEngine(_bist_config(0.05))
-        default = self._run(engine, wafer, None, backend)
-        explicit = self._run(engine, wafer, 7, backend)
+        default = self._run(engine, wafer, None)
+        explicit = self._run(engine, wafer, 7)
         assert_batch_results_identical(default, explicit)
 
-    @pytest.mark.parametrize("backend", ["numpy", "numpy-compact"])
-    def test_default_chunk_is_byte_identical_histogram(self, backend):
+    def test_default_chunk_is_byte_identical_histogram(self):
         wafer = draw_wafer(70, "flash", seed=3)
         test = BatchHistogramTest(samples_per_code=16.0, dnl_spec_lsb=0.5,
                                   transition_noise_lsb=0.04)
-        default = self._run(test, wafer, None, backend)
-        explicit = self._run(test, wafer, 11, backend)
+        default = self._run(test, wafer, None)
+        explicit = self._run(test, wafer, 11)
         assert_batch_results_identical(default, explicit)
 
     def test_plan_default_chunk_matches_serial_reference(self):
         # Warm-dispatch path: plan execution with the default chunk must
-        # equal the serial in-process run, compacted backend included.
-        from repro.core.backend import backend_scope
-
+        # equal the serial in-process run.
         wafer = draw_wafer(120, "flash", seed=3)
         engine = BatchBistEngine(_bist_config(0.0))
         reference = engine.run_wafer(wafer)
-        with backend_scope("numpy-compact"):
-            planned = engine.run_wafer(
-                wafer, plan=ExecutionPlan(workers=2, shard_devices=32))
+        planned = engine.run_wafer(
+            wafer, plan=ExecutionPlan(workers=2, shard_devices=32))
         assert_batch_results_identical(reference, planned)
 
-    def test_compact_rows_widen_the_event_chunk(self):
-        from repro.core.backend import backend_scope
+    def test_compact_rows_set_the_full_bist_defaults(self):
+        from repro.core.kernel import auto_chunk_size
         from repro.production.batch_engine import (
+            STREAM_CHUNK_BUDGET_BYTES,
             _event_chunk_size,
             _stream_chunk_size,
         )
 
         n_transitions, n_samples = 63, 4369
-        wide = _event_chunk_size(n_transitions, n_samples)
-        with backend_scope("numpy-compact"):
-            compact_wide = _event_chunk_size(n_transitions, n_samples)
-        assert compact_wide == 2 * wide  # int64 → int32 indices
-
-        narrow = _stream_chunk_size(n_transitions, n_samples)
-        with backend_scope("numpy-compact"):
-            compact_narrow = _stream_chunk_size(n_transitions, n_samples)
-        assert compact_narrow > narrow  # int16 codes shrink the row
+        # Four int32 index rows per device on the event path ...
+        assert _event_chunk_size(n_transitions, n_samples) == \
+            auto_chunk_size(4 * n_transitions * 4)
+        # ... and 24 float bytes, an int16 code and 3 masks per sample on
+        # the stream path.
+        assert _stream_chunk_size(n_transitions, n_samples) == \
+            auto_chunk_size(n_samples * (24 + 2 + 3),
+                            budget=STREAM_CHUNK_BUDGET_BYTES)

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the core data structures and maths."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,20 +19,32 @@ from repro.analysis.error_model import (
     count_limits,
     delta_s_for_counter,
 )
+from repro.analysis.dynamic import DynamicAnalyzer, DynamicSpec
 from repro.analysis.linearity import linearity_from_code_widths
 from repro.analysis.montecarlo import simulate_counts
-from repro.core.backend import backend_scope, current_backend
 from repro.core.bist_scheme import nl_budget, qmin
 from repro.core.counter import SaturatingCounter
+from repro.core.engine import BistConfig
 from repro.core.deglitch import DeglitchFilter
 from repro.core.kernel import (
     batch_msb_reference,
     batch_quantise_rows,
     code_change_events,
+    code_dtype,
     event_msb_mismatch,
 )
 from repro.core.lsb_processor import LsbProcessor
 from repro.core.limits import CountLimits
+from repro.core.partial_engine import PartialBistConfig
+from repro.production import (
+    BatchBistEngine,
+    BatchDynamicSuite,
+    BatchHistogramTest,
+    BatchPartialBistEngine,
+    ExecutionPlan,
+    Wafer,
+    WaferSpec,
+)
 from repro.production.batch_engine import deglitch_edges
 
 
@@ -280,12 +294,11 @@ class TestStreamKernelProperties:
     @given(st.integers(1, 5), st.integers(1, 15), st.integers(1, 300),
            st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.0]),
            st.sampled_from(["ramp", "sine"]), st.booleans(),
-           st.sampled_from(["numpy", "numpy-compact"]),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_quantiser_equals_thermometer_count(self, n_devices, n_levels,
                                                 n_samples, sigma, kind,
-                                                shuffled, backend, seed):
+                                                shuffled, seed):
         """Every element is the count of transitions at or below it, for
         monotone and shuffled (non-monotone) rows, voltages sitting exactly
         on a transition, and noise up to 2 LSB (multi-step corrections)."""
@@ -303,12 +316,11 @@ class TestStreamKernelProperties:
         voltages[hits] = levels[rows, rng.integers(0, n_levels, rows.size)]
         expected = np.stack([(voltages[d][:, None] >= levels[d]).sum(axis=1)
                              for d in range(n_devices)])
-        with backend_scope(backend):
-            codes = batch_quantise_rows(levels, voltages, stimulus)
-            assert codes.dtype == current_backend().code_dtype(n_levels + 1)
-            out = np.full_like(codes, -1)
-            assert batch_quantise_rows(levels, voltages, stimulus,
-                                       out=out) is out
+        codes = batch_quantise_rows(levels, voltages, stimulus)
+        assert codes.dtype == code_dtype(n_levels + 1)
+        out = np.full_like(codes, -1)
+        assert batch_quantise_rows(levels, voltages, stimulus,
+                                   out=out) is out
         np.testing.assert_array_equal(codes, expected)
         np.testing.assert_array_equal(out, expected)
 
@@ -383,3 +395,88 @@ class TestQminProperties:
         budget = nl_budget(q, dnl, inl)
         assert budget <= dnl * 2 ** (q - 1) + 1e-12
         assert budget <= inl * 2 + 1e-12
+
+
+# --------------------------------------------------------------------------- #
+# Engine skeleton: chunk and shard geometry
+# --------------------------------------------------------------------------- #
+
+#: Dies of the property wafer; every geometry is drawn within [1, N_DIES].
+N_DIES = 48
+
+
+def _engine(kind: str, noise: float):
+    """One of the four batch engines on a 6-bit converter."""
+    if kind == "full":
+        return BatchBistEngine(BistConfig(
+            n_bits=6, transition_noise_lsb=noise,
+            deglitch_depth=3 if noise > 0 else 0, seed=21))
+    if kind == "partial":
+        return BatchPartialBistEngine(PartialBistConfig(
+            n_bits=6, q=2, dnl_spec_lsb=1.0, transition_noise_lsb=noise,
+            seed=21))
+    if kind == "histogram":
+        return BatchHistogramTest(samples_per_code=16.0,
+                                  transition_noise_lsb=noise, seed=21)
+    return BatchDynamicSuite(analyzer=DynamicAnalyzer(n_samples=512),
+                             spec=DynamicSpec(min_enob=5.0),
+                             transition_noise_lsb=noise, seed=21)
+
+
+_GEOMETRY_CACHE: dict = {}
+
+
+def _reference(kind: str, noise: float, plan):
+    """The default-chunk run of the whole wafer (cached per case)."""
+    key = (kind, noise, plan)
+    if key not in _GEOMETRY_CACHE:
+        wafer = Wafer.draw(WaferSpec(n_bits=6, n_devices=N_DIES), rng=8)
+        engine = _engine(kind, noise)
+        _GEOMETRY_CACHE[key] = (wafer, engine,
+                                engine.run_wafer(wafer, plan=plan))
+    return _GEOMETRY_CACHE[key]
+
+
+def _assert_leading_rows(whole, part, n_dies: int) -> None:
+    """``part`` is ``whole`` restricted to its first ``n_dies`` devices."""
+    assert part.n_devices == n_dies
+    for field in dataclasses.fields(whole):
+        a, b = getattr(whole, field.name), getattr(part, field.name)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a[:n_dies], b, err_msg=field.name)
+        elif field.name != "n_devices":
+            assert a == b, field.name
+
+
+ENGINE_KINDS = ["full", "partial", "histogram", "dynamic"]
+
+
+class TestEngineGeometryProperties:
+    """The skeleton's chunk loop and shared noise buffers are invisible:
+    any chunk size gives the default chunk's result, and noise-free any
+    shard size gives the planless result."""
+
+    @given(st.sampled_from(ENGINE_KINDS), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_noisy_chunk_size_never_changes_a_result(self, kind, planned,
+                                                     data):
+        plan = ExecutionPlan(workers=1, shard_devices=16) if planned \
+            else None
+        wafer, engine, whole = _reference(kind, 0.05, plan)
+        n_dies = data.draw(st.integers(1, N_DIES), label="n_dies")
+        chunk = data.draw(st.integers(1, n_dies), label="chunk_size")
+        part = engine.run_transitions(
+            wafer.transitions[:n_dies], full_scale=wafer.spec.full_scale,
+            sample_rate=wafer.spec.sample_rate, chunk_size=chunk,
+            plan=plan)
+        _assert_leading_rows(whole, part, n_dies)
+
+    @given(st.sampled_from(ENGINE_KINDS), st.integers(1, N_DIES),
+           st.integers(1, N_DIES))
+    @settings(max_examples=30, deadline=None)
+    def test_noise_free_shard_size_never_changes_a_result(self, kind, shard,
+                                                          chunk):
+        wafer, engine, whole = _reference(kind, 0.0, None)
+        part = engine.run_wafer(wafer, plan=ExecutionPlan(
+            workers=1, chunk_size=chunk, shard_devices=shard))
+        _assert_leading_rows(whole, part, N_DIES)
