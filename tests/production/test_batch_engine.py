@@ -343,7 +343,6 @@ class TestNoisyChipModeControllerParity:
                                           seeded.result_registers)
 
 
-
 class TestBatchDeglitchEdgeCases:
     """Degenerate streams must behave exactly like the scalar filter."""
 

@@ -42,16 +42,37 @@ from repro.production.execution import (
     resolve_plan_seed,
     spawn_shard_seeds,
 )
+from repro.telemetry import Telemetry, telemetry_session
 
 #: (architecture, transition_noise_lsb) scenarios the invariance grid
 #: sweeps per engine: one event/noise-free path, one noisy stream path.
 SCENARIOS = [("flash", 0.0), ("sar", 0.03)]
 
 
-def _bist_config(noise: float) -> BistConfig:
+def _bist_config(noise: float, seed=None) -> BistConfig:
     return BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
                       transition_noise_lsb=noise,
-                      deglitch_depth=3 if noise > 0 else 0)
+                      deglitch_depth=3 if noise > 0 else 0, seed=seed)
+
+
+#: The noise level each engine kind runs at in the noisy skeleton tests.
+NOISE = {"full": 0.05, "partial": 0.03, "histogram": 0.04, "dynamic": 0.05}
+
+
+def _engine(kind: str, noise: float, seed=None):
+    """A small 6-bit batch engine of one kind at one noise level."""
+    if kind == "full":
+        return BatchBistEngine(_bist_config(noise, seed))
+    if kind == "partial":
+        return BatchPartialBistEngine(PartialBistConfig(
+            n_bits=6, q=2, dnl_spec_lsb=0.5, transition_noise_lsb=noise,
+            seed=seed))
+    if kind == "histogram":
+        return BatchHistogramTest(samples_per_code=16.0,
+                                  transition_noise_lsb=noise, seed=seed)
+    return BatchDynamicSuite(analyzer=DynamicAnalyzer(n_samples=1024),
+                             spec=DynamicSpec(min_enob=5.0),
+                             transition_noise_lsb=noise, seed=seed)
 
 
 class TestExecutionPlan:
@@ -328,18 +349,12 @@ def _merge_case(kind):
             for lo, hi in [(0, 24), (24, 64)]]
         return whole, parts, "converters_per_chip", 8
     wafer = draw_wafer(60, "sar", seed=1)
-    engine, field, bad = {
-        "full": (BatchBistEngine(_bist_config(0.05)), "samples_taken", 1),
-        "partial": (BatchPartialBistEngine(PartialBistConfig(
-            n_bits=6, q=2, dnl_spec_lsb=0.5, transition_noise_lsb=0.03)),
-            "partition", PartialBistPartition(n_bits=6, q=3)),
-        "histogram": (BatchHistogramTest(samples_per_code=16.0,
-                                         transition_noise_lsb=0.04),
-                      "n_bits", 7),
-        "dynamic": (BatchDynamicSuite(
-            analyzer=DynamicAnalyzer(n_samples=1024),
-            spec=DynamicSpec(min_enob=5.0), transition_noise_lsb=0.05),
-            "fundamental_hz", 1.0),
+    engine = _engine(kind, NOISE[kind])
+    field, bad = {
+        "full": ("samples_taken", 1),
+        "partial": ("partition", PartialBistPartition(n_bits=6, q=3)),
+        "histogram": ("n_bits", 7),
+        "dynamic": ("fundamental_hz", 1.0),
     }[kind]
     whole = engine.run_wafer(wafer, rng=5)
     context = engine.prepare(wafer.transitions)
@@ -425,3 +440,92 @@ class TestChunkDefaults:
         assert _stream_chunk_size(n_transitions, n_samples) == \
             auto_chunk_size(n_samples * (24 + 2 + 3),
                             budget=STREAM_CHUNK_BUDGET_BYTES)
+
+    def test_default_chunk_is_byte_identical_partial(self):
+        wafer = draw_wafer(70, "sar", seed=3)
+        engine = _engine("partial", NOISE["partial"])
+        default = self._run(engine, wafer, None)
+        explicit = self._run(engine, wafer, 9)
+        assert_batch_results_identical(default, explicit)
+
+    def test_default_chunk_is_byte_identical_dynamic(self):
+        wafer = draw_wafer(40, "flash", seed=3)
+        suite = _engine("dynamic", NOISE["dynamic"])
+        default = self._run(suite, wafer, None)
+        explicit = self._run(suite, wafer, 6)
+        assert_batch_results_identical(default, explicit)
+
+
+def _run_entry(engine, entry: str, wafer: Wafer, rng, plan):
+    """Run one public entry point of a batch engine on a wafer."""
+    if entry == "run_transitions":
+        spec = wafer.spec
+        return engine.run_transitions(wafer.transitions,
+                                      full_scale=spec.full_scale,
+                                      sample_rate=spec.sample_rate,
+                                      rng=rng, plan=plan)
+    return getattr(engine, entry)(wafer, rng=rng, plan=plan)
+
+
+@pytest.mark.parametrize("plan", [None, ExecutionPlan(shard_devices=16)],
+                         ids=["planless", "plan"])
+@pytest.mark.parametrize("kind,entry", [
+    (kind, entry)
+    for kind in ("full", "partial", "histogram", "dynamic")
+    for entry in ("run_wafer", "run_transitions", "run_population")
+    if kind in ("full", "partial") or entry != "run_population"
+])
+def test_unseeded_run_uses_the_configured_seed(kind, entry, plan):
+    """``rng=None`` means the engine's ``seed`` at every entry point.
+
+    The skeleton resolves the seed in one place, so a run without ``rng``
+    is reproducible and equals the run seeded with the configured seed,
+    with or without a plan.  (Chip mode is pinned in
+    ``test_batch_engine.py``.)
+    """
+    wafer = draw_wafer(40, "sar", seed=2)
+    engine = _engine(kind, NOISE[kind], seed=11)
+    seeded = _run_entry(engine, entry, wafer, 11, plan)
+    for _ in range(2):
+        assert_batch_results_identical(
+            seeded, _run_entry(engine, entry, wafer, None, plan))
+    # The noise shows in every result, so the comparison has teeth.
+    with pytest.raises(AssertionError):
+        assert_batch_results_identical(
+            seeded, _run_entry(engine, entry, wafer, 12, plan))
+
+
+@pytest.mark.parametrize("kind", ["full", "partial", "histogram", "dynamic"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["noise-free", "noisy"])
+def test_skeleton_reports_engine_counters_and_spans(kind, noisy):
+    """Every engine reports the skeleton's ``engine.<name>.*`` telemetry.
+
+    Three shards of a 40-die wafer: one ``prepare`` span, one
+    ``run_shard`` span per shard and one ``merge`` span, and counters
+    that add up to the whole wafer on the path the context chose (the
+    dynamic suite's sine record always takes the stream path).
+    """
+    wafer = draw_wafer(40, "flash", seed=4)
+    engine = _engine(kind, NOISE[kind] if noisy else 0.0)
+    context = engine.prepare(wafer.transitions, wafer.spec.full_scale,
+                             wafer.spec.sample_rate)
+    with telemetry_session(Telemetry()) as t:
+        engine.run_wafer(wafer, rng=3, plan=ExecutionPlan(shard_devices=16))
+    prefix = "engine.{}.".format("bist" if kind == "full" else kind)
+    path = "stream" if noisy or kind == "dynamic" else "event"
+    counters = {name: n for name, n in t.counters.items()
+                if name.startswith(prefix)}
+    counters.pop("engine.bist.stream_events", None)
+    assert counters == {
+        prefix + "shards": 3,
+        prefix + "devices": 40,
+        prefix + "samples": 40 * context.n_samples,
+        prefix + f"{path}_path_devices": 40,
+    }
+    spans = [(span.name[len(prefix):], span.attrs) for span in t.spans
+             if span.name.startswith(prefix)]
+    assert spans == [("prepare", {"devices": 40}),
+                     ("run_shard", {"devices": 16}),
+                     ("run_shard", {"devices": 16}),
+                     ("run_shard", {"devices": 8}),
+                     ("merge", {"shards": 3})]
