@@ -20,30 +20,18 @@ behavioural converter model per device.  ``"flash"`` and ``"gaussian"``
 share the :class:`~repro.adc.backends.FlashLadderBackend` statistics (the
 correlated-normal model of the ladder, Equation (10)); ``"sar"`` and
 ``"pipeline"`` use their architecture backends.
-
-The historical per-device-seed draws — one child seed per device, a
-Python-loop materialisation, with ``"flash"`` building genuine
-:class:`~repro.adc.flash.FlashADC` ladder models — remain available behind
-``PopulationSpec(legacy_seed=True)``.  They are **deprecated**: the flag
-exists so studies pinned to the old seeded matrices can reproduce them,
-and it will be removed once nothing depends on those realisations.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.adc.base import ADC
-from repro.adc.flash import FlashADC
 from repro.adc.ideal import TableADC
-from repro.adc.transfer import (
-    TransferFunction,
-    batch_transitions_from_code_widths,
-)
+from repro.adc.transfer import TransferFunction
 
 __all__ = ["PopulationSpec", "DevicePopulation", "correlated_code_widths"]
 
@@ -146,15 +134,11 @@ class PopulationSpec:
     size:
         Number of devices; the paper measured a batch of 364.
     architecture:
-        ``"flash"`` builds :class:`~repro.adc.flash.FlashADC` devices;
-        ``"gaussian"`` draws code widths directly from the correlated normal
-        model the paper's equations assume; ``"sar"`` and ``"pipeline"``
-        realise the population through the vectorised transfer backends of
+        ``"flash"`` and ``"gaussian"`` draw code widths from the correlated
+        normal model of the resistor ladder the paper's equations assume;
+        ``"sar"`` and ``"pipeline"`` use their architecture models.  All
+        four draw through the vectorised transfer backends of
         :mod:`repro.adc.backends`.
-    comparator_fraction:
-        For the flash architecture, the fraction of the code-width variance
-        contributed by comparator offsets (see
-        :meth:`repro.adc.flash.FlashADC.from_sigma`).
     unit_cap_sigma_rel, comparator_offset_sigma_lsb:
         SAR-architecture mismatch parameters.
     gain_error_sigma, threshold_sigma_lsb:
@@ -166,27 +150,13 @@ class PopulationSpec:
     seed:
         Population seed: the whole transition matrix is drawn from it in
         one vectorised backend call, so a population is fully
-        reproducible.  With ``legacy_seed=True``, device ``i`` instead
-        uses a child seed derived from it (the historical per-device
-        draw).
-    legacy_seed:
-        **Deprecated.**  ``True`` restores the pre-scale-out per-device
-        seeding for the ``"flash"`` and ``"gaussian"`` architectures: a
-        Python loop drawing one child seed per device (``"flash"``
-        additionally builds physical :class:`~repro.adc.flash.FlashADC`
-        ladder realisations, honouring ``comparator_fraction``).  The
-        default ``False`` draws the population through the vectorised
-        :class:`~repro.adc.backends.FlashLadderBackend` like every other
-        architecture — same statistics, different realisations for the
-        same seed.  The flag only exists so studies pinned to the old
-        seeded matrices can reproduce them and will be removed.
+        reproducible.
     """
 
     n_bits: int = 6
     sigma_code_width_lsb: float = 0.21
     size: int = 364
     architecture: str = "flash"
-    comparator_fraction: float = 0.0
     full_scale: float = 1.0
     sample_rate: float = 1e6
     seed: Optional[int] = 0
@@ -194,7 +164,6 @@ class PopulationSpec:
     comparator_offset_sigma_lsb: float = 0.0
     gain_error_sigma: float = 0.03
     threshold_sigma_lsb: float = 0.5
-    legacy_seed: bool = False
 
     def __post_init__(self) -> None:
         if self.n_bits < 2:
@@ -207,15 +176,6 @@ class PopulationSpec:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; "
                 f"expected 'flash', 'gaussian', 'sar' or 'pipeline'")
-        if self.legacy_seed:
-            # stacklevel 3: __post_init__ <- generated __init__ <- caller.
-            warnings.warn(
-                "PopulationSpec(legacy_seed=True) is deprecated: "
-                "populations draw through the vectorised transfer "
-                "backends by default (same statistics, different "
-                "realisations for the same seed); the per-device-seed "
-                "draws will be removed",
-                DeprecationWarning, stacklevel=3)
 
     def backend(self):
         """The vectorised transfer backend realising this population.
@@ -223,16 +183,8 @@ class PopulationSpec:
         ``"flash"`` and ``"gaussian"`` both map to the
         :class:`~repro.adc.backends.FlashLadderBackend` — the correlated
         code-width statistics of the ladder, which is exactly the model
-        the Gaussian architecture draws from.  With ``legacy_seed=True``
-        the backend does not reproduce
-        :meth:`DevicePopulation.transition_matrix` (the legacy per-device
-        draws consume seeds differently), so asking for it raises.
+        the Gaussian architecture draws from.
         """
-        if self.legacy_seed and self.architecture not in ("sar", "pipeline"):
-            raise ValueError(
-                f"the {self.architecture!r} population architecture with "
-                f"legacy_seed=True draws per-device seeds and has no "
-                f"matrix backend")
         from repro.adc.backends import make_backend
         architecture = (self.architecture
                         if self.architecture in ("sar", "pipeline")
@@ -244,12 +196,6 @@ class PopulationSpec:
             comparator_offset_sigma_lsb=self.comparator_offset_sigma_lsb,
             gain_error_sigma=self.gain_error_sigma,
             threshold_sigma_lsb=self.threshold_sigma_lsb)
-
-    @property
-    def matrix_backed(self) -> bool:
-        """Whether the population draws one vectorised transition matrix."""
-        return (self.architecture in ("sar", "pipeline")
-                or not self.legacy_seed)
 
     @property
     def n_codes(self) -> int:
@@ -268,14 +214,11 @@ class DevicePopulation:
     The population is generated lazily: device objects are only materialised
     when iterated or indexed, while bulk statistics (code-width matrix,
     yield) are computed vectorised without building per-device Python
-    objects when the Gaussian architecture is selected.
+    objects.
     """
 
     def __init__(self, spec: PopulationSpec) -> None:
         self.spec = spec
-        self._rng = np.random.default_rng(spec.seed)
-        self._device_seeds = self._rng.integers(0, 2 ** 31 - 1,
-                                                size=spec.size)
         self._width_matrix_lsb: Optional[np.ndarray] = None
         self._transition_matrix: Optional[np.ndarray] = None
         self._devices: Optional[List[ADC]] = None
@@ -320,36 +263,15 @@ class DevicePopulation:
         return self._devices[index]
 
     def _build_device(self, index: int) -> ADC:
-        seed = int(self._device_seeds[index])
+        # The device wraps its row of the backend-drawn transition matrix,
+        # so scalar runs on it see exactly the curve the batch engines
+        # decide on.
         spec = self.spec
-        if spec.matrix_backed:
-            # Matrix-backed population: the device wraps its row of the
-            # backend-drawn transition matrix, so scalar runs on it see
-            # exactly the curve the batch engines decide on.
-            tf = TransferFunction(n_bits=spec.n_bits,
-                                  transitions=self.transition_matrix()[index],
-                                  full_scale=spec.full_scale)
-            return TableADC(tf, sample_rate=spec.sample_rate,
-                            name=f"{spec.architecture} device {index}")
-        if spec.architecture == "flash":
-            # Deprecated legacy_seed path: a physical ladder realisation
-            # per device, seeded by this device's child seed.
-            device = FlashADC.from_sigma(
-                n_bits=spec.n_bits,
-                sigma_code_width_lsb=spec.sigma_code_width_lsb,
-                comparator_fraction=spec.comparator_fraction,
-                full_scale=spec.full_scale,
-                sample_rate=spec.sample_rate,
-                rng=seed)
-            return device
-        # Deprecated legacy_seed path: per-device width draw.
-        widths_lsb = correlated_code_widths(
-            1, spec.n_inner_codes, spec.sigma_code_width_lsb, rng=seed)[0]
-        lsb = spec.full_scale / spec.n_codes
-        tf = TransferFunction.from_code_widths(
-            spec.n_bits, widths_lsb * lsb, full_scale=spec.full_scale)
+        tf = TransferFunction(n_bits=spec.n_bits,
+                              transitions=self.transition_matrix()[index],
+                              full_scale=spec.full_scale)
         return TableADC(tf, sample_rate=spec.sample_rate,
-                        name=f"gaussian device {index}")
+                        name=f"{spec.architecture} device {index}")
 
     # ------------------------------------------------------------------ #
     # Bulk statistics
@@ -359,24 +281,9 @@ class DevicePopulation:
         """Return the (devices x inner codes) matrix of code widths in LSB."""
         if self._width_matrix_lsb is None:
             spec = self.spec
-            if spec.matrix_backed:
-                lsb = spec.full_scale / spec.n_codes
-                self._width_matrix_lsb = (
-                    np.diff(self.transition_matrix(), axis=1) / lsb)
-            elif spec.architecture == "gaussian":
-                # Deprecated legacy_seed path: re-derive deterministically
-                # but independently of lazily built devices, using the
-                # per-device seeds for exact agreement.
-                rows = [correlated_code_widths(
-                            1, spec.n_inner_codes,
-                            spec.sigma_code_width_lsb,
-                            rng=int(s))[0]
-                        for s in self._device_seeds]
-                self._width_matrix_lsb = np.vstack(rows)
-            else:
-                rows = [self[i].transfer_function().code_widths_lsb
-                        for i in range(len(self))]
-                self._width_matrix_lsb = np.vstack(rows)
+            lsb = spec.full_scale / spec.n_codes
+            self._width_matrix_lsb = (
+                np.diff(self.transition_matrix(), axis=1) / lsb)
         return self._width_matrix_lsb
 
     def transition_matrix(self) -> np.ndarray:
@@ -385,26 +292,15 @@ class DevicePopulation:
         The row for device ``i`` is bit-identical to
         ``self[i].transfer_function().transitions``, so matrix-level
         consumers (the batch BIST engine in :mod:`repro.production`) decide
-        on exactly the transfer curves the per-device objects expose.  By
-        default the whole matrix comes from one vectorised backend draw
-        seeded by the population seed; the deprecated ``legacy_seed``
-        populations re-derive it per device instead.
+        on exactly the transfer curves the per-device objects expose.  The
+        whole matrix comes from one vectorised backend draw seeded by the
+        population seed.
         """
-        spec = self.spec
-        if spec.matrix_backed:
-            if self._transition_matrix is None:
-                # One vectorised backend draw for the whole population,
-                # seeded by the population seed.
-                self._transition_matrix = spec.backend().draw_transitions(
-                    spec.size, rng=spec.seed)
-            return self._transition_matrix
-        if spec.architecture == "gaussian":
-            lsb = spec.full_scale / spec.n_codes
-            widths_volts = self.code_width_matrix_lsb() * lsb
-            return batch_transitions_from_code_widths(
-                widths_volts, first_transition=lsb)
-        return np.vstack([self[i].transfer_function().transitions
-                          for i in range(len(self))])
+        if self._transition_matrix is None:
+            spec = self.spec
+            self._transition_matrix = spec.backend().draw_transitions(
+                spec.size, rng=spec.seed)
+        return self._transition_matrix
 
     def empirical_sigma_lsb(self) -> float:
         """Population standard deviation of all code widths, in LSB."""

@@ -416,9 +416,9 @@ class DynamicAnalyzer:
             Seed for the acquisition noise.
         rng:
             Seed or generator for the acquisition noise; takes precedence
-            over ``seed``.  Passing a shared generator lets a scalar loop
-            over devices consume one noise stream in device order (the
-            convention the batched engines replicate).
+            over ``seed``.  Passing ``DeviceNoise(seed).generator(d)``
+            (:mod:`repro.core.noise`) reproduces row ``d`` of a batched
+            run under ``seed``.
         """
         if target_frequency is None:
             target_frequency = adc.sample_rate / 50.0

@@ -11,13 +11,14 @@ streams" the roadmap asked for.
 Determinism is inherited end to end: scenario ``i`` screens under its own
 seed (the scenario's explicit ``seed``, or child ``i`` of the campaign's
 root :class:`numpy.random.SeedSequence` — a pure function of
-``(root seed, i)``, never of execution order), and every insertion inside
-:meth:`ScreeningLine.screen_lot` derives its own grandchild seed from it.
-Passing an :class:`~repro.production.execution.ExecutionPlan` shards every
-scenario's device axis over worker processes; because per-shard seeds are
-spawned by shard index, the campaign report is **byte-identical for any
-worker count** — ``plan=ExecutionPlan(workers=1)`` is the serial reference
-of ``workers=8``.
+``(root seed, i)``, never of execution order), every insertion inside
+:meth:`ScreeningLine.screen_lot` derives its own grandchild seed from it,
+and every device of an insertion draws its own keyed noise
+(:class:`repro.core.noise.DeviceNoise`).  An
+:class:`~repro.production.execution.ExecutionPlan` shards every
+scenario's device axis over worker processes, and the campaign report is
+**byte-identical for any plan** — ``Campaign.run()`` prints what
+``plan=ExecutionPlan(workers=8)`` prints.
 """
 
 from __future__ import annotations
@@ -493,24 +494,26 @@ class Campaign:
         Each scenario fills its own child
         :class:`~repro.production.store.ResultStore` (the "parallel lot
         stream"); the children are merged with
-        :meth:`ResultStore.merge` into the result's store.  With a
-        ``plan``, every scenario's device axis runs under the
-        deterministic scale-out layer — the merged ledger is
-        byte-identical for any ``(workers, chunk_size)``.
+        :meth:`ResultStore.merge` into the result's store.  Every
+        scenario's device axis runs under ``plan`` (``None``:
+        ``ExecutionPlan()``), and the merged ledger is byte-identical for
+        any plan.
 
         With a multi-worker plan whose ``reuse_pool`` is left on, a
         multi-scenario campaign **interleaves**: all scenarios' shards
         feed one persistent :class:`~repro.production.pool.WorkerPool`
         (borrowing the ambient :func:`~repro.production.pool.shared_pool`
         if one is installed), so no worker idles at a scenario boundary.
-        Interleaving is purely a scheduling change — per-shard seeds are
-        functions of ``(scenario seed, shard index)``, never of dispatch
-        order, and reports/stores are collected in scenario order, so
-        the result is byte-identical to the sequential path.  In
+        Interleaving is purely a scheduling change — each device's noise
+        is keyed by its scenario seed, insertion and row, never by
+        dispatch order, and reports/stores are collected in scenario
+        order, so the result is byte-identical to the sequential path.  In
         shared-wafer mode the one wafer is re-homed into shared memory
         for the duration of the run, so every scenario's every shard
         dispatches zero-copy.
         """
+        if plan is None:
+            plan = ExecutionPlan()
         labels = self.labels()
         seeds = self.seeds()
         lines = self.lines()
@@ -520,8 +523,8 @@ class Campaign:
                         is not None else f"SHARED-{self.seed}")
             wafer = Wafer.draw(self.scenarios[0].wafer_spec(),
                                rng=self.seed, wafer_id=wafer_id)
-        interleave = (plan is not None and plan.workers > 1
-                      and plan.reuse_pool and len(self.scenarios) > 1)
+        interleave = (plan.workers > 1 and plan.reuse_pool
+                      and len(self.scenarios) > 1)
         t = current_telemetry()
         stores: List[ResultStore] = []
         reports: List[LotScreeningReport] = []

@@ -100,8 +100,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker processes the batched engines shard the device axis "
-             "over (default: in-process serial execution; any worker "
-             "count produces bit-identical results)")
+             "over (default 1: in-process serial execution; every worker "
+             "count prints the same report)")
     parser.add_argument(
         "--chunk-size", type=int, default=None,
         help="devices materialised per chunk inside each shard (memory "
@@ -192,17 +192,13 @@ def _excursion_axis(text: str) -> List[Optional[str]]:
     return values
 
 
-def _plan_from_args(args: argparse.Namespace) -> Optional[ExecutionPlan]:
-    """The execution plan requested on the command line, if any.
+def _plan_from_args(args: argparse.Namespace) -> ExecutionPlan:
+    """The execution plan of the command line's scale-out options.
 
-    With neither flag given the commands keep their historical in-process
-    code path (identical results for the noise-free defaults); as soon as
-    one flag appears, the sharded execution layer runs the engines — with
-    ``--workers 1`` as the byte-identical serial reference of any
-    ``--workers N``.
+    The flags only set how the run is executed: with none of them the
+    plan is ``ExecutionPlan()`` (one in-process worker), and every
+    ``--workers``/``--chunk-size`` prints the same report.
     """
-    if args.workers is None and args.chunk_size is None:
-        return None
     return ExecutionPlan(
         workers=args.workers if args.workers is not None else 1,
         chunk_size=args.chunk_size,
@@ -816,12 +812,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeServer
 
-    # Serve always screens through the plan path (workers=1 when no
-    # execution flags are given) so the shard journal sees every unit of
-    # work; the ledger is byte-identical for any worker count anyway.
-    plan = _plan_from_args(args)
-    if plan is None:
-        plan = ExecutionPlan(workers=1)
     socket_addr = None
     if args.socket is not None:
         host, _, port_text = args.socket.rpartition(":")
@@ -831,7 +821,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(f"invalid --socket {args.socket!r} "
                              f"(expected HOST:PORT)")
         socket_addr = (host or "127.0.0.1", port)
-    server = ServeServer(plan=plan, seed=args.seed, socket=socket_addr,
+    server = ServeServer(plan=_plan_from_args(args), seed=args.seed,
+                         socket=socket_addr,
                          checkpoint=args.checkpoint, resume=args.resume,
                          ledger_path=args.ledger,
                          max_inflight=args.max_inflight,

@@ -18,6 +18,8 @@
   upper bits,
 * :mod:`repro.core.engine` — the complete BIST measurement, including the
   population-level Monte-Carlo "measurement" runs,
+* :mod:`repro.core.noise` — keyed acquisition noise: device ``d`` of a
+  seed draws from its own substream, in every engine,
 * :mod:`repro.core.area` — the Figure 1 area/accuracy/fault-sensitivity
   trade-off model.
 """
@@ -48,6 +50,7 @@ from repro.core.kernel import (
 from repro.core.limits import CountLimits
 from repro.core.lsb_processor import LsbProcessor, LsbProcessorResult
 from repro.core.msb_checker import MsbChecker, MsbCheckResult
+from repro.core.noise import DeviceNoise
 from repro.core.partial_engine import (
     PartialBistConfig,
     PartialBistEngine,
@@ -78,6 +81,7 @@ __all__ = [
     "LsbProcessorResult",
     "MsbChecker",
     "MsbCheckResult",
+    "DeviceNoise",
     "PartialBistConfig",
     "PartialBistEngine",
     "PartialBistResult",

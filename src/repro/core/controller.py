@@ -20,16 +20,13 @@ introduction, now backed by a behavioural model instead of a head count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.adc.base import ADC
 from repro.core.engine import BistConfig, BistEngine, BistResult
+from repro.core.noise import DeviceNoise, NoiseSeed
 
 __all__ = ["MultiAdcBistController", "ChipBistResult"]
-
-RngLike = Union[int, np.random.Generator, None]
 
 
 @dataclass
@@ -117,7 +114,7 @@ class MultiAdcBistController:
     # ------------------------------------------------------------------ #
 
     def run_chip(self, converters: Sequence[ADC],
-                 rng: RngLike = None) -> ChipBistResult:
+                 rng: NoiseSeed = None) -> ChipBistResult:
         """Test every converter on the chip with the shared ramp.
 
         Parameters
@@ -126,21 +123,26 @@ class MultiAdcBistController:
             The converters on the IC.  They must all have the resolution the
             configuration was built for; their mismatch realisations differ.
         rng:
-            Seed or generator for the acquisition noise (independent child
-            streams are derived per converter so results are reproducible
-            regardless of converter count).
+            Seed of the acquisition noise (``None``: the configuration's
+            seed).  Converter ``j`` draws device ``j``'s keyed stream
+            (:class:`~repro.core.noise.DeviceNoise`), so its result does
+            not depend on how many converters the chip carries.
         """
+        return self._run_chip(converters, self._noise(rng), 0)
+
+    def _noise(self, rng: NoiseSeed) -> DeviceNoise:
+        return DeviceNoise(self.config.seed if rng is None else rng)
+
+    def _run_chip(self, converters: Sequence[ADC], noise: DeviceNoise,
+                  first: int) -> ChipBistResult:
+        """Test a chip whose converter ``j`` is device ``first + j``."""
         if not converters:
             raise ValueError("the chip must carry at least one converter")
-        seed_seq = np.random.SeedSequence(
-            rng if isinstance(rng, (int, np.integer)) or rng is None else None)
-        children = seed_seq.spawn(len(converters))
-
         results: List[BistResult] = []
         max_samples = 0
-        for child, adc in zip(children, converters):
-            generator = np.random.default_rng(child)
-            result = self._engine.run(adc, rng=generator, keep_record=False)
+        for j, adc in enumerate(converters):
+            result = self._engine.run(adc, rng=noise.generator(first + j),
+                                      keep_record=False)
             results.append(result)
             max_samples = max(max_samples, result.samples_taken)
 
@@ -167,8 +169,14 @@ class MultiAdcBistController:
     # ------------------------------------------------------------------ #
 
     def run_lot(self, chips: Sequence[Sequence[ADC]],
-                rng: RngLike = None) -> Dict[str, float]:
+                rng: NoiseSeed = None) -> Dict[str, float]:
         """Test a lot of chips and summarise quality and test time.
+
+        The lot's converters are numbered in order, so converter ``j`` of
+        chip ``c`` of a lot of ``k``-converter chips is device ``c*k + j``
+        of ``rng`` (``None``: the configuration's seed) — the device key
+        :meth:`repro.production.batch_engine.BistWaferEngine.run_chips`
+        gives it.
 
         Returns a dict with ``chips_tested``, ``chips_passed``,
         ``converter_fallout`` (fraction of converters failing), and
@@ -176,16 +184,13 @@ class MultiAdcBistController:
         """
         if not chips:
             raise ValueError("the lot must contain at least one chip")
-        seed_seq = np.random.SeedSequence(
-            rng if isinstance(rng, (int, np.integer)) or rng is None else None)
-        children = seed_seq.spawn(len(chips))
-
+        noise = self._noise(rng)
         chips_passed = 0
         converters_total = 0
         converters_failed = 0
         total_time = 0.0
-        for child, chip in zip(children, chips):
-            result = self.run_chip(chip, rng=int(child.generate_state(1)[0]))
+        for chip in chips:
+            result = self._run_chip(chip, noise, converters_total)
             chips_passed += int(result.passed)
             converters_total += result.n_converters
             converters_failed += len(result.failing_converters)

@@ -39,6 +39,7 @@ from repro.core.deglitch import DeglitchFilter
 from repro.core.limits import CountLimits
 from repro.core.lsb_processor import LsbProcessor, LsbProcessorResult
 from repro.core.msb_checker import MsbChecker, MsbCheckResult
+from repro.core.noise import DeviceNoise, NoiseSeed
 from repro.signals.ramp import RampStimulus
 
 __all__ = ["BistConfig", "BistResult", "PopulationBistResult", "BistEngine",
@@ -391,7 +392,7 @@ class BistEngine:
     # ------------------------------------------------------------------ #
 
     def run_population(self, devices: Iterable[ADC],
-                       rng: RngLike = None,
+                       rng: NoiseSeed = None,
                        dnl_spec_lsb: Optional[float] = None,
                        inl_spec_lsb: Optional[float] = None
                        ) -> PopulationBistResult:
@@ -403,7 +404,10 @@ class BistEngine:
             Iterable of converters (e.g. a
             :class:`~repro.adc.population.DevicePopulation`).
         rng:
-            Seed or generator shared by the acquisitions.
+            Seed of the acquisition noise (``None``: the configuration's
+            seed).  Device ``d`` of the iteration draws device ``d``'s
+            keyed stream (:class:`~repro.core.noise.DeviceNoise`), as
+            row ``d`` of a batch engine run does.
         dnl_spec_lsb, inl_spec_lsb:
             Specification used for the *true* classification; defaults to
             the configuration's specification, so type I/II rates are
@@ -414,14 +418,12 @@ class BistEngine:
             dnl_spec_lsb = cfg.dnl_spec_lsb
         if inl_spec_lsb is None:
             inl_spec_lsb = cfg.inl_spec_lsb
-        generator = (rng if isinstance(rng, np.random.Generator)
-                     else np.random.default_rng(
-                         rng if rng is not None else cfg.seed))
-
+        noise = DeviceNoise(cfg.seed if rng is None else rng)
         accepted: List[bool] = []
         truly_good: List[bool] = []
-        for device in devices:
-            result = self.run(device, rng=generator, keep_record=False)
+        for d, device in enumerate(devices):
+            result = self.run(device, rng=noise.generator(d),
+                              keep_record=False)
             accepted.append(result.passed)
             truly_good.append(true_goodness(device, dnl_spec_lsb,
                                             inl_spec_lsb))

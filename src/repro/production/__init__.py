@@ -45,11 +45,11 @@ Overview
 :mod:`repro.production.execution` — :class:`WaferEngine`, the skeleton
     all four engines above are built on (entry points, chunk loop with the
     noise draw, telemetry, merge), plus :class:`ExecutionPlan` and
-    :class:`ShardExecutor`, the deterministic scale-out layer.  Any
-    engine can be sharded over worker processes; per-shard-index
-    :class:`numpy.random.SeedSequence` spawning makes the results
-    bit-identical for any ``(workers, chunk_size)``, with ``workers=1``
-    as the in-process serial fallback.
+    :class:`ShardExecutor`, the deterministic scale-out layer every
+    engine run goes through.  Noise is keyed by device
+    (:class:`repro.core.noise.DeviceNoise`), so the results are
+    bit-identical for any plan, with ``workers=1`` as the in-process
+    serial fallback.
 
 :mod:`repro.production.pool` — :class:`WorkerPool`,
     :class:`SharedWaferBuffer` and :class:`SliceRef`, the persistent
@@ -118,7 +118,6 @@ from repro.production.batch_engine import (
     BatchLsbResult,
     batch_deglitch,
     chip_grouping,
-    chip_noise_seeds,
 )
 from repro.production.line import (
     DEFAULT_BIN_EDGES_LSB,
@@ -162,7 +161,6 @@ __all__ = [
     "BatchPartialBistResult",
     "batch_deglitch",
     "chip_grouping",
-    "chip_noise_seeds",
     "DEFAULT_SHARD_DEVICES",
     "ExecutionPlan",
     "ShardExecutor",

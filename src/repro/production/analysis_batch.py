@@ -18,8 +18,9 @@ counterparts:
     of :func:`repro.core.kernel.batch_shared_ramp_histogram` (the
     ``(devices, samples)`` code matrix never exists); noisy acquisitions
     quantise per-device voltage rows with
-    :func:`repro.core.kernel.batch_quantise_rows`, consuming the shared
-    generator in device order exactly as a scalar loop would.  DNL/INL and
+    :func:`repro.core.kernel.batch_quantise_rows`, each row drawn from its
+    device's keyed stream (:class:`repro.core.noise.DeviceNoise`), the
+    stream the scalar test draws for that device.  DNL/INL and
     the pass/fail decisions come from the shared
     :func:`repro.core.kernel.batch_histogram_linearity` kernel, the same
     reductions the scalar :func:`repro.analysis.linearity.dnl_from_histogram`

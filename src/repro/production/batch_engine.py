@@ -21,8 +21,8 @@ Two execution paths are selected automatically:
 
 **Stream path** (transition noise, stimulus noise or a deglitch filter
     configured).  Each chunk's noise is drawn into one buffer the shard
-    reuses, in exactly the order the scalar per-device loop consumes the
-    generator, and quantised by :func:`repro.core.kernel.
+    reuses, every row from its device's keyed stream
+    (:class:`repro.core.noise.DeviceNoise`), and quantised by :func:`repro.core.kernel.
     batch_quantise_rows` (the noise-free code of the shared ramp,
     corrected by vectorised ±1 steps).  From there on only the sparse
     list of code changes is processed — at 0.05 LSB of noise about one
@@ -52,7 +52,7 @@ quantisation included) and the merge; this module supplies the per-run
 context and the two chunk kernels.  Any run can therefore be scaled out
 over worker processes with an
 :class:`~repro.production.execution.ExecutionPlan` — bit-identical for any
-``(workers, chunk_size)`` thanks to per-shard-index seed spawning.
+plan, because every device draws its own keyed noise.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ from repro.core.kernel import (
     shared_crossing_indices,
 )
 from repro.core.limits import CountLimits
+from repro.core.noise import NoiseSeed
 from repro.production.execution import (
     ConcatResult,
     ExecutionPlan,
     ShardContext,
-    ShardExecutor,
     WaferEngine,
 )
 from repro.production.lot import Wafer
@@ -91,9 +91,7 @@ from repro.telemetry.core import current_telemetry
 
 __all__ = ["BatchLsbProcessor", "BatchLsbResult", "BatchBistResult",
            "BatchBistEngine", "BatchChipBistResult", "batch_deglitch",
-           "chip_grouping", "chip_noise_seeds", "deglitch_edges"]
-
-RngLike = Union[int, np.random.Generator, None]
+           "chip_grouping", "deglitch_edges"]
 
 
 def _event_chunk_size(n_transitions: int, n_samples: int) -> int:
@@ -509,67 +507,6 @@ def chip_grouping(passed: np.ndarray,
     return grouped.all(axis=1), registers
 
 
-def chip_noise_seeds(seed: Union[int, None], n_chips: int) -> np.ndarray:
-    """Per-chip acquisition seeds of a seeded multi-chip screening run.
-
-    Chip ``c`` of a noisy :meth:`BatchBistEngine.run_chips` batch draws its
-    per-converter noise from the integer seed this function derives — the
-    same child-collapsing scheme
-    :meth:`repro.core.controller.MultiAdcBistController.run_lot` uses, so
-    ``MultiAdcBistController.run_chip(chip_devices, rng=seeds[c])``
-    reproduces the batch decisions chip for chip.  Exposed so equivalence
-    tests (and anyone replaying a single chip) can derive the identical
-    seeds.
-    """
-    if n_chips < 1:
-        raise ValueError("n_chips must be positive")
-    sequence = np.random.SeedSequence(seed)
-    return np.array([int(child.generate_state(1)[0])
-                     for child in sequence.spawn(n_chips)], dtype=np.int64)
-
-
-def _validated_chip_seeds(transitions: np.ndarray, converters_per_chip: int,
-                          rng: Union[int, None]) -> np.ndarray:
-    """Validate a chip-mode batch and derive its per-chip noise seeds.
-
-    Checks the seed type and the chip geometry and returns
-    :func:`chip_noise_seeds` for the whole batch.
-    """
-    if rng is not None and not isinstance(rng, (int, np.integer)):
-        raise ValueError(
-            "noisy chip runs take an integer seed (or None) so the "
-            "per-converter child seeds match the scalar per-chip replay "
-            "(MultiAdcBistController.run_chip, PartialBistEngine.run)")
-    if not 1 <= converters_per_chip <= 63:
-        raise ValueError("converters_per_chip must be within [1, 63]")
-    n_devices = transitions.shape[0]
-    if n_devices % converters_per_chip != 0:
-        raise ValueError(
-            f"{n_devices} converters do not fill whole chips of "
-            f"{converters_per_chip}")
-    return chip_noise_seeds(int(rng) if rng is not None else None,
-                            n_devices // converters_per_chip)
-
-
-def _chip_noise_rows(seeds: np.ndarray, converters_per_chip: int):
-    """The noise draw of a run of chips, for the skeleton's chunk loop.
-
-    Converter ``j`` of chip ``c`` draws its row from child ``j`` of
-    ``SeedSequence(seeds[c])`` — the controller-parity spawning scheme the
-    regression vectors pin.  Every row has its own generator, so how the
-    devices are chunked cannot change any row.
-    """
-    children = [child for chip_seed in seeds
-                for child in np.random.SeedSequence(
-                    int(chip_seed)).spawn(converters_per_chip)]
-
-    def draw(out: np.ndarray, first: int) -> None:
-        for row, child in zip(out, children[first:first + len(out)]):
-            np.random.default_rng(child).standard_normal(out=row)
-
-    return draw
-
-
 @dataclass
 class BatchChipBistResult(ConcatResult):
     """Per-chip outcome of a batched multi-converter BIST run.
@@ -643,7 +580,7 @@ class BistWaferEngine(WaferEngine):
                 f"{transitions.shape}")
 
     def run_chips(self, wafer: Wafer, converters_per_chip: int,
-                  rng: RngLike = None,
+                  rng: NoiseSeed = None,
                   chunk_size: Optional[int] = None,
                   plan: Optional[ExecutionPlan] = None
                   ) -> BatchChipBistResult:
@@ -651,39 +588,15 @@ class BistWaferEngine(WaferEngine):
 
         Consecutive dies form one chip; all converters of a chip share the
         stimulus ramp, and a chip passes when every converter on it
-        passes.  With transition noise configured, chip ``c`` draws its
-        per-converter noise from independent child generators seeded by
-        :func:`chip_noise_seeds` (from ``rng``, else the configured
-        seed), exactly the scheme of
-        :class:`~repro.core.controller.MultiAdcBistController`, so the
-        scalar per-chip replay with ``chip_noise_seeds(seed, n_chips)[c]``
-        reproduces each chip's verdict and result register bit for bit.
-        Each converter's noise depends only on its chip's seed, so
-        sharding the chip axis over workers cannot change any chip's
-        acquisition: chip-mode runs are plan-invariant by construction.
+        passes.  The run is :meth:`run_wafer` grouped by
+        :func:`chip_grouping`: converter ``j`` of chip ``c`` is device
+        ``c * converters_per_chip + j`` and draws that device's keyed
+        noise, as in :meth:`repro.core.controller.MultiAdcBistController.
+        run_lot`.
         """
         spec = wafer.spec
-        if self.config.transition_noise_lsb == 0.0:
-            result = self.run_wafer(wafer, rng=rng, chunk_size=chunk_size,
-                                    plan=plan)
-        else:
-            transitions = wafer.transitions
-            seeds = _validated_chip_seeds(transitions, converters_per_chip,
-                                          self._resolve_seed(rng))
-            context = self.prepare(transitions, spec.full_scale,
-                                   spec.sample_rate)
-            executor = ShardExecutor(plan if plan is not None
-                                     else ExecutionPlan())
-            bounds = executor.plan.shard_bounds(transitions.shape[0],
-                                                align=converters_per_chip)
-            chunk = (chunk_size if chunk_size is not None
-                     else executor.plan.chunk_size)
-            result = ConcatResult.merge(executor.map(
-                self._noisy_chip_shard,
-                [(context, transitions[lo:hi],
-                  seeds[lo // converters_per_chip:hi // converters_per_chip],
-                  converters_per_chip, chunk)
-                 for lo, hi in bounds]))
+        result = self.run_wafer(wafer, rng=rng, chunk_size=chunk_size,
+                                plan=plan)
         chip_passed, registers = chip_grouping(result.passed,
                                                converters_per_chip)
         return BatchChipBistResult(
@@ -695,16 +608,8 @@ class BistWaferEngine(WaferEngine):
             samples_taken=result.samples_taken,
             test_time_s=result.samples_taken / spec.sample_rate)
 
-    def _noisy_chip_shard(self, context: ShardContext,
-                          transitions: np.ndarray, seeds: np.ndarray,
-                          converters_per_chip: int,
-                          chunk_size: Optional[int] = None):
-        """One chip-aligned device slice of a noisy chip-mode run."""
-        return self._run_chunks(context, transitions, chunk_size,
-                                _chip_noise_rows(seeds, converters_per_chip))
-
     def run_population(self, population: Union[DevicePopulation, Wafer],
-                       rng: RngLike = None,
+                       rng: NoiseSeed = None,
                        dnl_spec_lsb: Optional[float] = None,
                        inl_spec_lsb: Optional[float] = None,
                        plan: Optional[ExecutionPlan] = None

@@ -12,41 +12,36 @@ budget, shard granularity) and a :class:`ShardExecutor` runs the engine —
 worker processes), ``merge`` the per-shard results back into one
 wafer-level result.
 
-Determinism is the design centre, not an afterthought:
+Every engine run goes through this layer (``plan=None`` means
+``ExecutionPlan()``), and its result does not depend on the plan:
 
+* **Noise is keyed by device** (:class:`repro.core.noise.DeviceNoise`):
+  device ``d`` of a run draws from substream ``d`` of the run's seed,
+  whichever shard, chunk or worker process it lands in.  A shard ships
+  ``(seed, first device)``, never a generator.
 * **Shards are fixed-size device blocks** (``plan.shard_devices``), not
-  "the wafer divided by the worker count".  Shard ``i`` always covers the
-  same device rows no matter how many workers the plan carries.
-* **Per-shard seeds are spawned by shard index** with
-  :class:`numpy.random.SeedSequence` — shard ``i`` derives child ``i`` of
-  the run's root sequence regardless of which process executes it.
-* **Intra-shard chunking is RNG-transparent**: a shard's noise stream is
-  consumed in device order, and :class:`numpy.random.Generator` draws the
-  identical variate sequence whether the ``(devices, samples)`` matrix is
-  materialised in one call or in successive chunks.
+  "the wafer divided by the worker count", merged back in shard order.
+  The shard size sets the dispatch granularity and, when an SPC monitor
+  is installed, the subgroup it charts (a policy input of the adaptive
+  flow); it changes no draw.
+* **Chunking only bounds memory**: a chunk fills the rows of its own
+  devices, so the chunk size never changes a result either.
 
-Together these give the invariant the production line depends on: for any
-``(workers, chunk_size)`` pair, a plan-based run is **bit-identical** to
-the same plan run serially (``workers=1``) — and, whenever the engine
-consumes no randomness (the paper's nominal noise-free configurations), to
-the engine's plain single-shot ``run_wafer`` as well.  With acquisition
-noise configured, plan-based runs use the per-shard seeding discipline
-described above instead of the legacy single shared stream (the two cannot
-coincide: a shared stream cannot be split across processes without
-serialising it), so a noisy plan-based run is reproducible from its seed
-and invariant under the execution geometry, but intentionally distinct
-from ``run_wafer(rng=...)`` without a plan.
+So an engine run is bit-identical for every ``(workers, chunk_size,
+shard_devices)``, and a device's verdict is the one the scalar engine
+gives it under its device key.
 
-The same fixed-block seeding is reused by
-:meth:`repro.production.lot.Wafer.draw_sharded` so that a worker can draw
-*just its slice* of a wafer's parameter matrix, bit-identical to the rows
-of the full sharded draw, without the full wafer ever existing in its
-address space.
+:meth:`repro.production.lot.Wafer.draw_sharded` uses the same fixed-block
+idea so that a worker can draw *just its slice* of a wafer's parameter
+matrix, bit-identical to the rows of the full sharded draw, without the
+full wafer ever existing in its address space.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import (
@@ -58,12 +53,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 from repro.core.kernel import batch_quantise_rows, code_dtype
+from repro.core.noise import DeviceNoise, NoiseSeed, noise_seed
 from repro.production.pool import (
     AUTO_SHARE_MIN_BYTES,
     SharedWaferBuffer,
@@ -95,16 +90,13 @@ __all__ = [
     "current_monitor",
     "iter_slices",
     "journal_scope",
-    "resolve_plan_seed",
-    "spawn_shard_seeds",
+    "run_digest",
     "spc_scope",
 ]
 
-SeedLike = Union[int, np.integer, np.random.SeedSequence, None]
-
-#: Devices per shard: the granularity of both work dispatch and per-shard
-#: seed spawning.  A fixed default (rather than "devices / workers") is
-#: what makes plan-based results independent of the worker count.
+#: Devices per shard: the granularity of work dispatch (and of an SPC
+#: monitor's subgroups).  A fixed default rather than "devices / workers"
+#: keeps the shard stream the same for any worker count.
 DEFAULT_SHARD_DEVICES = 1024
 
 
@@ -229,8 +221,8 @@ def journal_scope(journal: Any):
     is installed, :meth:`ShardExecutor.map` asks it for already-completed
     shard results (``lookup``) before dispatching and reports fresh ones
     back (``record``).  The journal protocol is duck-typed —
-    ``begin_run(n_tasks) -> key``, ``lookup(key, index) -> (hit, value)``,
-    ``record(key, index, value)`` — see
+    ``begin_run(n_tasks, digest) -> key``, ``lookup(key, index) -> (hit,
+    value)``, ``record(key, index, value)`` — see
     :class:`repro.serve.checkpoint.RequestJournal` for the implementation
     that persists results to the serve checkpoint file.  ``None`` is a
     no-op.
@@ -239,7 +231,11 @@ def journal_scope(journal: Any):
     a pure function of its arguments, and the *sequence* of executor
     runs a given screening makes is a pure function of its (scenario,
     seed), so ``(run index, shard index)`` names the same unit of work
-    in the run that journaled it and in the run that replays it.
+    in the run that journaled it and in the run that replays it.  An
+    engine run also hands ``begin_run`` the :func:`run_digest` of its
+    inputs, so a journal can refuse to replay shards that another
+    configuration, seed or geometry recorded (``None`` for a bare
+    :meth:`ShardExecutor.map`).
     """
     if journal is None:
         yield
@@ -317,47 +313,6 @@ class _MonitorFeed:
             self._monitor.observe(shard, result)
 
 
-def spawn_shard_seeds(seed: SeedLike,
-                      n_shards: int) -> List[np.random.SeedSequence]:
-    """Per-shard seed sequences, spawned by shard index.
-
-    Shard ``i`` receives child ``i`` of ``SeedSequence(seed)`` — a pure
-    function of ``(seed, i)``, never of the process or worker the shard
-    lands on.  This is the whole determinism story of the scale-out layer:
-    re-sharding or re-scheduling a run cannot change any shard's stream.
-
-    The children are built statelessly from the root's ``spawn_key``
-    rather than via ``root.spawn`` (which advances the root's internal
-    spawn counter): calling this twice with the same ``SeedSequence``
-    object must yield the same children both times.
-    """
-    if n_shards < 0:
-        raise ValueError("n_shards must be non-negative")
-    root = (seed if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed))
-    return [np.random.SeedSequence(entropy=root.entropy,
-                                   spawn_key=root.spawn_key + (i,))
-            for i in range(n_shards)]
-
-
-def resolve_plan_seed(rng: Any, default: SeedLike) -> SeedLike:
-    """Validate an engine ``rng`` argument for a plan-based run.
-
-    Plan-based runs derive per-shard child seeds, so they need a seed (an
-    integer, a :class:`~numpy.random.SeedSequence`, or ``None``), not a
-    stateful generator: a shared :class:`~numpy.random.Generator` cannot
-    be consumed from several processes deterministically.
-    """
-    if isinstance(rng, np.random.Generator):
-        raise ValueError(
-            "plan-based runs take an integer seed, a SeedSequence or None "
-            "(per-shard child seeds are spawned from it); a shared "
-            "Generator cannot be split across shards deterministically")
-    if rng is None:
-        return default
-    return rng
-
-
 @dataclass(frozen=True)
 class ExecutionPlan:
     """How a wafer-scale run is executed: sharding, chunking, workers.
@@ -367,23 +322,20 @@ class ExecutionPlan:
     workers:
         Worker processes the shards are spread over.  ``1`` (the default)
         runs every shard inline in the calling process — the serial
-        fallback, bit-identical to any multi-worker execution of the same
-        plan.
+        fallback, bit-identical to any multi-worker execution.
     chunk_size:
         Devices materialised per intra-shard chunk (bounds the transient
         ``(devices, samples)`` matrices).  ``None`` keeps each engine's
         own default, which is memory-bandwidth aware: the engine divides
         a working-set budget by its estimate of the bytes materialised
         per device row under the kernel's compact dtypes (see
-        :func:`repro.core.kernel.auto_chunk_size`).  Chunking is
-        RNG-transparent, so this is purely a memory/throughput knob: it
-        never changes results.
+        :func:`repro.core.kernel.auto_chunk_size`).  Purely a
+        memory/throughput knob: it never changes results.
     shard_devices:
-        Devices per shard — the unit of dispatch *and* of per-shard seed
-        spawning.  Changing it re-partitions the seed blocks and therefore
-        changes noisy draws; leave it at the default unless you know you
-        need a different granularity (results remain reproducible for any
-        fixed value).
+        Devices per shard: the unit of dispatch, and the subgroup size of
+        an SPC monitor installed with :func:`spc_scope` (a policy input
+        of the adaptive flow).  Noise is keyed by device, so it changes
+        no draw.
     reuse_pool:
         ``True`` (the default) dispatches through a persistent
         :class:`~repro.production.pool.WorkerPool` — the ambient
@@ -407,23 +359,11 @@ class ExecutionPlan:
         if self.shard_devices < 1:
             raise ValueError("shard_devices must be >= 1")
 
-    def shard_bounds(self, n_devices: int,
-                     align: int = 1) -> List[Tuple[int, int]]:
-        """Device bounds of every shard of an ``n_devices`` run.
-
-        ``align`` forces shard boundaries onto multiples of a grouping
-        unit (converters per chip, so chips never straddle shards); the
-        shard size is rounded *up* to the nearest multiple.
-        """
+    def shard_bounds(self, n_devices: int) -> List[Tuple[int, int]]:
+        """Device bounds of every shard of an ``n_devices`` run."""
         if n_devices < 0:
             raise ValueError("n_devices must be non-negative")
-        if align < 1:
-            raise ValueError("align must be >= 1")
-        if n_devices % align != 0:
-            raise ValueError(
-                f"{n_devices} devices do not fill whole groups of {align}")
-        size = -(-self.shard_devices // align) * align
-        return list(iter_slices(n_devices, size))
+        return list(iter_slices(n_devices, self.shard_devices))
 
 
 #: Result fields that count rows: summed by :meth:`ConcatResult.merge`.
@@ -508,17 +448,16 @@ class WaferEngine:
     The base class owns everything else:
 
     ``run_wafer`` / ``run_transitions``
-        With a plan the run goes to :class:`ShardExecutor`; without one a
-        single generator, from ``rng`` or the engine's seed, is consumed
-        in device order.
+        Hand the run to :class:`ShardExecutor` under the given plan, or
+        ``ExecutionPlan()`` without one.
     ``prepare(transitions, full_scale, sample_rate)``
         ``_context`` inside an ``engine.<name>.prepare`` span.  Runs once,
         in the parent.
-    ``run_shard(context, transitions, rng, chunk_size)``
-        Run the engine on a contiguous device slice.  ``rng`` is the
-        shard's own seed (plan mode) or a shared generator (planless
-        mode).  Depends only on its arguments — never on which process
-        or in which order it runs.
+    ``run_shard(context, transitions, rng, chunk_size, first)``
+        Run the engine on a contiguous device slice whose first row is
+        device ``first`` of the run seeded by ``rng``.  Depends only on
+        its arguments — never on which process or in which order it
+        runs.
     ``merge(shard_results)``
         Combine per-shard results (in shard order) with
         :meth:`ConcatResult.merge`.
@@ -535,11 +474,11 @@ class WaferEngine:
                    codes: Optional[np.ndarray]) -> Any:
         raise NotImplementedError
 
-    def _resolve_seed(self, rng: Any) -> Any:
-        """``rng``, or the engine's ``seed`` when ``rng`` is ``None``."""
-        return self.seed if rng is None else rng
+    def _resolve_seed(self, rng: NoiseSeed) -> Any:
+        """The noise seed of a run: ``rng``, else the engine's ``seed``."""
+        return noise_seed(self.seed if rng is None else rng)
 
-    def run_wafer(self, wafer: "Wafer", rng: Any = None,
+    def run_wafer(self, wafer: "Wafer", rng: NoiseSeed = None,
                   chunk_size: Optional[int] = None,
                   plan: Optional[ExecutionPlan] = None) -> Any:
         """Run the engine on every die of a wafer."""
@@ -553,7 +492,7 @@ class WaferEngine:
     def run_transitions(self, transitions: np.ndarray,
                         full_scale: float = 1.0,
                         sample_rate: float = 1e6,
-                        rng: Any = None,
+                        rng: NoiseSeed = None,
                         chunk_size: Optional[int] = None,
                         plan: Optional[ExecutionPlan] = None) -> Any:
         """Run the engine on a ``(devices, transitions)`` matrix.
@@ -565,28 +504,25 @@ class WaferEngine:
         full_scale, sample_rate:
             Geometry/clock shared by the batch (one test insertion).
         rng:
-            Seed or generator for the acquisition noise; ``None`` means
-            the engine's ``seed``.  Without a plan it is consumed in
-            device order exactly as a scalar loop over the devices
-            consumes it; with a plan it must be a seed and per-shard
-            child seeds are spawned from it.
+            Seed of the acquisition noise (an integer, a
+            :class:`~numpy.random.SeedSequence` or ``None`` for the
+            engine's ``seed``); row ``d`` draws device ``d``'s keyed
+            stream (:class:`repro.core.noise.DeviceNoise`).  A
+            :class:`~numpy.random.Generator` raises :class:`ValueError`.
         chunk_size:
             Devices processed per chunk (bounds the transient
-            ``(devices, samples)`` matrices); ``None`` keeps the engine's
-            default.
+            ``(devices, samples)`` matrices); ``None`` keeps the plan's,
+            else the engine's default.
         plan:
-            Optional :class:`ExecutionPlan` scaling the run out over
-            worker processes; results are bit-identical for any
-            ``(workers, chunk_size)`` of the plan.
+            The :class:`ExecutionPlan` scaling the run out over worker
+            processes; ``None`` means ``ExecutionPlan()``.  Results are
+            bit-identical for any plan.
         """
-        transitions = np.asarray(transitions, dtype=float)
-        rng = self._resolve_seed(rng)
-        if plan is not None:
-            return ShardExecutor(plan).run(
-                self, transitions, full_scale, sample_rate,
-                rng=resolve_plan_seed(rng, None), chunk_size=chunk_size)
-        context = self.prepare(transitions, full_scale, sample_rate)
-        return self.run_shard(context, transitions, rng, chunk_size)
+        if plan is None:
+            plan = ExecutionPlan()
+        return ShardExecutor(plan).run(
+            self, np.asarray(transitions, dtype=float), full_scale,
+            sample_rate, rng=rng, chunk_size=chunk_size)
 
     def prepare(self, transitions: np.ndarray, full_scale: float = 1.0,
                 sample_rate: float = 1e6) -> ShardContext:
@@ -596,37 +532,19 @@ class WaferEngine:
             return self._context(transitions, full_scale, sample_rate)
 
     def run_shard(self, context: ShardContext, transitions: np.ndarray,
-                  rng: Any = None, chunk_size: Optional[int] = None) -> Any:
+                  rng: NoiseSeed = None, chunk_size: Optional[int] = None,
+                  first: int = 0) -> Any:
         """Run one contiguous device slice of a prepared batch.
 
-        ``rng`` is the shard's own seed (plan mode) or the run's shared
-        generator (planless mode); either way the noise stream is
-        consumed in device order, so chunking never changes it.
-        """
-        generator = (rng if isinstance(rng, np.random.Generator)
-                     else np.random.default_rng(rng))
-        return self._run_chunks(
-            context, transitions, chunk_size,
-            lambda out, first: generator.standard_normal(out=out))
-
-    def merge(self, shard_results: Sequence[Any]) -> Any:
-        """Combine per-shard results (in shard order) into one result."""
-        with current_telemetry().span(f"engine.{self.name}.merge",
-                                      shards=len(shard_results)):
-            return ConcatResult.merge(shard_results)
-
-    def _run_chunks(self, context: ShardContext, transitions: np.ndarray,
-                    chunk_size: Optional[int],
-                    draw: Callable[[np.ndarray, int], Any]) -> Any:
-        """The chunk loop of :meth:`run_shard`.
-
-        ``draw(out, first)`` fills ``out`` with the standard normals of
-        the shard's devices ``first .. first + len(out)``.  ``normal(0,
-        σ)`` is ``0 + σ·z`` for the same standard normals ``z``, so
-        drawing ``z`` in place, scaling it and adding the stimulus
-        reproduces ``stimulus + normal(0, σ)`` bit for bit.  The voltage
-        and code buffers are allocated once per shard and reused by every
-        chunk; no result keeps a view of them.
+        Row ``i`` of ``transitions`` is device ``first + i`` of the run
+        whose noise seed is ``rng`` (``None``: the engine's seed), and
+        draws that device's keyed stream, so no split of a run into
+        shards or chunks changes a row.  ``normal(0, σ)`` is ``0 + σ·z``
+        for the same standard normals ``z``, so drawing ``z`` in place,
+        scaling it and adding the stimulus reproduces ``stimulus +
+        normal(0, σ)`` bit for bit.  The voltage and code buffers are
+        allocated once per shard and reused by every chunk; no result
+        keeps a view of them.
         """
         transitions = np.asarray(transitions, dtype=float)
         if chunk_size is None:
@@ -651,15 +569,17 @@ class WaferEngine:
                      for lo, hi in bounds])
             shape = (min(chunk_size, n_devices), n_samples)
             codes = np.empty(shape, dtype=code_dtype(n_levels + 1))
-            noise = np.empty(shape) if context.noise_volts > 0.0 else None
+            noise = keyed = None
+            if context.noise_volts > 0.0:
+                noise = np.empty(shape)
+                keyed = DeviceNoise(self._resolve_seed(rng))
             parts = []
             for lo, hi in bounds:
                 if noise is None:
                     voltages = np.broadcast_to(context.stimulus,
                                                (hi - lo, n_samples))
                 else:
-                    voltages = noise[:hi - lo]
-                    draw(voltages, lo)
+                    voltages = keyed.fill(noise[:hi - lo], first + lo)
                     voltages *= context.noise_volts
                     voltages += context.stimulus
                 chunk = transitions[lo:hi]
@@ -669,14 +589,73 @@ class WaferEngine:
                                         out=codes[:hi - lo])))
             return ConcatResult.merge(parts)
 
+    def merge(self, shard_results: Sequence[Any]) -> Any:
+        """Combine per-shard results (in shard order) into one result."""
+        with current_telemetry().span(f"engine.{self.name}.merge",
+                                      shards=len(shard_results)):
+            return ConcatResult.merge(shard_results)
+
+
+def run_digest(*parts: Any) -> str:
+    """A digest of an executor run's inputs, for journal verification.
+
+    Hashes a canonical encoding of ``parts`` — type names, object and
+    dataclass attributes, array dtypes, shapes and bytes, exact scalar
+    reprs — so it depends only on values, never on object identity, the
+    process or the hash seed.
+    """
+    digest = hashlib.sha256()
+    _feed_digest(digest, parts)
+    return digest.hexdigest()
+
+
+#: Digest of each engine's configuration and prepared context, by the
+#: inputs ``prepare`` derives the context from, so a replayed run only
+#: hashes its shard bounds and seed.  Engines are not reconfigured after
+#: construction.
+_PREPARED_DIGESTS: "weakref.WeakKeyDictionary[Any, dict]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _prepared_digest(engine: "WaferEngine", context: ShardContext,
+                     *inputs: Any) -> str:
+    digests = _PREPARED_DIGESTS.setdefault(engine, {})
+    if inputs not in digests:
+        digests[inputs] = run_digest(type(engine).__qualname__,
+                                     vars(engine), context)
+    return digests[inputs]
+
+
+def _feed_digest(digest: Any, value: Any) -> None:
+    if isinstance(value, np.ndarray):
+        digest.update(f"<{value.dtype.str}{value.shape}>".encode())
+        digest.update(np.ascontiguousarray(value).data)
+    elif value is None or isinstance(value, (bool, int, float, str,
+                                             np.generic)):
+        digest.update(f"<{type(value).__name__} {value!r}>".encode())
+    elif isinstance(value, (tuple, list, dict)):
+        items = value.items() if isinstance(value, dict) else value
+        digest.update(f"<{type(value).__name__} {len(value)}>".encode())
+        for item in items:
+            _feed_digest(digest, item)
+    elif isinstance(value, np.random.SeedSequence):
+        _feed_digest(digest, ("SeedSequence", value.entropy,
+                              value.spawn_key))
+    elif hasattr(value, "__dict__"):
+        digest.update(f"<{type(value).__qualname__}>".encode())
+        _feed_digest(digest, vars(value))
+    else:
+        raise TypeError(f"cannot digest a {type(value).__name__}")
+
 
 class ShardExecutor:
     """Run a :class:`WaferEngine` over a wafer according to a plan.
 
     The executor owns the one scheduling loop of the production subsystem:
-    split the device axis into the plan's shards, spawn one seed per shard
-    index, dispatch the shards (inline for ``workers=1``, over a process
-    pool otherwise) and merge the results in shard order.
+    split the device axis into the plan's shards, ship each shard the
+    run's seed and its first device, dispatch the shards (inline for
+    ``workers=1``, over a process pool otherwise) and merge the results
+    in shard order.
     """
 
     def __init__(self, plan: ExecutionPlan) -> None:
@@ -688,13 +667,13 @@ class ShardExecutor:
 
     def run(self, engine: "WaferEngine", transitions: np.ndarray,
             full_scale: float = 1.0, sample_rate: float = 1e6,
-            rng: SeedLike = None,
+            rng: NoiseSeed = None,
             chunk_size: Optional[int] = None) -> Any:
         """Execute ``engine`` over the whole transition matrix.
 
-        ``rng`` must be a seed (or ``None``), never a generator — see
-        :func:`resolve_plan_seed`.  The result is bit-identical for any
-        ``(workers, chunk_size)`` of the plan.
+        ``rng`` is the run's noise seed (``None``: the engine's ``seed``;
+        with neither, fresh entropy drawn once and shipped to every
+        shard).  The result is bit-identical for any plan.
 
         Multi-worker dispatch is zero-copy whenever it can be: a matrix
         already backed by a registered
@@ -709,9 +688,15 @@ class ShardExecutor:
                     workers=self.plan.workers):
             context = engine.prepare(transitions, full_scale, sample_rate)
             bounds = self.plan.shard_bounds(transitions.shape[0])
-            seeds = spawn_shard_seeds(rng, len(bounds))
+            seed = engine._resolve_seed(rng)
             chunk = (chunk_size if chunk_size is not None
                      else self.plan.chunk_size)
+            digest = None
+            if current_journal() is not None:
+                digest = run_digest(
+                    _prepared_digest(engine, context, transitions.shape[1],
+                                     full_scale, sample_rate),
+                    bounds, seed)
             staged = None
             view = transitions
             if (self.plan.workers > 1 and len(bounds) > 1
@@ -722,9 +707,10 @@ class ShardExecutor:
             try:
                 results = self.map(
                     engine.run_shard,
-                    [(context, view[lo:hi], seeds[i], chunk)
-                     for i, (lo, hi) in enumerate(bounds)],
-                    task_sizes=[hi - lo for lo, hi in bounds])
+                    [(context, view[lo:hi], seed, chunk, lo)
+                     for lo, hi in bounds],
+                    task_sizes=[hi - lo for lo, hi in bounds],
+                    digest=digest)
             except ExcursionAbort as exc:
                 # Publish what the completed shard prefix measured so the
                 # caller can disposition the aborted wafer.
@@ -746,17 +732,18 @@ class ShardExecutor:
 
     def map(self, func: Callable[..., Any],
             arg_tuples: Sequence[Tuple],
-            task_sizes: Optional[Sequence[int]] = None) -> List[Any]:
+            task_sizes: Optional[Sequence[int]] = None,
+            digest: Optional[str] = None) -> List[Any]:
         """Run ``func(*args)`` for every tuple, preserving input order.
 
         The deterministic core of the executor: results come back in task
-        order no matter how the pool schedules them.  Used directly by the
-        chip-mode paths, whose shard arguments carry per-chip seed slices
-        rather than the generic ``(context, slice, seed, chunk)`` tuple.
+        order no matter how the pool schedules them.
 
         ``task_sizes`` (devices per task, same order as ``arg_tuples``)
         feeds the per-shard telemetry spans and the rolling devices/sec
         progress line; it never affects scheduling or results.
+        ``digest`` (see :func:`run_digest`) is handed to an installed
+        journal's ``begin_run``.
 
         Honours the three ambient per-thread seams: an installed
         :func:`abort_scope` event aborts before (and, serially, between)
@@ -773,7 +760,8 @@ class ShardExecutor:
         monitor = current_monitor()
         feed = _MonitorFeed(monitor) if monitor is not None else None
         try:
-            return self._map_journaled(func, tasks, task_sizes, feed)
+            return self._map_journaled(func, tasks, task_sizes, feed,
+                                       digest)
         except ExcursionAbort as exc:
             if feed is not None and getattr(exc, "prefix_results",
                                             None) is None:
@@ -783,12 +771,13 @@ class ShardExecutor:
     def _map_journaled(self, func: Callable[..., Any],
                        tasks: List[Tuple],
                        task_sizes: Optional[Sequence[int]],
-                       feed: Optional["_MonitorFeed"]) -> List[Any]:
+                       feed: Optional["_MonitorFeed"],
+                       digest: Optional[str]) -> List[Any]:
         journal = current_journal()
         observer = feed.push if feed is not None else None
         if journal is None:
             return self._map(func, tasks, task_sizes, observer=observer)
-        key = journal.begin_run(len(tasks))
+        key = journal.begin_run(len(tasks), digest)
         results: List[Any] = [None] * len(tasks)
         pending: List[int] = []
         for i in range(len(tasks)):

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.analysis.dynamic import DynamicAnalyzer, DynamicSpec
 from repro.core.engine import BistConfig, PopulationBistResult
+from repro.core.noise import NoiseSeed, noise_seed
 from repro.economics.cost_model import TesterModel, TestPlan, cost_per_device
 from repro.economics.parallel import ParallelTestSchedule
 from repro.production.analysis_batch import (
@@ -70,7 +71,6 @@ __all__ = ["StationStats", "LotScreeningReport", "ScreeningLine",
 
 _log = get_logger("line")
 
-RngLike = Union[int, np.random.Generator, None]
 
 #: Default measured-|DNL| bin edges in LSB: premium / standard / marginal.
 DEFAULT_BIN_EDGES_LSB = (0.25, 0.5)
@@ -262,9 +262,9 @@ class ScreeningLine:
         :mod:`repro.flows` — a Wald-SPRT station deciding each device on
         its incremental code stream (reporting saved tester-seconds
         through the tester economics), plus a wafer-level SPC monitor
-        (p-chart + CUSUM over streaming shard results, plan-based runs)
-        that aborts an excursed wafer's remaining shards.  Full BIST
-        only.
+        (p-chart + CUSUM over streaming shard results, one subgroup per
+        shard) that aborts an excursed wafer's remaining shards.  Full
+        BIST only.
     sprt_alpha, sprt_beta:
         Wald design risks of the sequential flow: target probability of
         rejecting a good device (``alpha``) and of accepting a faulty
@@ -482,7 +482,7 @@ class ScreeningLine:
     # Lot processing
     # ------------------------------------------------------------------ #
 
-    def screen_lot(self, lot: Union[Lot, Wafer], rng: RngLike = None,
+    def screen_lot(self, lot: Union[Lot, Wafer], rng: NoiseSeed = None,
                    store=None,
                    plan: Optional[ExecutionPlan] = None
                    ) -> LotScreeningReport:
@@ -493,38 +493,34 @@ class ScreeningLine:
         lot:
             The lot to screen; a bare wafer is treated as a one-wafer lot.
         rng:
-            Seed or generator for the acquisition noise of all stations.
-            With a plan it must be a seed (or ``None``): every insertion
-            of every wafer derives its own child seed from it, so the
-            report is byte-identical for any ``(workers, chunk_size)``.
+            Seed of the acquisition noise of all stations (an integer, a
+            :class:`~numpy.random.SeedSequence`, or ``None`` for the
+            line's ``config.seed``).  Insertion ``i`` (first pass, then
+            each retest) of wafer ``w`` runs under ``SeedSequence(seed,
+            spawn_key=(w, i))``, and each device of an insertion draws
+            its own keyed stream from that, so the report is
+            byte-identical for any plan.
         store:
             Optional :class:`~repro.production.store.ResultStore` the
             report is appended to.
         plan:
-            Optional :class:`~repro.production.execution.ExecutionPlan`
-            every station's engine runs under, sharding the device axis
-            over worker processes.
+            The :class:`~repro.production.execution.ExecutionPlan` every
+            station's engine runs under (``None``: ``ExecutionPlan()``).
+            Under ``flow="sprt"`` its ``shard_devices`` is also the SPC
+            monitor's subgroup size.
         """
         if isinstance(lot, Wafer):
             lot = Lot([lot], lot_id=lot.wafer_id)
         spec = lot.spec
-        if plan is not None:
-            if isinstance(rng, np.random.Generator):
-                raise ValueError(
-                    "plan-based screening takes an integer seed (or None) "
-                    "so per-wafer, per-insertion child seeds are "
-                    "deterministic across workers")
-            # One child sequence per wafer, one grandchild per insertion
-            # (first pass + each retest): a pure function of (seed, wafer
-            # index, insertion index), independent of the plan geometry.
-            insertion_seeds = [
-                wafer_seq.spawn(1 + self.retest_attempts)
-                for wafer_seq in np.random.SeedSequence(rng).spawn(len(lot))]
-            generator = None
-        else:
-            insertion_seeds = None
-            generator = (rng if isinstance(rng, np.random.Generator)
-                         else np.random.default_rng(rng))
+        if plan is None:
+            plan = ExecutionPlan()
+        root = noise_seed(self.config.seed if rng is None else rng)
+        if not isinstance(root, np.random.SeedSequence):
+            root = np.random.SeedSequence(root)
+
+        def insertion_seed(w_index: int, insertion: int):
+            return np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (w_index, insertion))
 
         t = current_telemetry()
         t0 = time.perf_counter()
@@ -568,11 +564,11 @@ class ScreeningLine:
             for w_index, wafer in enumerate(lot):
                 n_wafer = len(wafer)
                 monitor = None
-                if sprt and plan is not None:
-                    # Wafer-level SPC rides on the shard stream, so it
-                    # needs a plan-based run; the monitor observes shard
-                    # results in absolute shard order (plan-geometry
-                    # independent) and aborts the wafer on an excursion.
+                if sprt:
+                    # Wafer-level SPC rides on the shard stream: the
+                    # monitor observes shard results in absolute shard
+                    # order (independent of workers and chunking) and
+                    # aborts the wafer on an excursion.
                     from repro.flows.spc import monitor_for_model
                     monitor = monitor_for_model(
                         per_code, spec.n_inner_codes, plan.shard_devices,
@@ -582,9 +578,7 @@ class ScreeningLine:
                 try:
                     with spc_scope(monitor):
                         result = self.engine.run_wafer(
-                            wafer,
-                            rng=(generator if insertion_seeds is None
-                                 else insertion_seeds[w_index][0]),
+                            wafer, rng=insertion_seed(w_index, 0),
                             plan=plan)
                 except ExcursionAbort as exc:
                     wafer_aborted = True
@@ -655,8 +649,7 @@ class ScreeningLine:
                         wafer.transitions[rejected],
                         full_scale=spec.full_scale,
                         sample_rate=spec.sample_rate,
-                        rng=(generator if insertion_seeds is None
-                             else insertion_seeds[w_index][1 + attempt]),
+                        rng=insertion_seed(w_index, 1 + attempt),
                         plan=plan)
                     recovered = rejected[retest.passed]
                     retest_ok += int(recovered.size)

@@ -25,9 +25,9 @@ acquisition paths mirror the full-BIST batch engine:
     sum drives both.
 
 **Noisy path**.  The :class:`~repro.production.execution.WaferEngine`
-    skeleton draws the per-device input noise in device order from the
-    shared generator — consuming the stream exactly as a scalar loop over
-    the devices would — and quantises the rows
+    skeleton draws each device's input noise from its keyed stream
+    (:class:`repro.core.noise.DeviceNoise`) — the stream the scalar engine
+    draws for that device — and quantises the rows
     (:func:`repro.core.kernel.batch_quantise_rows`); the per-sample
     kernel functions then run over the materialised code matrix.
 

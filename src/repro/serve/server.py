@@ -20,7 +20,12 @@ Failure is survivable by construction:
   every accepted request and completed shard, and ``--resume``
   re-screens the journaled requests with their journals installed, so
   only genuinely unfinished shards dispatch and the final ledger is
-  byte-identical to an uninterrupted run.
+  byte-identical to an uninterrupted run.  A journal of another format
+  version, or a run whose inputs differ from the journaled ones, raises
+  :class:`~repro.serve.checkpoint.CheckpointMismatchError` instead.
+
+Result events are emitted in completion order, not request order: match
+each ``result`` to its request by ``seq`` or ``id``.
 """
 
 from __future__ import annotations
@@ -57,11 +62,9 @@ class ServeServer:
     Parameters
     ----------
     plan:
-        Execution plan every request screens under (default: serial
-        ``workers=1``; multi-worker plans interleave all in-flight
-        requests' shards in the shared pool).  Serve always screens
-        through the plan path so the shard journal sees every unit of
-        work.
+        Execution plan every request screens under (``None``:
+        ``ExecutionPlan()``, serial; multi-worker plans interleave all
+        in-flight requests' shards in the shared pool).
     seed:
         Root seed; request ``seq`` without its own seed screens under
         child seed ``seq`` — the campaign discipline.  On ``--resume``
@@ -96,7 +99,7 @@ class ServeServer:
                  pool_retries: int = 1,
                  stdin: Optional[TextIO] = None,
                  out: Optional[TextIO] = None) -> None:
-        self.plan = plan if plan is not None else ExecutionPlan(workers=1)
+        self.plan = plan if plan is not None else ExecutionPlan()
         self.seed = int(seed)
         self.socket = socket
         self.checkpoint = checkpoint
@@ -261,7 +264,8 @@ class ServeServer:
                                    scenario=scenario,
                                    seed=int(obj["seed"]), label=label)
             journal = RequestJournal(self._writer, seq,
-                                     preloaded=state.shards.get(seq))
+                                     preloaded=state.shards.get(seq),
+                                     digests=state.runs.get(seq))
             self._seq = max(self._seq, seq + 1)
             self._emit(event_line("resumed", id=request.id, seq=seq,
                                   label=label,

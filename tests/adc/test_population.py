@@ -157,31 +157,11 @@ class TestDevicePopulation:
         assert pop.spec.n_bits == 6
 
 
-class TestLegacySeedDeprecation:
-    def test_legacy_seed_warns_exactly_once_per_construction(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = PopulationSpec(size=4, legacy_seed=True)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "legacy_seed" in str(deprecations[0].message)
-        assert spec.legacy_seed is True
-
-    def test_gaussian_legacy_seed_warns_too(self):
-        with pytest.warns(DeprecationWarning, match="legacy_seed"):
-            PopulationSpec(size=4, architecture="gaussian",
-                           legacy_seed=True)
-
+class TestVectorisedDraw:
     def test_default_path_is_vectorised_and_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             spec = PopulationSpec(size=4)
-        assert spec.legacy_seed is False
-        assert spec.matrix_backed is True
-
-    def test_deprecated_path_still_works_under_the_warning(self):
-        with pytest.warns(DeprecationWarning):
-            spec = PopulationSpec(size=3, legacy_seed=True)
-        population = DevicePopulation(spec)
-        assert population.transition_matrix().shape == (3, 63)
+        np.testing.assert_array_equal(
+            DevicePopulation(spec).transition_matrix(),
+            spec.backend().draw_transitions(4, rng=spec.seed))

@@ -184,7 +184,7 @@ class TestPoolRetry:
             def begin_attempt(self):
                 events.append("begin_attempt")
 
-            def begin_run(self, n_tasks):
+            def begin_run(self, n_tasks, digest=None):
                 return 0
 
             def lookup(self, run, index):

@@ -11,8 +11,9 @@ re-deriving the scalar loop in every test file.
 Conventions shared by all helpers:
 
 * the scalar reference is an explicit Python loop over
-  ``wafer.devices()``, consuming one shared ``numpy`` generator in device
-  order — exactly the stream discipline the batch engines implement;
+  ``wafer.devices()``, running device ``d`` on its keyed noise stream
+  (``DeviceNoise(seed).generator(d)``) — exactly the stream each batch
+  row draws;
 * every helper asserts decision equality (and the family's estimate
   arrays) with exact ``assert_array_equal``, never ``allclose``: the
   engines share kernels, so the numbers must be identical, not close;
@@ -37,6 +38,7 @@ import numpy as np
 from repro.core import (
     BistConfig,
     BistEngine,
+    DeviceNoise,
     PartialBistConfig,
     PartialBistEngine,
 )
@@ -121,11 +123,17 @@ def draw_wafer(n_devices: int = 150, architecture: str = "flash",
                                 architecture=architecture), rng=seed)
 
 
-def _generator(rng):
-    """A fresh generator from a seed, or None passed through."""
-    if rng is None:
-        return None
-    return np.random.default_rng(rng)
+def _device_generators(rng, default):
+    """Device ``d``'s keyed noise generator, for ``d = 0, 1, ...``.
+
+    ``rng`` (else the engine's ``default`` seed) seeds the run, as it
+    seeds the batch engine under test.
+    """
+    noise = DeviceNoise(default if rng is None else rng)
+    d = 0
+    while True:
+        yield noise.generator(d)
+        d += 1
 
 
 def assert_full_bist_equivalent(config: BistConfig, wafer: Wafer,
@@ -141,19 +149,18 @@ def assert_full_bist_equivalent(config: BistConfig, wafer: Wafer,
 
 def scalar_partial_results(config: PartialBistConfig, wafer: Wafer,
                            rng=None):
-    """Per-device scalar partial-BIST results under the shared-rng loop."""
+    """Per-device scalar partial-BIST results under their device keys."""
     engine = PartialBistEngine(config)
-    generator = _generator(rng)
     return [engine.run(device, rng=generator)
-            for device in wafer.devices()]
+            for device, generator in zip(
+                wafer.devices(), _device_generators(rng, config.seed))]
 
 
 def assert_partial_equivalent(config: PartialBistConfig, wafer: Wafer,
                               rng=None):
     """Scalar loop and batched partial BIST must agree on everything."""
     scalar = scalar_partial_results(config, wafer, rng=rng)
-    batch = BatchPartialBistEngine(config).run_wafer(
-        wafer, rng=_generator(rng))
+    batch = BatchPartialBistEngine(config).run_wafer(wafer, rng=rng)
     np.testing.assert_array_equal(
         np.array([r.passed for r in scalar]), batch.passed)
     np.testing.assert_array_equal(
@@ -173,10 +180,10 @@ def assert_partial_equivalent(config: PartialBistConfig, wafer: Wafer,
 def assert_histogram_equivalent(test: BatchHistogramTest, wafer: Wafer,
                                 rng=None):
     """Scalar loop and batched histogram test must agree on everything."""
-    generator = _generator(rng)
     scalar = [test.scalar.run(device, rng=generator)
-              for device in wafer.devices()]
-    batch = test.run_wafer(wafer, rng=_generator(rng))
+              for device, generator in zip(
+                  wafer.devices(), _device_generators(rng, test.seed))]
+    batch = test.run_wafer(wafer, rng=rng)
     np.testing.assert_array_equal(
         np.array([r.passed for r in scalar]), batch.passed)
     np.testing.assert_array_equal(
@@ -195,15 +202,15 @@ def assert_histogram_equivalent(test: BatchHistogramTest, wafer: Wafer,
 def assert_dynamic_equivalent(suite: BatchDynamicSuite, wafer: Wafer,
                               rng=None):
     """Scalar loop and batched dynamic suite must agree on everything."""
-    generator = _generator(rng)
     analyzer = suite.analyzer
     scalar = [analyzer.measure(device,
                                target_frequency=suite.target_frequency,
                                amplitude_fraction=suite.amplitude_fraction,
                                transition_noise_lsb=suite.transition_noise_lsb,
                                rng=generator)
-              for device in wafer.devices()]
-    batch = suite.run_wafer(wafer, rng=_generator(rng))
+              for device, generator in zip(
+                  wafer.devices(), _device_generators(rng, suite.seed))]
+    batch = suite.run_wafer(wafer, rng=rng)
     spec = suite.resolved_spec(wafer.spec.n_bits)
     np.testing.assert_array_equal(
         np.array([r.enob for r in scalar]), batch.enob)

@@ -141,7 +141,7 @@ class TestBatchDynamicEquivalence:
         _, batch = assert_dynamic_equivalent(suite, wafer)
         assert 0.0 < batch.accept_fraction < 1.0
 
-    def test_noisy_consumes_rng_in_device_order(self):
+    def test_noisy_is_keyed_by_device(self):
         wafer = draw_wafer(30, "sar", seed=7)
         suite = BatchDynamicSuite(analyzer=DynamicAnalyzer(n_samples=1024),
                                   spec=DynamicSpec(min_enob=4.5),

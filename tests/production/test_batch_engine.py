@@ -16,6 +16,7 @@ from repro.core import (
     BistConfig,
     BistEngine,
     CountLimits,
+    DeviceNoise,
     LsbProcessor,
     MultiAdcBistController,
     PartialBistConfig,
@@ -28,9 +29,12 @@ from repro.production import (
     WaferSpec,
     batch_deglitch,
     chip_grouping,
-    chip_noise_seeds,
 )
 from repro.core.deglitch import DeglitchFilter
+
+#: Result registers and passing chips of the seeded noisy chip run below.
+PINNED_REGISTERS = [10, 13, 15, 6, 15, 15]
+PINNED_CHIPS_PASSED = 3
 
 
 class TestScalarBatchEquivalence:
@@ -82,7 +86,7 @@ class TestScalarBatchEquivalence:
         _assert_population_equal(config, wafer, rng=0)
 
     def test_transition_noise_with_deglitch(self):
-        """Stream path: the shared rng must be consumed in device order."""
+        """Stream path: every device draws its own keyed noise stream."""
         wafer = Wafer.draw(WaferSpec(n_devices=60,
                                      sigma_code_width_lsb=0.3), rng=2)
         config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
@@ -262,8 +266,10 @@ class TestBatchLsbProcessorProperties:
 
 
 class TestNoisyChipModeControllerParity:
-    """The batched chip mode must match MultiAdcBistController with
-    per-converter noise seeds — the ROADMAP parity gap, closed."""
+    """The batched chip mode must match the scalar engine and
+    MultiAdcBistController converter for converter: converter ``j`` of
+    chip ``c`` is device ``c * k + j`` and draws that device's keyed
+    noise."""
 
     CONFIG = dict(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
                   transition_noise_lsb=0.05, deglitch_depth=3)
@@ -273,13 +279,19 @@ class TestNoisyChipModeControllerParity:
                                      sigma_code_width_lsb=0.21), rng=17)
         config = BistConfig(**self.CONFIG)
         batch = BatchBistEngine(config).run_chips(wafer, 4, rng=123)
-        controller = MultiAdcBistController(config)
-        seeds = chip_noise_seeds(123, 6)
-        for chip in range(6):
-            devices = [wafer.device(chip * 4 + i) for i in range(4)]
-            ref = controller.run_chip(devices, rng=int(seeds[chip]))
-            assert bool(batch.chip_passed[chip]) == ref.passed
-            assert int(batch.result_registers[chip]) == ref.result_register
+        scalar = BistEngine(config)
+        noise = DeviceNoise(123)
+        passed = [scalar.run(wafer.device(d), rng=noise.generator(d),
+                             keep_record=False).passed
+                  for d in range(24)]
+        np.testing.assert_array_equal(batch.converter_passed, passed)
+        _, registers = chip_grouping(np.array(passed), 4)
+        np.testing.assert_array_equal(batch.result_registers, registers)
+        chips = [[wafer.device(c * 4 + j) for j in range(4)]
+                 for c in range(6)]
+        lot = MultiAdcBistController(config).run_lot(chips, rng=123)
+        assert lot["chips_passed"] == batch.n_chips_passed
+        assert lot["converter_fallout"] == batch.converter_fallout
 
     def test_seeded_decisions_pinned(self):
         """Regression pin of the seeded noisy chip run (numpy Generator
@@ -288,14 +300,12 @@ class TestNoisyChipModeControllerParity:
                                      sigma_code_width_lsb=0.21), rng=17)
         config = BistConfig(**self.CONFIG)
         batch = BatchBistEngine(config).run_chips(wafer, 4, rng=123)
-        assert list(map(int, batch.result_registers)) == [15, 3, 11, 7,
-                                                          11, 5]
-        assert int(batch.n_chips_passed) == 1
-        # The shared-stream wafer run is a *different* (single-insertion)
-        # noise model; the chip mode must not silently fall back to it.
-        shared = BatchBistEngine(config).run_wafer(wafer, rng=123)
-        _, shared_registers = chip_grouping(shared.passed, 4)
-        assert list(map(int, shared_registers)) != [15, 3, 11, 7, 11, 5]
+        assert list(map(int, batch.result_registers)) == PINNED_REGISTERS
+        assert int(batch.n_chips_passed) == PINNED_CHIPS_PASSED
+        # Chip mode is the wafer run grouped into chips: one noise scheme.
+        wafer_run = BatchBistEngine(config).run_wafer(wafer, rng=123)
+        _, registers = chip_grouping(wafer_run.passed, 4)
+        assert list(map(int, registers)) == PINNED_REGISTERS
 
     def test_noisy_chips_reject_generator_rng(self):
         wafer = Wafer.draw(WaferSpec(n_devices=8), rng=1)

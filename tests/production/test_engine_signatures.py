@@ -35,7 +35,8 @@ UNIFORM_METHODS = {
     "run_transitions": ["self", "transitions", "full_scale", "sample_rate",
                         "rng", "chunk_size", "plan"],
     "prepare": ["self", "transitions", "full_scale", "sample_rate"],
-    "run_shard": ["self", "context", "transitions", "rng", "chunk_size"],
+    "run_shard": ["self", "context", "transitions", "rng", "chunk_size",
+                  "first"],
     "merge": ["self", "shard_results"],
 }
 

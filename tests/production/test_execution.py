@@ -1,12 +1,13 @@
 """Shard-invariance suite for the deterministic scale-out layer.
 
 The contract under test is the execution layer's headline invariant: for
-any ``(workers, chunk_size)`` plan geometry, a plan-based run of any batch
-engine is bit-identical to the serial (``workers=1``) run — including the
-noisy stream paths (per-shard-index seed spawning) and the multi-converter
-chip modes (per-chip seed spawning).  Plus the plumbing around it: plan
-validation, shard bounds, sliced wafer draws, plan-threaded screening
-lines and the shard-merge of the result store.
+any ``(workers, chunk_size, shard_devices)`` plan geometry, a run of any
+batch engine is bit-identical to the serial (``workers=1``) run and to
+the planless run — including the noisy stream paths and the
+multi-converter chip modes, because every device draws its own keyed
+noise.  Plus the plumbing around it: plan validation, shard bounds,
+sliced wafer draws, plan-threaded screening lines and the shard-merge of
+the result store.
 """
 
 import dataclasses
@@ -37,11 +38,8 @@ from repro.production import (
     Wafer,
     WaferSpec,
 )
-from repro.production.execution import (
-    iter_slices,
-    resolve_plan_seed,
-    spawn_shard_seeds,
-)
+from repro.core.noise import noise_seed
+from repro.production.execution import iter_slices
 from repro.telemetry import Telemetry, telemetry_session
 
 #: (architecture, transition_noise_lsb) scenarios the invariance grid
@@ -98,13 +96,6 @@ class TestExecutionPlan:
         b = ExecutionPlan(workers=8, shard_devices=32).shard_bounds(100)
         assert a == b
 
-    def test_shard_bounds_align_to_chips(self):
-        bounds = ExecutionPlan(shard_devices=10).shard_bounds(48, align=4)
-        assert all(lo % 4 == 0 and hi % 4 == 0 for lo, hi in bounds)
-        assert bounds[0] == (0, 12)  # 10 rounded up to a multiple of 4
-        with pytest.raises(ValueError):
-            ExecutionPlan(shard_devices=10).shard_bounds(49, align=4)
-
     def test_iter_slices(self):
         assert list(iter_slices(7, 3)) == [(0, 3), (3, 6), (6, 7)]
         assert list(iter_slices(0, 3)) == []
@@ -112,25 +103,10 @@ class TestExecutionPlan:
             list(iter_slices(5, 0))
 
 
-class TestSeedSpawning:
-    def test_per_shard_seeds_are_index_deterministic(self):
-        a = spawn_shard_seeds(42, 5)
-        b = spawn_shard_seeds(42, 3)
-        for seq_a, seq_b in zip(a, b):
-            assert np.array_equal(
-                np.random.default_rng(seq_a).integers(0, 1 << 30, 4),
-                np.random.default_rng(seq_b).integers(0, 1 << 30, 4))
-
-    def test_spawning_does_not_mutate_a_reused_seed_sequence(self):
-        """Spawning must be stateless: running twice with the same
-        SeedSequence object (whose spawn counter root.spawn() would
-        advance) has to give the same children — and therefore the same
-        noisy plan-based results."""
-        root = np.random.SeedSequence(11)
-        first = spawn_shard_seeds(root, 3)
-        second = spawn_shard_seeds(root, 3)
-        for a, b in zip(first, second):
-            assert a.spawn_key == b.spawn_key
+class TestNoiseSeeds:
+    def test_reused_seed_sequence_gives_the_same_run(self):
+        """Running twice with the same SeedSequence object gives the same
+        noisy results: nothing spawns from (and so advances) it."""
         wafer = draw_wafer(40, "flash", seed=2)
         engine = BatchBistEngine(_bist_config(0.05))
         shared = np.random.SeedSequence(4)
@@ -139,11 +115,32 @@ class TestSeedSpawning:
         r2 = engine.run_wafer(wafer, rng=shared, plan=plan)
         assert_batch_results_identical(r1, r2)
 
-    def test_generator_rejected_for_plans(self):
+    def test_generator_rejected_and_none_pinned(self):
         with pytest.raises(ValueError):
-            resolve_plan_seed(np.random.default_rng(0), None)
-        assert resolve_plan_seed(None, 7) == 7
-        assert resolve_plan_seed(3, 7) == 3
+            noise_seed(np.random.default_rng(0))
+        assert noise_seed(3) == 3
+        assert isinstance(noise_seed(np.int64(3)), int)
+        assert isinstance(noise_seed(None), np.random.SeedSequence)
+
+    def test_unseeded_run_ships_one_seed_to_every_shard(self,
+                                                        monkeypatch):
+        """With no seed anywhere the run draws fresh entropy once and
+        ships it, with each shard's first device, to every shard."""
+        engine = BatchBistEngine(_bist_config(0.05))
+        original = engine.run_shard
+        shipped = []
+
+        def spy(context, transitions, rng=None, chunk_size=None, first=0):
+            shipped.append((rng, first))
+            return original(context, transitions, rng, chunk_size, first)
+
+        monkeypatch.setattr(engine, "run_shard", spy)
+        engine.run_wafer(draw_wafer(40, "flash", seed=2),
+                         plan=ExecutionPlan(shard_devices=16))
+        assert [first for _, first in shipped] == [0, 16, 32]
+        seeds = {id(rng) for rng, _ in shipped}
+        assert len(seeds) == 1
+        assert isinstance(shipped[0][0], np.random.SeedSequence)
 
 
 @pytest.mark.parametrize("architecture,noise", SCENARIOS)
@@ -334,10 +331,11 @@ class TestResultStoreMerge:
 def _merge_case(kind):
     """``(whole, parts, field, bad_value)`` for one result type.
 
-    ``parts`` split ``whole`` by devices (by chips in chip mode); the
-    noisy engines consume one shared generator across the parts, exactly
-    as the whole run does.  ``field`` is a non-array field and
-    ``bad_value`` a value that no part of the run can carry.
+    ``parts`` split ``whole`` by devices (by chips in chip mode); each
+    part is a shard run whose ``first`` row keeps every device on its
+    keyed noise stream, exactly as in the whole run.  ``field`` is a
+    non-array field and ``bad_value`` a value that no part of the run can
+    carry.
     """
     if kind == "chip":
         wafer = draw_wafer(64, "flash", seed=1)
@@ -358,8 +356,8 @@ def _merge_case(kind):
     }[kind]
     whole = engine.run_wafer(wafer, rng=5)
     context = engine.prepare(wafer.transitions)
-    generator = np.random.default_rng(5)
-    parts = [engine.run_shard(context, wafer.transitions[lo:hi], generator)
+    parts = [engine.run_shard(context, wafer.transitions[lo:hi], 5,
+                              first=lo)
              for lo, hi in [(0, 25), (25, 60)]]
     return whole, parts, field, bad
 
@@ -395,8 +393,7 @@ class TestChunkDefaults:
     """
 
     def _run(self, engine, wafer, chunk_size):
-        return engine.run_wafer(wafer, rng=np.random.default_rng(5),
-                                chunk_size=chunk_size)
+        return engine.run_wafer(wafer, rng=5, chunk_size=chunk_size)
 
     def test_default_chunk_is_byte_identical_full_bist(self):
         wafer = draw_wafer(90, "flash", seed=3)
@@ -493,6 +490,24 @@ def test_unseeded_run_uses_the_configured_seed(kind, entry, plan):
     with pytest.raises(AssertionError):
         assert_batch_results_identical(
             seeded, _run_entry(engine, entry, wafer, 12, plan))
+
+
+@pytest.mark.parametrize("plan", [None, ExecutionPlan()],
+                         ids=["planless", "plan"])
+def test_unseeded_screen_lot_uses_the_configured_seed(plan):
+    """``screen_lot`` without ``rng`` falls back to ``config.seed``, so two
+    identical calls agree (they used to draw OS entropy)."""
+    config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
+                        transition_noise_lsb=0.05, deglitch_depth=3, seed=3)
+    lot = Lot.draw(WaferSpec(n_devices=256), n_wafers=1, seed=3)
+    line = ScreeningLine(config, retest_attempts=1)
+    seeded = dataclasses.replace(line.screen_lot(lot, rng=3, plan=plan),
+                                 wall_seconds=0.0)
+    for _ in range(2):
+        unseeded = line.screen_lot(lot, plan=plan)
+        assert dataclasses.replace(unseeded, wall_seconds=0.0) == seeded
+    other = line.screen_lot(lot, rng=4, plan=plan)
+    assert dataclasses.replace(other, wall_seconds=0.0) != seeded
 
 
 @pytest.mark.parametrize("kind", ["full", "partial", "histogram", "dynamic"])

@@ -37,7 +37,7 @@ class _MemoryJournal:
     def begin_attempt(self):
         self.runs = 0
 
-    def begin_run(self, n_tasks):
+    def begin_run(self, n_tasks, digest=None):
         run = self.runs
         self.runs += 1
         return run

@@ -3,16 +3,26 @@
 The journal is what makes ``repro serve`` SIGKILL-proof, so the failure
 modes get the coverage: a torn final line is tolerated (and truncated
 away on the next append, so a *twice*-killed server still resumes),
-corruption anywhere else is a hard error, and duplicate shard entries —
-the pool-broken retry re-recording a shard — keep the last occurrence.
+corruption anywhere else is a hard error, duplicate shard entries —
+the pool-broken retry re-recording a shard — keep the last occurrence,
+and a journal of another version, seed or configuration is refused
+instead of replayed.
 """
 
+import asyncio
+import io
 import json
 
+import numpy as np
 import pytest
 
+from repro.core import BistConfig
+from repro.production import BatchBistEngine, ExecutionPlan, Wafer, WaferSpec
+from repro.production.execution import journal_scope
+from repro.serve import ServeServer
 from repro.serve.checkpoint import (
     CHECKPOINT_VERSION,
+    CheckpointMismatchError,
     CheckpointWriter,
     RequestJournal,
     decode_result,
@@ -150,3 +160,88 @@ class TestRequestJournal:
         journal = RequestJournal(None, seq=0)
         journal.record(0, 0, "value")
         assert journal.lookup(0, 0) == (True, "value")
+
+
+def _engine_run(seed=5, dnl_spec_lsb=1.0, shard_devices=16):
+    """A small noisy sharded engine run, as a replayable callable."""
+    config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=dnl_spec_lsb,
+                        transition_noise_lsb=0.05, deglitch_depth=3)
+    wafer = Wafer.draw(WaferSpec(n_devices=48), rng=1)
+    plan = ExecutionPlan(shard_devices=shard_devices)
+    return lambda: BatchBistEngine(config).run_wafer(wafer, rng=seed,
+                                                     plan=plan)
+
+
+def _journal_run(path, run):
+    writer = CheckpointWriter(str(path), seed=1)
+    with journal_scope(RequestJournal(writer, 0)):
+        result = run()
+    writer.close()
+    return result
+
+
+def _resume_run(path, run):
+    """Replay ``run`` from the journal at ``path``; returns the result and
+    the shards it had to recompute."""
+    state = load_checkpoint(str(path))
+    journal = RequestJournal(None, 0, preloaded=state.shards.get(0),
+                             digests=state.runs.get(0))
+    recorded = []
+    journal.record = lambda run, index, value: recorded.append(index)
+    with journal_scope(journal):
+        return run(), recorded
+
+
+class TestJournalVerification:
+    def test_same_inputs_replay_every_shard(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        live = _journal_run(path, _engine_run())
+        runs = [json.loads(line) for line in _lines(path)
+                if json.loads(line)["kind"] == "run"]
+        assert [(r["seq"], r["run"]) for r in runs] == [(0, 0)]
+        replayed, recomputed = _resume_run(path, _engine_run())
+        assert recomputed == []
+        np.testing.assert_array_equal(replayed.passed, live.passed)
+
+    @pytest.mark.parametrize("changed", [
+        dict(seed=6), dict(dnl_spec_lsb=0.5), dict(shard_devices=24)],
+        ids=["seed", "config", "geometry"])
+    def test_resume_under_other_inputs_raises(self, tmp_path, changed):
+        path = tmp_path / "serve.ckpt"
+        _journal_run(path, _engine_run())
+        with pytest.raises(CheckpointMismatchError, match="request 0 run 0"):
+            _resume_run(path, _engine_run(**changed))
+
+    def test_replayed_run_journals_no_second_digest(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        writer = CheckpointWriter(str(path), seed=1)
+        journal = RequestJournal(writer, 0)
+        with journal_scope(journal):
+            _engine_run()()
+            journal.begin_attempt()
+            _engine_run()()
+        writer.close()
+        kinds = [json.loads(line)["kind"] for line in _lines(path)]
+        assert kinds.count("run") == 1
+        assert kinds.count("shard") == 3
+
+    def test_other_version_refused(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        _journal_run(path, _engine_run())
+        lines = _lines(path)
+        header = json.loads(lines[0])
+        header["version"] = "repro.serve/1"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(CheckpointMismatchError, match="repro.serve/1"):
+            load_checkpoint(str(path))
+        server = ServeServer(resume=str(path), stdin=io.StringIO(""),
+                             out=io.StringIO())
+        with pytest.raises(CheckpointMismatchError):
+            asyncio.run(server.run())
+
+    def test_records_without_header_refused(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        _journal_run(path, _engine_run())
+        path.write_text("\n".join(_lines(path)[1:]) + "\n")
+        with pytest.raises(CheckpointMismatchError, match="no"):
+            load_checkpoint(str(path))

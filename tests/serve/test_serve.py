@@ -234,8 +234,34 @@ class TestCheckpointResume:
             asyncio.run(server.run())
 
 
+    def test_resume_under_another_seed_reports_mismatch(self, tmp_path):
+        """A journaled request replayed under another seed fails with a
+        typed error instead of merging the other seed's shards."""
+        ckpt = tmp_path / "serve.ckpt"
+        plan = ExecutionPlan(workers=1, shard_devices=64)
+        _serve(_requests(scenarios=SCENARIOS[:1]), plan=plan, seed=99,
+               checkpoint=str(ckpt))
+        doctored = []
+        for line in ckpt.read_text().splitlines():
+            obj = json.loads(line)
+            if obj.get("kind") == "request":
+                obj["seed"] += 1
+            doctored.append(json.dumps(obj))
+        ckpt.write_text("\n".join(doctored) + "\n")
+        resumed, events = _serve("", plan=plan, resume=str(ckpt))
+        errors = [e for e in events if e["event"] == "error"]
+        assert len(errors) == 1
+        assert errors[0]["error"].startswith("CheckpointMismatchError")
+        assert len(resumed.rolling) == 0
+
+
 class TestSocketClients:
-    """Concurrent TCP clients against one shared pool."""
+    """Concurrent TCP clients against one shared pool.
+
+    The server emits each result when its screening completes, so a
+    client matches results to its requests by ``seq`` (its ``accepted``
+    events arrive in request order), never by arrival order.
+    """
 
     # Each client pins explicit seeds, so whichever arrival interleaving
     # the sockets produce, the screened work is identical and the
@@ -250,16 +276,20 @@ class TestSocketClients:
                           + "\n").encode())
         await writer.drain()
         writer.write_eof()
-        results = []
+        accepted, results = [], {}
         while len(results) < len(requests):
             line = await asyncio.wait_for(reader.readline(), timeout=60)
             assert line, "server closed before all results arrived"
             event = json.loads(line)
             assert event["event"] != "error", event
-            if event["event"] == "result":
-                results.append(event)
+            if event["event"] == "accepted":
+                accepted.append(event["seq"])
+            elif event["event"] == "result":
+                results[event["seq"]] = event
         writer.close()
-        return results
+        # Exactly this client's requests came back, one result each.
+        assert sorted(results) == sorted(accepted)
+        return [results[seq] for seq in accepted]
 
     async def _run_session(self, server, out):
         server_task = asyncio.create_task(server.run())
@@ -288,7 +318,7 @@ class TestSocketClients:
         with telemetry_session(Telemetry()) as telemetry:
             a_results, b_results = asyncio.run(
                 self._run_session(server, out))
-        # Each client saw exactly its own results, in its arrival order.
+        # Each client saw exactly its own results, matched by seq.
         assert [e["record"]["seed"] for e in a_results] == [101, 303]
         assert [e["record"]["seed"] for e in b_results] == [202]
         assert telemetry.counters["serve.clients"] == 2

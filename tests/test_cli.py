@@ -5,6 +5,33 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: The CLI smoke runs whose reports must not depend on the execution
+#: flags: a noisy retested lot, and an adaptive campaign grid.
+EXECUTION_SMOKES = {
+    "lot": ["lot", "--wafers", "1", "--devices", "800", "--noise", "0.05",
+            "--deglitch", "3", "--retest", "1"],
+    "campaign": ["campaign", "--flow", "fixed,sprt",
+                 "--excursion", "none,drift", "--devices", "400",
+                 "--wafers", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTION_SMOKES))
+def test_report_is_independent_of_execution_flags(command, capsys):
+    """No flags, ``--workers 1 --chunk-size 100`` and ``--workers 2
+    --chunk-size 37`` print the same report, apart from the wall-clock
+    simulation line."""
+
+    def run(extra):
+        assert main(EXECUTION_SMOKES[command] + extra) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if "devices/s (batched engine)" not in line]
+
+    reference = run([])
+    assert run(["--workers", "1", "--chunk-size", "100"]) == reference
+    assert run(["--workers", "2", "--chunk-size", "37"]) == reference
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):

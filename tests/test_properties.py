@@ -451,10 +451,46 @@ def _assert_leading_rows(whole, part, n_dies: int) -> None:
 ENGINE_KINDS = ["full", "partial", "histogram", "dynamic"]
 
 
+def _run(kind: str, engine, wafer: Wafer, plan):
+    """The planless or planned run of one engine kind (``"chips"``:
+    the full BIST's chip mode, four converters per chip)."""
+    if kind == "chips":
+        return engine.run_chips(wafer, 4, plan=plan)
+    return engine.run_wafer(wafer, plan=plan)
+
+
+def _assert_identical(a, b) -> None:
+    """Two results equal field for field (NaNs positionally)."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+        else:
+            assert x == y, field.name
+
+
 class TestEngineGeometryProperties:
     """The skeleton's chunk loop and shared noise buffers are invisible:
-    any chunk size gives the default chunk's result, and noise-free any
-    shard size gives the planless result."""
+    any chunk size gives the default chunk's result, and any plan gives
+    the planless result."""
+
+    @given(st.sampled_from(ENGINE_KINDS + ["chips"]), st.booleans(),
+           st.sampled_from([1, 2]), st.integers(1, N_DIES),
+           st.integers(1, N_DIES))
+    @settings(max_examples=60, deadline=None)
+    def test_planless_run_equals_every_plan(self, kind, noisy, workers,
+                                            chunk, shard):
+        noise = 0.05 if noisy else 0.0
+        wafer = Wafer.draw(WaferSpec(n_bits=6, n_devices=N_DIES), rng=8)
+        engine = _engine("full" if kind == "chips" else kind, noise)
+        key = (kind, noise, "planless")
+        if key not in _GEOMETRY_CACHE:
+            _GEOMETRY_CACHE[key] = _run(kind, engine, wafer, None)
+        plan = ExecutionPlan(workers=workers, chunk_size=chunk,
+                             shard_devices=shard)
+        _assert_identical(_GEOMETRY_CACHE[key],
+                          _run(kind, engine, wafer, plan))
 
     @given(st.sampled_from(ENGINE_KINDS), st.booleans(), st.data())
     @settings(max_examples=40, deadline=None)
@@ -480,3 +516,64 @@ class TestEngineGeometryProperties:
         part = engine.run_wafer(wafer, plan=ExecutionPlan(
             workers=1, chunk_size=chunk, shard_devices=shard))
         _assert_leading_rows(whole, part, N_DIES)
+
+
+#: (method, q) screening stations of the line property; sprt rides on
+#: the full BIST only.
+LINE_STATIONS = [("bist", None), ("bist", 2), ("histogram", None),
+                 ("dynamic", None)]
+
+
+def _line_case(method, q, noisy, excursion, flow):
+    """A two-wafer lot, its line and the planless report (cached)."""
+    key = ("line", method, q, noisy, excursion, flow)
+    if key not in _GEOMETRY_CACHE:
+        from repro.campaign import Scenario
+        from repro.production import ScreeningLine
+
+        full_bist = method == "bist" and q is None
+        scenario = Scenario(
+            method=method, q=q, n_bits=6, n_devices=N_DIES, n_wafers=2,
+            transition_noise_lsb=0.05 if noisy else 0.0,
+            deglitch_depth=3 if noisy and full_bist else 0,
+            retest_attempts=1, excursion=excursion, flow=flow)
+        line = ScreeningLine.from_scenario(scenario)
+        lot = scenario.draw_lot(seed=5, lot_id="PROP")
+        report = line.screen_lot(lot, rng=9)
+        _GEOMETRY_CACHE[key] = (line, lot,
+                                dataclasses.replace(report, wall_seconds=0.0))
+    return _GEOMETRY_CACHE[key]
+
+
+class TestScreenLotGeometryProperties:
+    """A screening's report is the planless one under every plan.
+
+    Under ``flow="sprt"`` the shard size is the SPC monitor's subgroup
+    size, a policy input, so only workers and chunk size vary there.
+    """
+
+    @given(st.sampled_from(LINE_STATIONS), st.booleans(),
+           st.sampled_from([None, "drift", "spatial", "burst"]),
+           st.sampled_from([1, 2]), st.integers(1, N_DIES),
+           st.integers(1, N_DIES))
+    @settings(max_examples=30, deadline=None)
+    def test_fixed_flow_report_equals_every_plan(self, station, noisy,
+                                                 excursion, workers, chunk,
+                                                 shard):
+        line, lot, reference = _line_case(*station, noisy, excursion,
+                                          "fixed")
+        report = line.screen_lot(lot, rng=9, plan=ExecutionPlan(
+            workers=workers, chunk_size=chunk, shard_devices=shard))
+        assert dataclasses.replace(report, wall_seconds=0.0) == reference
+
+    @given(st.booleans(), st.sampled_from([None, "drift", "spatial",
+                                           "burst"]),
+           st.sampled_from([1, 2]), st.integers(1, N_DIES))
+    @settings(max_examples=16, deadline=None)
+    def test_sprt_flow_report_equals_every_plan(self, noisy, excursion,
+                                                workers, chunk):
+        line, lot, reference = _line_case("bist", None, noisy, excursion,
+                                          "sprt")
+        report = line.screen_lot(lot, rng=9, plan=ExecutionPlan(
+            workers=workers, chunk_size=chunk))
+        assert dataclasses.replace(report, wall_seconds=0.0) == reference
