@@ -19,9 +19,11 @@ converter class over the device axis:
   :class:`~repro.adc.sar.SarADC` (unit-capacitor sigma scaling as
   ``1/sqrt(weight)``), plus an optional per-die comparator offset.
 * :class:`PipelineStageBackend` — the 1.5-bit/stage gain and threshold
-  errors of :class:`~repro.adc.pipeline.PipelineADC`, digitising a dense
-  shared sweep for every die at once and extracting the transition levels
-  from per-die code histograms.
+  errors of :class:`~repro.adc.pipeline.PipelineADC`.  Each die's
+  transitions on the scalar model's sweep grid are found by an exact
+  breakpoint search (:func:`~repro.adc.pipeline.search_transitions`): a few
+  chain evaluations per stage decision instead of digitising 64 points per
+  LSB.
 
 A single-device draw reproduces the scalar model's transfer curve for the
 same seed (the SAR and pipeline backends consume the generator in the same
@@ -37,6 +39,7 @@ from typing import Union
 
 import numpy as np
 
+from repro.adc.pipeline import search_transitions
 from repro.adc.transfer import batch_transitions_from_code_widths
 
 __all__ = [
@@ -50,9 +53,10 @@ __all__ = [
 
 RngLike = Union[int, np.random.Generator, None]
 
-#: Devices digitised per chunk by the pipeline backend (the dense sweep
-#: needs a (devices, codes * oversample) float matrix).
-_PIPELINE_CHUNK = 512
+#: Output codes per chunk of the pipeline backend's breakpoint search.  It
+#: keeps about two sweep segments per code, so a chunk's tables stay within
+#: a few tens of MB (1,024 dies at 6 bits, 64 at 10 bits).
+_PIPELINE_CHUNK_CODES = 1 << 16
 
 
 def _as_rng(rng: RngLike) -> np.random.Generator:
@@ -179,10 +183,13 @@ class PipelineStageBackend(TransferBackend):
     """1.5-bit/stage pipelines with inter-stage gain and threshold errors.
 
     Vectorises :class:`~repro.adc.pipeline.PipelineADC`: per-die stage
-    gains and sub-ADC thresholds are drawn in one call, the whole batch is
-    digitised over a dense shared input sweep (64 points per nominal LSB),
-    and the transition voltages are read off each die's code histogram —
-    the vectorised equivalent of the scalar model's ``searchsorted`` sweep.
+    gains and sub-ADC thresholds are drawn in one call (in the scalar
+    constructor's order), and
+    :func:`~repro.adc.pipeline.search_transitions` locates where each die's
+    output code first reaches every value along the scalar model's sweep
+    (64 points per nominal LSB) by splitting the sweep at each stage's
+    decision boundaries — byte for byte the transitions the scalar model
+    reads off its dense sweep, without digitising it.
     """
 
     name = "pipeline"
@@ -216,42 +223,12 @@ class PipelineStageBackend(TransferBackend):
                                         size=(n_devices, n_stages))
 
         transitions = np.empty((n_devices, self.n_codes - 1), dtype=float)
-        for lo in range(0, n_devices, _PIPELINE_CHUNK):
-            hi = min(lo + _PIPELINE_CHUNK, n_devices)
-            transitions[lo:hi] = self._extract_transitions(
-                gains[lo:hi], low[lo:hi], high[lo:hi])
+        chunk = max(1, _PIPELINE_CHUNK_CODES // self.n_codes)
+        for lo in range(0, n_devices, chunk):
+            hi = min(lo + chunk, n_devices)
+            transitions[lo:hi] = search_transitions(
+                gains[lo:hi], low[lo:hi], high[lo:hi], self.full_scale)
         return transitions
-
-    def _extract_transitions(self, gains: np.ndarray, low: np.ndarray,
-                             high: np.ndarray) -> np.ndarray:
-        """Digitise a dense sweep for one chunk and locate the transitions."""
-        n_chunk = gains.shape[0]
-        oversample = 64
-        n_points = self.n_codes * oversample
-        v = np.linspace(0.0, self.full_scale, n_points, endpoint=False)
-        x = v / self.full_scale * 2.0 - 1.0
-
-        residue = np.broadcast_to(x, (n_chunk, n_points)).copy()
-        acc = np.zeros((n_chunk, n_points))
-        for stage in range(self.n_stages):
-            d = np.where(residue < low[:, stage, None], -1,
-                         np.where(residue >= high[:, stage, None], 1, 0))
-            weight = 2.0 ** (self.n_bits - 2 - stage)
-            acc += d * weight
-            residue = gains[:, stage, None] * (residue - d * 0.5)
-        final = np.clip(np.floor((residue + 1.0) * 2.0), 0, 3)
-        codes = acc + final + (self.n_codes // 2 - 2)
-        codes = np.clip(codes, 0, self.n_codes - 1).astype(np.int64)
-        codes = np.maximum.accumulate(codes, axis=1)
-
-        # First sweep index reaching code c = number of points with a
-        # smaller code, read from the per-die code histogram — the batched
-        # equivalent of the scalar model's searchsorted over the sweep.
-        keys = (np.arange(n_chunk)[:, None] * self.n_codes + codes).ravel()
-        hist = np.bincount(keys, minlength=n_chunk * self.n_codes)
-        hist = hist.reshape(n_chunk, self.n_codes)
-        idx = np.cumsum(hist[:, :-1], axis=1)
-        return v[np.clip(idx, 0, n_points - 1)]
 
 
 ARCHITECTURES = ("flash", "sar", "pipeline")

@@ -170,6 +170,8 @@ class Scenario:
                         f"{AUTO_Q!r}")
         if self.n_bits < 2:
             raise ValueError("n_bits must be >= 2")
+        if self.architecture == "pipeline" and self.n_bits < 3:
+            raise ValueError("the pipeline architecture needs n_bits >= 3")
         if self.n_devices < 1 or self.n_wafers < 1:
             raise ValueError("n_devices and n_wafers must be >= 1")
         if self.devices_per_ic < 1:

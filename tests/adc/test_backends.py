@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adc import (
     FlashLadderBackend,
@@ -9,7 +11,11 @@ from repro.adc import (
     SarWeightBackend,
     make_backend,
 )
-from repro.adc.pipeline import PipelineADC
+from repro.adc.pipeline import (
+    PipelineADC,
+    dense_transitions,
+    search_transitions,
+)
 from repro.adc.population import DevicePopulation, PopulationSpec
 from repro.adc.sar import SarADC
 from repro.production import BatchBistEngine, Wafer, WaferSpec
@@ -45,14 +51,53 @@ class TestBackendScalarAgreement:
         np.testing.assert_allclose(
             row, scalar.transfer_function().transitions, rtol=1e-12)
 
-    def test_pipeline_single_device_matches_scalar_model(self):
+    @pytest.mark.parametrize("seed", [0, 7, 99, 1997, 31337])
+    def test_pipeline_single_device_matches_scalar_model(self, seed):
         backend = PipelineStageBackend(6, gain_error_sigma=0.02,
                                        threshold_sigma_lsb=0.4)
-        row = backend.draw_transitions(1, rng=99)[0]
+        row = backend.draw_transitions(1, rng=seed)[0]
         scalar = PipelineADC(6, gain_error_sigma=0.02,
-                             threshold_sigma_lsb=0.4, rng=99)
-        np.testing.assert_allclose(
-            row, scalar.transfer_function().transitions, rtol=1e-12)
+                             threshold_sigma_lsb=0.4, rng=seed)
+        np.testing.assert_array_equal(
+            row, scalar.transfer_function().transitions)
+
+
+class TestPipelineBreakpointSearch:
+    """The backend's breakpoint search must reproduce the dense sweep."""
+
+    @given(n_bits=st.integers(3, 10), n_devices=st.integers(1, 64),
+           gain_sigma=st.floats(0.0, 0.3),
+           threshold_sigma_lsb=st.floats(0.0, 8.0),
+           non_positive=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_search_equals_dense_chain(self, n_bits, n_devices, gain_sigma,
+                                       threshold_sigma_lsb, non_positive,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_devices, n_bits - 2)
+        gains = 2.0 * (1.0 + rng.normal(0.0, gain_sigma, shape))
+        # Force some stage gains to zero or below: their residues stop or
+        # fall along the sweep.
+        forced = rng.random(shape) < non_positive
+        gains[forced] = np.where(rng.random(forced.sum()) < 0.25, 0.0,
+                                 -gains[forced])
+        thr_sigma = threshold_sigma_lsb / (1 << n_bits)
+        low = -0.25 + rng.normal(0.0, thr_sigma, shape)
+        high = 0.25 + rng.normal(0.0, thr_sigma, shape)
+        np.testing.assert_array_equal(
+            search_transitions(gains, low, high),
+            dense_transitions(gains, low, high))
+
+    def test_ideal_pipeline_ties_on_the_grid(self):
+        """Ideal stages put every threshold exactly on a sweep point."""
+        shape = (3, 6)
+        gains = np.full(shape, 2.0)
+        low, high = np.full(shape, -0.25), np.full(shape, 0.25)
+        for full_scale in (1.0, 2.5):
+            np.testing.assert_array_equal(
+                search_transitions(gains, low, high, full_scale),
+                dense_transitions(gains, low, high, full_scale))
 
     def test_flash_backend_reproduces_legacy_wafer_draw(self):
         """Seeded flash wafers must be unchanged by the backend refactor."""

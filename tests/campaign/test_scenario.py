@@ -26,6 +26,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Scenario(architecture="delta-sigma")
 
+    def test_pipeline_needs_a_stage(self):
+        with pytest.raises(ValueError, match="n_bits >= 3"):
+            Scenario(architecture="pipeline", n_bits=2)
+        assert Scenario(architecture="flash", n_bits=2).n_bits == 2
+        assert Scenario(architecture="pipeline", n_bits=3).n_bits == 3
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             Scenario(method="shmoo")

@@ -129,6 +129,25 @@ class TestStreamedEqualsBatch:
         assert server.rolling.ledger() == _batch_ledger(
             seed=99, scenarios=SCENARIOS[:2], plan=plan)
 
+    def test_unbuildable_scenario_is_an_error_event(self, tmp_path):
+        """A 2-bit pipeline has no stages: the request is refused at
+        intake (never journaled), the next one is screened and the server
+        exits cleanly."""
+        script = _requests(scenarios=[
+            dict(architecture="pipeline", n_bits=2, n_devices=64),
+            dict(n_devices=64),
+        ])
+        ckpt = tmp_path / "serve.ckpt"
+        plan = ExecutionPlan(workers=1, shard_devices=64)
+        server, events = _serve(script, plan=plan, seed=7,
+                                checkpoint=str(ckpt))
+        assert [e["event"] for e in events] == [
+            "error", "accepted", "result", "ledger"]
+        assert "n_bits >= 3" in events[0]["error"]
+        assert events[1]["seq"] == 0 and len(server.rolling) == 1
+        resumed, _ = _serve("", plan=plan, resume=str(ckpt))
+        assert resumed.rolling.ledger() == server.rolling.ledger()
+
     def test_shutdown_command_drains_and_ignores_the_rest(self):
         script = "\n".join([
             json.dumps({"scenario": SCENARIOS[0]}),

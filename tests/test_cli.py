@@ -6,13 +6,18 @@ from repro.cli import build_parser, main
 
 
 #: The CLI smoke runs whose reports must not depend on the execution
-#: flags: a noisy retested lot, and an adaptive campaign grid.
+#: flags: a noisy retested lot, an adaptive campaign grid, and a noisy
+#: retested grid of every architecture under two screening methods.
 EXECUTION_SMOKES = {
     "lot": ["lot", "--wafers", "1", "--devices", "800", "--noise", "0.05",
             "--deglitch", "3", "--retest", "1"],
     "campaign": ["campaign", "--flow", "fixed,sprt",
                  "--excursion", "none,drift", "--devices", "400",
                  "--wafers", "3"],
+    "campaign-grid": ["campaign", "--arch", "flash,sar,pipeline",
+                      "--method", "bist,histogram", "--q", "4",
+                      "--devices", "600", "--noise", "0.05",
+                      "--retest", "1"],
 }
 
 
