@@ -147,20 +147,58 @@ def batch_dnl_from_transitions(transitions: np.ndarray) -> np.ndarray:
     transitions = np.asarray(transitions, dtype=float)
     if transitions.ndim != 2 or transitions.shape[1] < 2:
         raise ValueError("need a (devices, >=2 transitions) matrix")
-    widths = np.diff(transitions, axis=1)
-    ref = widths.mean(axis=1, keepdims=True)
-    return widths / ref - 1.0
+    dnl = np.diff(transitions, axis=1)
+    dnl /= dnl.mean(axis=1, keepdims=True)
+    dnl -= 1.0
+    return dnl
+
+
+#: Matrix elements per block of the truth-scoring reductions (512 KiB of
+#: float64, about 1,024 rows of a 6-bit converter).
+SCORING_BLOCK = 1 << 16
+
+
+def _blockwise_max(transitions: np.ndarray, cumulative: bool) -> np.ndarray:
+    """Largest |DNL| (or |INL|) per row, reduced a block of rows at a time.
+
+    Every row goes through :func:`batch_dnl_from_transitions` and its own
+    reduction exactly as in one whole-matrix call, so the block size
+    never changes a result; it only keeps the temporaries in cache.  A
+    65,536-die wafer reduced in one call streams each of its full-size
+    temporaries (33 MB) through main memory instead.
+    """
+    transitions = np.asarray(transitions, dtype=float)
+    if transitions.ndim != 2 or transitions.shape[1] < 2:
+        raise ValueError("need a (devices, >=2 transitions) matrix")
+    rows = max(1, SCORING_BLOCK // transitions.shape[1])
+    out = np.empty(transitions.shape[0])
+    for start in range(0, transitions.shape[0], rows):
+        dnl = batch_dnl_from_transitions(transitions[start:start + rows])
+        if cumulative:
+            np.cumsum(dnl, axis=1, out=dnl)
+        out[start:start + rows] = np.abs(dnl, out=dnl).max(axis=1)
+    return out
 
 
 def batch_max_dnl(transitions: np.ndarray) -> np.ndarray:
-    """Per-device largest |DNL| in LSB (vector over the batch)."""
-    return np.abs(batch_dnl_from_transitions(transitions)).max(axis=1)
+    """Per-device largest |DNL| in LSB (vector over the batch).
+
+    Equal to ``np.abs(batch_dnl_from_transitions(transitions)).max(axis=1)``
+    bit for bit; rows are reduced in cache-sized blocks
+    (:data:`SCORING_BLOCK` elements) rather than as one matrix.
+    """
+    return _blockwise_max(transitions, cumulative=False)
 
 
 def batch_max_inl(transitions: np.ndarray) -> np.ndarray:
-    """Per-device largest |INL| in LSB (cumulative end-point DNL)."""
-    inl = np.cumsum(batch_dnl_from_transitions(transitions), axis=1)
-    return np.abs(inl).max(axis=1)
+    """Per-device largest |INL| in LSB (cumulative end-point DNL).
+
+    Equal to ``np.abs(np.cumsum(dnl, axis=1)).max(axis=1)`` with ``dnl =
+    batch_dnl_from_transitions(transitions)``, bit for bit; rows are
+    reduced in cache-sized blocks (:data:`SCORING_BLOCK` elements) rather
+    than as one matrix.
+    """
+    return _blockwise_max(transitions, cumulative=True)
 
 
 @dataclass

@@ -146,21 +146,31 @@ def _uniform_ramp_step(voltages: np.ndarray) -> Optional[float]:
     return step
 
 
+#: Transition levels per block of :func:`shared_crossing_indices` (128 KiB
+#: of float64).  A block's temporaries stay in cache; an unblocked
+#: 33k-device chunk streams each one (17 MB) through main memory.
+CROSSING_BLOCK = 1 << 14
+
+
 def shared_crossing_indices(transitions: np.ndarray,
                             voltages: np.ndarray) -> np.ndarray:
     """Crossing sample indices of transition levels into a shared ramp.
 
-    Semantically identical to ``np.searchsorted(voltages, transitions)``
-    — entry ``[d, k]`` is the smallest sample index ``t`` with
-    ``voltages[t] >= transitions[d, k]`` (``voltages.size`` when never
-    reached) — but for the common case of a *uniformly spaced* rising
-    ramp the index is computed arithmetically (guess from the inverted
-    ramp equation, then a bounded advance to the exact boundary) instead
-    of by binary search, which removes the dominant ``log(samples)``
-    factor from the noise-free event paths.  Any element the bounded
-    advance cannot pin down exactly is re-derived with ``searchsorted``,
-    so the result is bit-exact by construction on every input; non-linear
-    or noisy stimuli skip the fast path entirely.
+    Identical to ``np.searchsorted(voltages, transitions)`` on every
+    input: entry ``[d, k]`` is the smallest sample index ``g`` with
+    ``voltages[g] >= transitions[d, k]`` (``voltages.size`` when never
+    reached).  On a *uniformly spaced* rising ramp each index is guessed
+    once from the inverted ramp equation, ``g = ceil((x - v[0]) / step)``
+    clipped to ``[0, n]``, and accepted when ``v[g - 1] < x <= v[g]``
+    (with ``v[-1] = -inf`` and ``v[n] = +inf``).  That test is the
+    definition of a left ``searchsorted`` on a sorted ramp, so an
+    accepted guess is exact; the rare misses (levels within rounding of
+    a sample, non-finite levels) are re-derived with ``searchsorted``.
+    This removes the ``log(samples)`` binary search from the noise-free
+    event paths.  Levels are processed in :data:`CROSSING_BLOCK`-sized
+    blocks so the float temporaries stay in cache.  Stimuli that are not
+    uniform ramps (bowed, noisy, too short) take ``searchsorted``
+    directly.
 
     The returned dtype is :func:`index_dtype`.
     """
@@ -173,25 +183,25 @@ def shared_crossing_indices(transitions: np.ndarray,
     if step is None:
         idx = np.searchsorted(voltages, flat)
         return idx.astype(out_dtype, copy=False).reshape(transitions.shape)
-    guess = np.floor((flat - voltages[0]) / step).astype(np.int64)
-    guess -= 1
-    np.clip(guess, 0, n_samples, out=guess)
-    ext = np.concatenate((voltages, [np.inf]))
-    # The guess undershoots the true boundary by at most ~2 samples
-    # (1 from the floor-vs-ceil margin, <=1 from the allowed ramp
-    # deviation), so a few vectorised advances reach it.
-    for _ in range(4):
-        low = ext[guess] < flat
-        if not low.any():
-            break
-        guess[low] += 1
-    # Exactness guarantee: an index is correct iff voltages[idx] >= v and
-    # (idx == 0 or voltages[idx - 1] < v).  Re-derive any leftovers.
-    bad = ext[guess] < flat
-    bad |= (guess > 0) & (ext[guess - 1] >= flat)
-    if bad.any():
-        guess[bad] = np.searchsorted(voltages, flat[bad])
-    return guess.astype(out_dtype, copy=False).reshape(transitions.shape)
+    # below[g] = v[g - 1] and above[g] = v[g] for g in [0, n].
+    below = np.concatenate(([-np.inf], voltages))
+    above = np.concatenate((voltages, [np.inf]))
+    out = np.empty(flat.size, dtype=out_dtype)
+    for start in range(0, flat.size, CROSSING_BLOCK):
+        x = flat[start:start + CROSSING_BLOCK]
+        guess = x - voltages[0]
+        guess /= step
+        np.ceil(guess, out=guess)
+        np.fmax(guess, 0.0, out=guess)  # also maps NaN to 0 (then a miss)
+        np.fmin(guess, n_samples, out=guess)
+        idx = guess.astype(np.intp)
+        hit = below.take(idx) < x
+        hit &= x <= above.take(idx)
+        if not hit.all():
+            miss = ~hit
+            idx[miss] = np.searchsorted(voltages, x[miss])
+        out[start:start + CROSSING_BLOCK] = idx
+    return out.reshape(transitions.shape)
 
 
 def batch_quantise_shared(transitions: np.ndarray,
@@ -201,12 +211,12 @@ def batch_quantise_shared(transitions: np.ndarray,
     The noise-free acquisition of every BIST configuration: all devices see
     the identical rising ramp, so the full code matrix follows from the
     *crossing events* alone.  ``crossing[d, k]`` — the first sample whose
-    ramp voltage reaches transition ``k`` of device ``d`` — is found with a
-    single :func:`numpy.searchsorted` of all transition levels into the
-    ramp; the output code at sample ``t`` is the number of crossings at or
-    before ``t`` (a thermometer count, so non-monotone faulty curves are
-    handled exactly like :meth:`repro.adc.transfer.TransferFunction.convert`
-    handles them).
+    ramp voltage reaches transition ``k`` of device ``d`` — comes from
+    :func:`shared_crossing_indices` (a ``searchsorted`` of every level
+    into the ramp); the output code at sample ``t`` is the number of
+    crossings at or before ``t`` (a thermometer count, so non-monotone
+    faulty curves are handled exactly like
+    :meth:`repro.adc.transfer.TransferFunction.convert` handles them).
 
     Parameters
     ----------
@@ -260,7 +270,7 @@ def packed_crossing_events(crossing: np.ndarray, n_samples: int
     ----------
     crossing:
         ``(devices, n_transitions)`` matrix of crossing sample indices, as
-        produced by ``searchsorted(ramp_voltages, transitions)``.  Indices
+        produced by :func:`shared_crossing_indices`.  Indices
         of 0 mean "already crossed at the first sample" (they raise the
         start code), indices of ``n_samples`` or beyond mean "never
         crossed within the record".

@@ -19,10 +19,11 @@ Overview
 
 :mod:`repro.production.batch_engine` — :class:`BatchBistEngine`, the
     vectorised full BIST.  In the nominal noise-free configuration it works
-    purely on transition-crossing events (one batched ``searchsorted`` of
-    all transition levels into the shared ramp), never materialising the
-    ``(devices, samples)`` code matrix; with noise or a deglitch filter it
-    falls back to chunked 2-D quantisation of the shared ramp.  Both paths
+    purely on transition-crossing events (each transition level's crossing
+    index into the shared ramp, computed from the ramp equation by
+    :func:`repro.core.kernel.shared_crossing_indices`), never materialising
+    the ``(devices, samples)`` code matrix; with noise or a deglitch filter
+    it falls back to chunked 2-D quantisation of the shared ramp.  Both paths
     reproduce the scalar :class:`~repro.core.engine.BistEngine` decisions
     bit for bit — they share the count-limit kernel in
     :mod:`repro.core.decision` — while running orders of magnitude faster,

@@ -11,11 +11,13 @@ Two execution paths are selected automatically:
 **Event path** (noise-free, no deglitch filter — the paper's nominal
     Table 1/2 configuration).  With a monotone shared ramp the full
     ``(devices, samples)`` code matrix never needs to exist: the sample
-    index at which each transition voltage is crossed is found with one
-    batched :func:`numpy.searchsorted` of all transition levels into the
-    ramp, and every downstream quantity — LSB edges (transitions crossed an
-    odd number of times per sample), per-code sample counts, MSB reference
-    counter — is derived from those ``O(devices x codes)`` crossing events.
+    index at which each transition voltage is crossed is computed from the
+    ramp equation and verified against the two samples around it
+    (:func:`repro.core.kernel.shared_crossing_indices`, equal to a
+    ``searchsorted`` of all levels into the ramp), and every downstream
+    quantity — LSB edges (transitions crossed an odd number of times per
+    sample), per-code sample counts, MSB reference counter — is derived
+    from those ``O(devices x codes)`` crossing events.
     This is what makes the engine orders of magnitude faster than the
     scalar loop and million-device Monte-Carlo runs feasible.
 

@@ -314,7 +314,11 @@ class Wafer:
         """Boolean mask of dies truly meeting the specification.
 
         The matrix analogue of :func:`repro.core.engine.true_goodness`:
-        the same end-point criterion, evaluated for every die at once.
+        the same end-point criterion, evaluated for every die.  The
+        reductions run over blocks of about 1,024 dies
+        (:func:`~repro.adc.transfer.batch_max_dnl`), so a 65,536-die
+        wafer's DNL temporaries stay in cache instead of streaming
+        through main memory; each die is still reduced on its own.
         """
         good = self.max_dnl_per_device() <= dnl_spec_lsb
         if inl_spec_lsb is not None:

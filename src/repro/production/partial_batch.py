@@ -14,12 +14,13 @@ acquisition paths mirror the full-BIST batch engine:
 
 **Event path** (no transition noise).  Every device sees the identical
     rising ramp, so the acquisition is fully described by the
-    transition-crossing events (one batched :func:`numpy.searchsorted` of
-    all transition levels into the ramp).  Between crossings the output
-    code — and with it the reference counter, the reconstructed code and
-    the histogram bin — is constant, so every per-sample quantity of the
-    scalar flow collapses to an ``O(devices x codes)`` computation over
-    the crossing events weighted by segment lengths.  The key identity:
+    transition-crossing events (each level's crossing index, guessed from
+    the ramp equation and verified by
+    :func:`repro.core.kernel.shared_crossing_indices`).  Between crossings
+    the output code — and with it the reference counter, the reconstructed
+    code and the histogram bin — is constant, so every per-sample quantity
+    of the scalar flow collapses to an ``O(devices x codes)`` computation
+    over the crossing events weighted by segment lengths.  The key identity:
     the reconstruction's wrap counter and the on-chip reference counter
     are clocked by the same falling edges of bit ``q``, so one cumulative
     sum drives both.

@@ -332,6 +332,19 @@ class ServeServer:
         path = self.checkpoint or self.resume
         if path is not None:
             self._writer = CheckpointWriter(path, seed=self.seed)
+        try:
+            await self._session(loop, state)
+            self._finalize()
+        finally:
+            # Also on a refused resume: _replay raises on a corrupt
+            # journal after the writer has opened it.
+            if self._writer is not None:
+                self._writer.close()
+                self._writer = None
+        return 0
+
+    async def _session(self, loop, state) -> None:
+        """Replay the journal, then serve requests until they drain."""
         with ScenarioSubmitter(self.plan, max_threads=self.max_inflight,
                                pool_retries=self.pool_retries) as submitter:
             self._submitter = submitter
@@ -352,11 +365,9 @@ class ServeServer:
                 await self._stdin_loop(loop)
             if self._tasks:
                 await asyncio.gather(*self._tasks)
-        self._finalize()
-        return 0
 
     def _finalize(self) -> None:
-        """Emit the final ledger, write artefacts, close the journal."""
+        """Emit the final ledger, write artefacts, close client sockets."""
         ledger = self.rolling.ledger() if len(self.rolling) else ""
         if self.ledger_path is not None:
             with open(self.ledger_path, "w", encoding="utf-8") as handle:
@@ -367,6 +378,3 @@ class ServeServer:
             if not writer.is_closing():
                 writer.close()
         self._clients.clear()
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None

@@ -175,17 +175,26 @@ class TimerHandle:
 
 
 class _NullContext:
-    """Shared do-nothing context manager for the disabled path."""
+    """Shared do-nothing context manager for the disabled path.
+
+    ``__enter__`` and ``__exit__`` are static, so a ``with`` statement
+    binds no method objects for them; that binding was about a quarter
+    of a disabled touchpoint's cost.  They ignore their arguments, so
+    callers that pass the instance explicitly, such as
+    :class:`contextlib.ExitStack`, work too.
+    """
 
     __slots__ = ()
     elapsed_s = 0.0
     span_id: Any = None
     attrs: Dict[str, Any] = {}
 
-    def __enter__(self) -> "_NullContext":
-        return self
+    @staticmethod
+    def __enter__(*_: Any) -> "_NullContext":
+        return _NULL_CONTEXT
 
-    def __exit__(self, *exc_info: Any) -> None:
+    @staticmethod
+    def __exit__(*_: Any) -> None:
         return None
 
     def set(self, **attrs: Any) -> None:

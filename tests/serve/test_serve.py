@@ -16,8 +16,10 @@ The three acceptance properties of the streaming front door:
 """
 
 import asyncio
+import gc
 import io
 import json
+import warnings
 
 import pytest
 
@@ -233,9 +235,10 @@ class TestCheckpointResume:
         assert resumed.rolling.ledger() == _batch_ledger(seed=99,
                                                          plan=plan)
 
-    def test_corrupt_label_mismatch_refuses_resume(self, tmp_path):
+    @staticmethod
+    def _mislabelled_journal(tmp_path, plan):
+        """A finished journal whose request label no longer replays."""
         ckpt = tmp_path / "serve.ckpt"
-        plan = ExecutionPlan(workers=1, shard_devices=64)
         _serve(_requests(scenarios=SCENARIOS[:1]), plan=plan, seed=99,
                checkpoint=str(ckpt))
         lines = ckpt.read_text().splitlines()
@@ -246,11 +249,33 @@ class TestCheckpointResume:
                 obj["label"] = "someone else's row"
             doctored.append(json.dumps(obj))
         ckpt.write_text("\n".join(doctored) + "\n")
+        return ckpt
+
+    def test_corrupt_label_mismatch_refuses_resume(self, tmp_path):
+        plan = ExecutionPlan(workers=1, shard_devices=64)
+        ckpt = self._mislabelled_journal(tmp_path, plan)
         out = io.StringIO()
         server = ServeServer(plan=plan, resume=str(ckpt),
                              stdin=io.StringIO(""), out=out)
         with pytest.raises(ValueError, match="checkpoint corrupt"):
             asyncio.run(server.run())
+
+    def test_refused_resume_closes_the_journal(self, tmp_path):
+        """The journal writer opens before the replay that refuses the
+        resume; it must still be closed, not left to the collector."""
+        plan = ExecutionPlan(workers=1, shard_devices=64)
+        ckpt = self._mislabelled_journal(tmp_path, plan)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            server = ServeServer(plan=plan, resume=str(ckpt),
+                                 stdin=io.StringIO(""), out=io.StringIO())
+            with pytest.raises(ValueError, match="checkpoint corrupt"):
+                asyncio.run(server.run())
+            del server
+            gc.collect()
+        leaks = [str(w.message) for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
 
     def test_resume_under_another_seed_reports_mismatch(self, tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for the telemetry core: counters, timers, spans, sessions."""
 
+import contextlib
 import logging
 import threading
 
@@ -179,6 +180,19 @@ class TestNullTelemetry:
         # The no-op context managers allocate nothing per call.
         null = NullTelemetry()
         assert null.timer("a") is null.timer("b") is null.span("c")
+
+    def test_null_contexts_propagate_errors_and_stack(self):
+        # The null context's __enter__/__exit__ are static: exceptions
+        # must still propagate, and ExitStack, which passes the instance
+        # explicitly, must still enter and exit it.
+        null = NullTelemetry()
+        with pytest.raises(KeyError):
+            with null.span("a"):
+                raise KeyError("boom")
+        with pytest.raises(ValueError):
+            with contextlib.ExitStack() as stack:
+                assert stack.enter_context(null.span("b")) is null.timer("c")
+                raise ValueError("boom")
 
 
 class TestSession:

@@ -330,6 +330,32 @@ class TestCampaignCommand:
         assert run(["--workers", "4", "--chunk-size", "32"]) == reference
         assert run(["--workers", "2", "--chunk-size", "17"]) == reference
 
+    def test_metrics_deterministic_across_workers(self, tmp_path, capsys):
+        """The same campaign at 1 and 2 workers writes metrics JSON whose
+        blocks outside ``timing`` are equal, keeps its timers, and prints
+        the same report apart from the "wrote metrics" line."""
+        import json
+
+        def run(workers):
+            path = tmp_path / f"metrics-{workers}.json"
+            assert main(["campaign", "--arch", "flash,sar",
+                         "--method", "bist,histogram", "--devices", "300",
+                         "--noise", "0.05", "--seed", "13",
+                         "--workers", str(workers),
+                         "--metrics", str(path)]) == 0
+            out = [line for line in capsys.readouterr().out.splitlines()
+                   if "wrote metrics to" not in line]
+            return out, json.loads(path.read_text())
+
+        serial_out, serial = run(1)
+        sharded_out, sharded = run(2)
+        assert sharded_out == serial_out
+        assert serial["schema"] == sharded["schema"] == "repro.metrics/1"
+        serial_timing = serial.pop("timing")
+        sharded_timing = sharded.pop("timing")
+        assert sharded == serial
+        assert serial_timing["timers"] and sharded_timing["timers"]
+
     def test_json_export(self, capsys):
         import json
 
