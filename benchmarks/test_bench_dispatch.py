@@ -13,8 +13,9 @@ Three modes per shard size, identical results asserted:
 ``serial``
     ``workers=1`` — the in-process reference, no dispatch at all.
 ``cold``
-    ``workers=4, reuse_pool=False`` — the pre-pool behaviour: a
-    transient pool forked and torn down inside every dispatch.
+    ``workers=4`` inside a fresh :func:`shared_pool` block per timed
+    run — the pre-pool behaviour: the pool is forked and torn down
+    inside the timed region.
 ``warm``
     ``workers=4`` inside a warmed :func:`shared_pool` block — workers
     forked once, shards shipped by descriptor.
@@ -53,14 +54,15 @@ REPEATS = 3
 _CONFIG = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
 
 
-def _throughput(engine, wafer, plan, repeats=REPEATS):
-    """Best-of devices/second over ``repeats`` timed runs (post warm-up),
-    plus the last result for the bit-identity assertion."""
-    result = engine.run_wafer(wafer, rng=0, plan=plan)  # warm-up
+def _throughput(run, repeats=REPEATS):
+    """Best-of devices/second of ``run()`` over ``repeats`` timed runs
+    (post warm-up), plus the last result for the bit-identity
+    assertion."""
+    result = run()  # warm-up
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        result = engine.run_wafer(wafer, rng=0, plan=plan)
+        result = run()
         best = min(best, time.perf_counter() - start)
     return N_DEVICES / best, result
 
@@ -73,16 +75,24 @@ class TestDispatchOverhead:
                                      n_devices=N_DEVICES), rng=1997)
         rows = []
         speedup_small = None
+
+        def run(plan):
+            return engine.run_wafer(wafer, rng=0, plan=plan)
+
         for shard in SHARD_SIZES:
-            serial_tp, reference = _throughput(engine, wafer, ExecutionPlan(
-                workers=1, shard_devices=shard))
-            cold_tp, cold_res = _throughput(engine, wafer, ExecutionPlan(
-                workers=WORKERS, shard_devices=shard, reuse_pool=False))
+            serial = ExecutionPlan(workers=1, shard_devices=shard)
+            pooled = ExecutionPlan(workers=WORKERS, shard_devices=shard)
+
+            def run_cold():
+                # A fresh pool per run: its fork and teardown are timed.
+                with shared_pool(workers=WORKERS):
+                    return run(pooled)
+
+            serial_tp, reference = _throughput(lambda: run(serial))
+            cold_tp, cold_res = _throughput(run_cold)
             with shared_pool(workers=WORKERS) as pool:
                 pool.warm_up()
-                warm_tp, warm_res = _throughput(engine, wafer,
-                                                ExecutionPlan(
-                    workers=WORKERS, shard_devices=shard))
+                warm_tp, warm_res = _throughput(lambda: run(pooled))
             close_default_pool()
 
             # The overhead comparison only counts if the answers are

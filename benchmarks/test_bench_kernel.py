@@ -6,7 +6,8 @@ Two scalars back the kernel's acceptance claims, recorded into the
 ``kernel.event_fast_path_speedup``
     The arithmetic crossing-index fast path
     (:func:`repro.core.kernel.shared_crossing_indices` on a uniform
-    ramp: guess–advance–verify, exactness checked in-kernel) against the
+    ramp: one arithmetic guess per crossing index, kept when it brackets
+    the level and sent to ``searchsorted`` otherwise) against the
     historical ``np.searchsorted`` per-row reference it replaced, same
     inputs, bit-identical outputs asserted.  Claim: >= 1.5x.
 ``kernel.compact_memory_ratio_8bit``

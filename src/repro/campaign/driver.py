@@ -38,7 +38,7 @@ from repro.production.execution import (ExecutionPlan, abort_scope,
                                         journal_scope)
 from repro.production.line import LotScreeningReport, ScreeningLine
 from repro.production.lot import Lot, Wafer
-from repro.production.pool import (PoolBrokenError, current_pool,
+from repro.production.pool import (PoolBrokenError, dispatch_pool,
                                    get_default_pool, share_wafer,
                                    shared_pool)
 from repro.production.store import ResultStore
@@ -163,15 +163,14 @@ class ScenarioSubmitter:
 
     The reusable submission API underneath both the interleaved
     :meth:`Campaign.run` path and ``repro serve``: entering the context
-    acquires the persistent pool (the ambient
-    :func:`~repro.production.pool.shared_pool` if one is installed, else
-    the module default), warms it *before* any submission thread exists
-    (so workers fork from a thread-free process), installs it as the
-    ambient pool, and opens a thread bench.  Each :meth:`submit` then
-    screens one scenario on its own thread, so every in-flight
-    screening's shards drain through the pool's single work queue —
-    in-flight campaign scenarios and in-flight serve requests interleave
-    by exactly the same mechanism.
+    acquires the persistent pool the plan's dispatches run on
+    (:func:`~repro.production.pool.dispatch_pool`), warms it *before*
+    any submission thread exists (so workers fork from a thread-free
+    process), installs it as the ambient pool, and opens a thread bench.
+    Each :meth:`submit` then screens one scenario on its own thread, so
+    every in-flight screening's shards drain through the pool's single
+    work queue — in-flight campaign scenarios and in-flight serve
+    requests interleave by exactly the same mechanism.
 
     Parameters
     ----------
@@ -208,10 +207,8 @@ class ScenarioSubmitter:
     # -- context management -------------------------------------------- #
 
     def __enter__(self) -> "ScenarioSubmitter":
-        if self.plan.workers > 1 and self.plan.reuse_pool:
-            pool = current_pool()
-            if pool is None or pool.closed:
-                pool = get_default_pool(self.plan.workers)
+        if self.plan.workers > 1:
+            pool = dispatch_pool(self.plan.workers)
             self._shared = shared_pool(pool=pool)
             self._shared.__enter__()
             try:
@@ -499,11 +496,12 @@ class Campaign:
         ``ExecutionPlan()``), and the merged ledger is byte-identical for
         any plan.
 
-        With a multi-worker plan whose ``reuse_pool`` is left on, a
-        multi-scenario campaign **interleaves**: all scenarios' shards
-        feed one persistent :class:`~repro.production.pool.WorkerPool`
-        (borrowing the ambient :func:`~repro.production.pool.shared_pool`
-        if one is installed), so no worker idles at a scenario boundary.
+        With a multi-worker plan, a multi-scenario campaign
+        **interleaves**: all scenarios' shards feed one persistent
+        :class:`~repro.production.pool.WorkerPool` (the innermost open
+        :func:`~repro.production.pool.shared_pool` pool, else the module
+        default), so no worker idles at a scenario boundary.  With one
+        worker or one scenario, the scenarios screen one after another.
         Interleaving is purely a scheduling change — each device's noise
         is keyed by its scenario seed, insertion and row, never by
         dispatch order, and reports/stores are collected in scenario
@@ -523,8 +521,7 @@ class Campaign:
                         is not None else f"SHARED-{self.seed}")
             wafer = Wafer.draw(self.scenarios[0].wafer_spec(),
                                rng=self.seed, wafer_id=wafer_id)
-        interleave = (plan.workers > 1 and plan.reuse_pool
-                      and len(self.scenarios) > 1)
+        interleave = plan.workers > 1 and len(self.scenarios) > 1
         t = current_telemetry()
         stores: List[ResultStore] = []
         reports: List[LotScreeningReport] = []

@@ -108,14 +108,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
              "knob; never changes results; default: each engine's "
              "working-set budget divided by its per-device row bytes)")
     parser.add_argument(
-        "--pool-reuse", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="serve every multi-worker dispatch from one persistent "
-             "worker pool (spawned once, fed zero-copy shard "
-             "descriptors); --no-pool-reuse forks a fresh pool per "
-             "dispatch instead — purely a scheduling switch, results "
-             "are bit-identical either way")
-    parser.add_argument(
         "-v", "--verbose", action="store_true",
         help="INFO logging on the 'repro' logger hierarchy, shard "
              "progress lines and a telemetry epilogue (elapsed time, "
@@ -201,8 +193,7 @@ def _plan_from_args(args: argparse.Namespace) -> ExecutionPlan:
     """
     return ExecutionPlan(
         workers=args.workers if args.workers is not None else 1,
-        chunk_size=args.chunk_size,
-        reuse_pool=getattr(args, "pool_reuse", True))
+        chunk_size=args.chunk_size)
 
 
 def build_parser() -> argparse.ArgumentParser:

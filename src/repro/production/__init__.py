@@ -59,8 +59,8 @@ Overview
     :func:`shared_pool` block); wafer matrices live in
     ``multiprocessing.shared_memory`` segments and travel to workers as
     slice *descriptors* instead of pickled rows.  Purely a scheduling
-    layer: a warm pool, a cold pool and the serial path all produce
-    byte-identical results.
+    layer: a pool forked for one run, a warm pool kept across runs and
+    the serial path all produce byte-identical results.
 
 :mod:`repro.production.line` — :class:`ScreeningLine`, the station chain
     (screening → optional retest → quality binning) with per-station yield

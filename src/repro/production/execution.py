@@ -30,11 +30,6 @@ Every engine run goes through this layer (``plan=None`` means
 So an engine run is bit-identical for every ``(workers, chunk_size,
 shard_devices)``, and a device's verdict is the one the scalar engine
 gives it under its device key.
-
-:meth:`repro.production.lot.Wafer.draw_sharded` uses the same fixed-block
-idea so that a worker can draw *just its slice* of a wafer's parameter
-matrix, bit-identical to the rows of the full sharded draw, without the
-full wafer ever existing in its address space.
 """
 
 from __future__ import annotations
@@ -62,11 +57,9 @@ from repro.core.noise import DeviceNoise, NoiseSeed, noise_seed
 from repro.production.pool import (
     AUTO_SHARE_MIN_BYTES,
     SharedWaferBuffer,
-    WorkerPool,
     _run_instrumented,
     as_slice_ref,
-    current_pool,
-    get_default_pool,
+    dispatch_pool,
 )
 from repro.telemetry.core import current_telemetry
 from repro.telemetry.log import ShardProgress
@@ -161,19 +154,28 @@ class ExcursionAbort(ExecutionAborted):
         self.devices_total: int = 0
 
 
-_ABORT_LOCAL = threading.local()
-_JOURNAL_LOCAL = threading.local()
-_SPC_LOCAL = threading.local()
-
-
-def _local_stack(local: threading.local) -> List[Any]:
-    stack = getattr(local, "stack", None)
-    if stack is None:
-        stack = local.stack = []
-    return stack
+#: This thread's executor seams: ``abort``, ``journal`` and ``monitor``.
+_SEAMS = threading.local()
 
 
 @contextmanager
+def _seam(name: str, value: Any):
+    """Install ``value`` as this thread's ``name`` seam for a block.
+
+    The previous value comes back on exit, so scopes nest; ``None`` is a
+    no-op, keeping call sites branch-free.
+    """
+    if value is None:
+        yield
+        return
+    previous = getattr(_SEAMS, name, None)
+    setattr(_SEAMS, name, value)
+    try:
+        yield
+    finally:
+        setattr(_SEAMS, name, previous)
+
+
 def abort_scope(event: Optional[threading.Event]):
     """Install an abort event for every executor run on *this* thread.
 
@@ -182,21 +184,12 @@ def abort_scope(event: Optional[threading.Event]):
     one campaign's abort cannot leak into an unrelated thread's runs.
     ``None`` is accepted and is a no-op, keeping call sites branch-free.
     """
-    if event is None:
-        yield
-        return
-    stack = _local_stack(_ABORT_LOCAL)
-    stack.append(event)
-    try:
-        yield
-    finally:
-        stack.pop()
+    return _seam("abort", event)
 
 
 def current_abort() -> Optional[threading.Event]:
     """The innermost abort event installed on this thread, if any."""
-    stack = getattr(_ABORT_LOCAL, "stack", None)
-    return stack[-1] if stack else None
+    return getattr(_SEAMS, "abort", None)
 
 
 def check_abort() -> None:
@@ -213,7 +206,6 @@ def check_abort() -> None:
             "scenario failed or the campaign was cancelled)")
 
 
-@contextmanager
 def journal_scope(journal: Any):
     """Install a shard-result journal for this thread's executor runs.
 
@@ -237,24 +229,14 @@ def journal_scope(journal: Any):
     configuration, seed or geometry recorded (``None`` for a bare
     :meth:`ShardExecutor.map`).
     """
-    if journal is None:
-        yield
-        return
-    stack = _local_stack(_JOURNAL_LOCAL)
-    stack.append(journal)
-    try:
-        yield
-    finally:
-        stack.pop()
+    return _seam("journal", journal)
 
 
 def current_journal() -> Any:
     """The innermost shard journal installed on this thread, if any."""
-    stack = getattr(_JOURNAL_LOCAL, "stack", None)
-    return stack[-1] if stack else None
+    return getattr(_SEAMS, "journal", None)
 
 
-@contextmanager
 def spc_scope(monitor: Any):
     """Install an SPC monitor for this thread's executor runs.
 
@@ -269,21 +251,12 @@ def spc_scope(monitor: Any):
     Thread-local like :func:`abort_scope`: each scenario thread monitors
     its own wafers.
     """
-    if monitor is None:
-        yield
-        return
-    stack = _local_stack(_SPC_LOCAL)
-    stack.append(monitor)
-    try:
-        yield
-    finally:
-        stack.pop()
+    return _seam("monitor", monitor)
 
 
 def current_monitor() -> Any:
     """The innermost SPC monitor installed on this thread, if any."""
-    stack = getattr(_SPC_LOCAL, "stack", None)
-    return stack[-1] if stack else None
+    return getattr(_SEAMS, "monitor", None)
 
 
 class _MonitorFeed:
@@ -322,7 +295,12 @@ class ExecutionPlan:
     workers:
         Worker processes the shards are spread over.  ``1`` (the default)
         runs every shard inline in the calling process — the serial
-        fallback, bit-identical to any multi-worker execution.
+        fallback, bit-identical to any multi-worker execution.  More
+        workers dispatch through a persistent
+        :class:`~repro.production.pool.WorkerPool`: the innermost open
+        :func:`~repro.production.pool.shared_pool` pool, else the module
+        default pool, kept warm across runs
+        (:func:`~repro.production.pool.dispatch_pool`).
     chunk_size:
         Devices materialised per intra-shard chunk (bounds the transient
         ``(devices, samples)`` matrices).  ``None`` keeps each engine's
@@ -336,20 +314,11 @@ class ExecutionPlan:
         an SPC monitor installed with :func:`spc_scope` (a policy input
         of the adaptive flow).  Noise is keyed by device, so it changes
         no draw.
-    reuse_pool:
-        ``True`` (the default) dispatches through a persistent
-        :class:`~repro.production.pool.WorkerPool` — the ambient
-        :func:`~repro.production.pool.shared_pool` if one is installed,
-        else the module default pool, kept warm across runs.  ``False``
-        restores the historical behaviour of spawning a fresh pool per
-        dispatch and tearing it down afterwards.  Purely a scheduling
-        knob: results are bit-identical either way.
     """
 
     workers: int = 1
     chunk_size: Optional[int] = None
     shard_devices: int = DEFAULT_SHARD_DEVICES
-    reuse_pool: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -737,11 +706,15 @@ class ShardExecutor:
         """Run ``func(*args)`` for every tuple, preserving input order.
 
         The deterministic core of the executor: results come back in task
-        order no matter how the pool schedules them.
+        order no matter how the pool schedules them.  One worker runs the
+        tasks inline; more dispatch them through
+        :func:`~repro.production.pool.dispatch_pool`.
 
         ``task_sizes`` (devices per task, same order as ``arg_tuples``)
         feeds the per-shard telemetry spans and the rolling devices/sec
-        progress line; it never affects scheduling or results.
+        progress line; it never affects scheduling or results.  Each
+        ``executor.shard`` span carries its task's index in
+        ``arg_tuples``, also when a journal replays the other tasks.
         ``digest`` (see :func:`run_digest`) is handed to an installed
         journal's ``begin_run``.
 
@@ -776,7 +749,8 @@ class ShardExecutor:
         journal = current_journal()
         observer = feed.push if feed is not None else None
         if journal is None:
-            return self._map(func, tasks, task_sizes, observer=observer)
+            return self._map(func, tasks, range(len(tasks)), task_sizes,
+                             observer=observer)
         key = journal.begin_run(len(tasks), digest)
         results: List[Any] = [None] * len(tasks)
         pending: List[int] = []
@@ -801,8 +775,8 @@ class ShardExecutor:
                 # index keeps the monitor's contiguous-prefix order.
                 sub_observer = (
                     lambda j, value: feed.push(pending[j], value))
-            fresh = self._map(func, [tasks[i] for i in pending], sub_sizes,
-                              observer=sub_observer)
+            fresh = self._map(func, [tasks[i] for i in pending], pending,
+                              sub_sizes, observer=sub_observer)
             for i, value in zip(pending, fresh):
                 journal.record(key, i, value)
                 results[i] = value
@@ -810,80 +784,35 @@ class ShardExecutor:
 
     def _map(self, func: Callable[..., Any],
              tasks: List[Tuple],
+             shards: Sequence[int],
              task_sizes: Optional[Sequence[int]] = None,
              observer: Optional[Callable[[int, Any], None]] = None
              ) -> List[Any]:
+        """Run ``tasks`` (absolute shard indices ``shards``) in order."""
         t = current_telemetry()
-        n_workers = min(self.plan.workers, len(tasks))
-        if n_workers <= 1:
-            # Inline serial path (no pool, no descriptors).
-            abort = current_abort()
-            if (not t.enabled and t.progress_every <= 0 and abort is None
-                    and observer is None):
-                return [func(*args) for args in tasks]
+        if t.enabled:
+            t.count("executor.tasks", len(tasks))
+        progress = ShardProgress(len(tasks), t.progress_every, task_sizes)
+        metas = [{"shard": shard} for shard in shards]
+        if task_sizes is not None:
+            for meta, size in zip(metas, task_sizes):
+                meta["devices"] = int(size)
+        if min(self.plan.workers, len(tasks)) > 1:
+            return dispatch_pool(self.plan.workers).dispatch(
+                func, tasks, metas=metas, progress=progress,
+                observer=observer)
+        # Inline serial path (no pool, no descriptors).
+        results = []
+        for i, args in enumerate(tasks):
+            check_abort()
             if t.enabled:
-                t.count("executor.tasks", len(tasks))
-            progress = ShardProgress(len(tasks), t.progress_every,
-                                     task_sizes)
-            metas = self._metas(tasks, task_sizes)
-            results = []
-            for i, args in enumerate(tasks):
-                check_abort()
-                if t.enabled:
-                    results.append(_run_instrumented(func, args, metas[i]))
-                else:
-                    results.append(func(*args))
-                if observer is not None:
-                    # An observer that raises stops the loop here:
-                    # remaining inline shards never run.
-                    observer(i, results[-1])
-                if progress.active:
-                    progress.step(i)
-            return results
-
-        pool, transient = self._acquire_pool(n_workers)
-        try:
-            if not t.enabled and t.progress_every <= 0:
-                # Uninstrumented fast path: exactly the seed behaviour
-                # (observer=None keeps it on the ordered-map path).
-                return pool.dispatch(func, tasks, observer=observer)
-            if t.enabled:
-                t.count("executor.tasks", len(tasks))
-            progress = ShardProgress(len(tasks), t.progress_every,
-                                     task_sizes)
-            return pool.dispatch(func, tasks,
-                                 metas=self._metas(tasks, task_sizes),
-                                 progress=progress,
-                                 observer=observer)
-        finally:
-            if transient:
-                pool.close()
-
-    @staticmethod
-    def _metas(tasks: Sequence[Tuple],
-               task_sizes: Optional[Sequence[int]]) -> List[dict]:
-        metas = []
-        for i in range(len(tasks)):
-            meta = {"shard": i}
-            if task_sizes is not None:
-                meta["devices"] = int(task_sizes[i])
-            metas.append(meta)
-        return metas
-
-    def _acquire_pool(self, n_workers: int) -> Tuple[WorkerPool, bool]:
-        """The pool this dispatch runs on, and whether to close it after.
-
-        ``plan.reuse_pool`` selects the persistent path: the ambient
-        :func:`~repro.production.pool.shared_pool` if one is installed
-        (e.g. by a running campaign), else the module default pool —
-        both left open for the next dispatch.  With ``reuse_pool=False``
-        a transient pool is spawned for this dispatch alone (the
-        pre-persistent-pool behaviour, kept for cold-start benchmarking
-        and as an isolation escape hatch).
-        """
-        if not self.plan.reuse_pool:
-            return WorkerPool(n_workers), True
-        ambient = current_pool()
-        if ambient is not None and not ambient.closed:
-            return ambient, False
-        return get_default_pool(self.plan.workers), False
+                results.append(_run_instrumented(func, args, metas[i]))
+            else:
+                results.append(func(*args))
+            if observer is not None:
+                # An observer that raises stops the loop here:
+                # remaining inline shards never run.
+                observer(i, results[-1])
+            if progress.active:
+                progress.step(i)
+        return results

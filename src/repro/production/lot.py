@@ -30,13 +30,10 @@ from repro.adc.transfer import (
     batch_max_dnl,
     batch_max_inl,
 )
-from repro.production.execution import DEFAULT_SHARD_DEVICES, iter_slices
 
 __all__ = ["WaferSpec", "Wafer", "Lot"]
 
 RngLike = Union[int, np.random.Generator, None]
-
-SeedLike = Union[int, np.integer, np.random.SeedSequence]
 
 
 @dataclass(frozen=True)
@@ -169,65 +166,6 @@ class Wafer:
         return cls(spec, transitions, wafer_id=wafer_id)
 
     @classmethod
-    def draw_sharded(cls, spec: WaferSpec, seed: SeedLike,
-                     wafer_id: str = "W0",
-                     block_devices: int = DEFAULT_SHARD_DEVICES) -> "Wafer":
-        """Draw a wafer in fixed seed blocks, sliceable without the whole.
-
-        Device block ``b`` (rows ``b*block_devices`` onward) is drawn from
-        child ``b`` of ``SeedSequence(seed)`` — a pure function of
-        ``(seed, b)``.  The payoff is :meth:`draw_slice`: any worker can
-        reproduce exactly its rows of this wafer without the full
-        parameter matrix ever existing in its address space, which is how
-        the scale-out execution layer feeds shards on machines that could
-        never hold a million-device wafer.  The blocked draw is a
-        different (equally valid) realisation than :meth:`draw` for the
-        same seed.
-        """
-        transitions = cls.draw_slice(spec, 0, spec.n_devices, seed,
-                                     block_devices=block_devices)
-        return cls(spec, transitions, wafer_id=wafer_id)
-
-    @classmethod
-    def draw_slice(cls, spec: WaferSpec, lo: int, hi: int, seed: SeedLike,
-                   block_devices: int = DEFAULT_SHARD_DEVICES) -> np.ndarray:
-        """Transition rows ``lo:hi`` of the sharded draw, and only those.
-
-        Bit-identical to ``draw_sharded(spec, seed).transitions[lo:hi]``
-        for any slice bounds: only the seed blocks overlapping the slice
-        are drawn (at most ``block_devices - 1`` rows of waste at each
-        edge), so the memory cost is that of the slice, not the wafer.
-        """
-        if isinstance(seed, np.random.Generator) or seed is None:
-            raise ValueError(
-                "sharded draws need a seed (or SeedSequence), not a "
-                "generator, so any slice can be re-derived independently")
-        if not 0 <= lo <= hi <= spec.n_devices:
-            raise ValueError(
-                f"slice [{lo}, {hi}) is outside [0, {spec.n_devices})")
-        if block_devices < 1:
-            raise ValueError("block_devices must be >= 1")
-        root = (seed if isinstance(seed, np.random.SeedSequence)
-                else np.random.SeedSequence(seed))
-        backend = spec.backend()
-        rows = []
-        for block_lo, block_hi in iter_slices(spec.n_devices, block_devices):
-            if block_hi <= lo or block_lo >= hi:
-                continue
-            # Child b of the root sequence, derived by index so a worker
-            # needs neither the other children nor the other blocks.
-            child = np.random.SeedSequence(
-                entropy=root.entropy,
-                spawn_key=root.spawn_key + (block_lo // block_devices,))
-            block = backend.draw_transitions(
-                block_hi - block_lo, rng=np.random.default_rng(child))
-            rows.append(block[max(lo - block_lo, 0):
-                              min(hi, block_hi) - block_lo])
-        if not rows:
-            return np.empty((0, spec.n_codes - 1))
-        return np.vstack(rows)
-
-    @classmethod
     def from_population(cls, population: DevicePopulation,
                         wafer_id: str = "W0") -> "Wafer":
         """Wrap an existing :class:`DevicePopulation` as a wafer.
@@ -255,19 +193,6 @@ class Wafer:
             gain_error_sigma=pop_spec.gain_error_sigma,
             threshold_sigma_lsb=pop_spec.threshold_sigma_lsb)
         return cls(spec, population.transition_matrix(), wafer_id=wafer_id)
-
-    def to_shared(self):
-        """Re-home this wafer's matrix into a shared-memory segment.
-
-        Returns ``(buffer, wafer)`` — see
-        :func:`repro.production.pool.share_wafer`.  Every multi-worker
-        dispatch that slices the returned wafer then ships a zero-copy
-        descriptor instead of pickling matrix rows; the caller owns the
-        buffer and must close it after the last such dispatch.
-        """
-        from repro.production.pool import share_wafer
-
-        return share_wafer(self)
 
     # ------------------------------------------------------------------ #
     # Device access (scalar interoperability)

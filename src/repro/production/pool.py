@@ -19,22 +19,19 @@ pool spawn and the per-task pickling dominate the actual screening work
 
 :class:`SharedWaferBuffer`
     A wafer-sized ``multiprocessing.shared_memory`` segment.  The parent
-    materialises (or draws) the transition matrix directly into the
-    segment; workers attach the same pages read-only and slice their
-    shard out with **zero copies and zero pickled arrays** — a task ships
-    a tiny :class:`SliceRef` descriptor instead of matrix rows.
+    copies the transition matrix into the segment once; workers attach
+    the same pages read-only and slice their shard out with **zero
+    copies and zero pickled arrays** — a task ships a tiny
+    :class:`SliceRef` descriptor instead of matrix rows.
 
 :class:`SliceRef`
-    The picklable shard descriptor: either ``("shm", name, offset,
-    shape)`` — attach the named segment and take a view — or ``("draw",
-    spec, seed, bounds)`` — regenerate the rows worker-side with
-    :meth:`~repro.production.lot.Wafer.draw_slice` when the parent never
-    materialised the wafer at all.
+    The picklable shard descriptor ``(name, offset, shape, dtype)``:
+    attach the named segment and take a view.
 
 Determinism is untouched by any of this: a :class:`SliceRef` resolves to
 the *bit-identical* rows the old pickle path shipped, worker processes
-hold no RNG state between tasks (every shard still carries its own
-spawn-key seed), and which worker executes which shard remains
+hold no RNG state between tasks (every shard ships the run's seed and
+its first device), and which worker executes which shard remains
 irrelevant.  The pool is a scheduling optimisation, not a semantics
 change — the invariance grids in ``tests/production`` and
 ``tests/campaign`` prove it.
@@ -59,6 +56,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +76,7 @@ __all__ = [
     "as_slice_ref",
     "close_default_pool",
     "current_pool",
+    "dispatch_pool",
     "get_default_pool",
     "shared_pool",
     "share_wafer",
@@ -129,7 +128,7 @@ def _multiprocessing_context():
 #: :func:`as_slice_ref` consults it to recognise array views that are
 #: backed by a registered segment.  Guarded by :data:`_SEGMENTS_LOCK`:
 #: interleaved campaign scenario threads register segments (auto-staging
-#: in ``ShardExecutor.execute``) and unregister them (``_cleanup``, also
+#: in ``ShardExecutor.run``) and unregister them (``_cleanup``, also
 #: reachable from GC finalizers) while other threads iterate in
 #: :func:`as_slice_ref`.
 _SEGMENTS: Dict[str, np.ndarray] = {}
@@ -200,87 +199,28 @@ def sweep_stale_segments(shm_dir: str = "/dev/shm") -> List[str]:
     return removed
 
 
+@dataclass(frozen=True)
 class SliceRef:
-    """Picklable descriptor of a contiguous device-row slice.
+    """Picklable descriptor of a contiguous row slice of a shared segment.
 
-    Two kinds:
-
-    ``"shm"``
-        Rows live in a named shared-memory segment; :meth:`resolve`
-        attaches the segment (read-only, cached per process) and returns
-        a zero-copy view.
-    ``"draw"``
-        Rows were never materialised by the parent; :meth:`resolve`
-        regenerates them with
-        :meth:`~repro.production.lot.Wafer.draw_slice`, bit-identical to
-        the sharded draw the parent would have produced.
+    ``shape`` rows of ``dtype`` starting ``offset`` bytes into the segment
+    ``name``; :meth:`resolve` attaches the segment (read-only, cached per
+    process) and returns a zero-copy view.
     """
 
-    __slots__ = ("kind", "name", "offset", "shape", "dtype",
-                 "spec", "seed", "lo", "hi", "block_devices")
-
-    def __init__(self, kind: str, *, name: str = "", offset: int = 0,
-                 shape: Tuple[int, ...] = (), dtype: str = "float64",
-                 spec: Any = None, seed: Any = None, lo: int = 0,
-                 hi: int = 0, block_devices: int = 0) -> None:
-        if kind not in ("shm", "draw"):
-            raise ValueError(f"unknown SliceRef kind {kind!r}")
-        self.kind = kind
-        self.name = name
-        self.offset = int(offset)
-        self.shape = tuple(shape)
-        self.dtype = str(dtype)
-        self.spec = spec
-        self.seed = seed
-        self.lo = int(lo)
-        self.hi = int(hi)
-        self.block_devices = int(block_devices)
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-
-    def __repr__(self) -> str:
-        if self.kind == "shm":
-            return (f"SliceRef(shm {self.name!r} offset={self.offset} "
-                    f"shape={self.shape})")
-        return f"SliceRef(draw [{self.lo}, {self.hi}))"
-
-    @property
-    def n_devices(self) -> int:
-        if self.kind == "shm":
-            return self.shape[0] if self.shape else 0
-        return self.hi - self.lo
+    name: str
+    offset: int
+    shape: Tuple[int, ...]
+    dtype: str
 
     def resolve(self) -> np.ndarray:
-        """Materialise the rows this descriptor names (see class doc)."""
-        if self.kind == "shm":
-            return _attach_view(self.name, self.offset, self.shape,
-                                np.dtype(self.dtype))
-        from repro.production.lot import Wafer
-
-        return Wafer.draw_slice(self.spec, self.lo, self.hi, self.seed,
-                                block_devices=self.block_devices)
-
-
-def draw_slice_ref(spec: Any, seed: Any, lo: int, hi: int,
-                   block_devices: int) -> SliceRef:
-    """A ``"draw"`` :class:`SliceRef`: regenerate rows worker-side.
-
-    The fallback transport for wafers the parent never materialised —
-    the descriptor carries only ``(spec, seed, bounds)`` and the worker
-    rebuilds its rows with
-    :meth:`~repro.production.lot.Wafer.draw_slice`.
-    """
-    return SliceRef("draw", spec=spec, seed=seed, lo=lo, hi=hi,
-                    block_devices=block_devices)
+        """The zero-copy view of the rows this descriptor names."""
+        return _attach_view(self.name, self.offset, self.shape,
+                            np.dtype(self.dtype))
 
 
 def as_slice_ref(array: Any) -> Optional[SliceRef]:
-    """The ``"shm"`` descriptor of an array view, if one applies.
+    """The descriptor of an array view, if one applies.
 
     Returns a :class:`SliceRef` when ``array`` is a C-contiguous view
     into a registered :class:`SharedWaferBuffer` segment, else ``None``.
@@ -299,20 +239,17 @@ def as_slice_ref(array: Any) -> Optional[SliceRef]:
         base = segment.__array_interface__["data"][0]
         if array.dtype == segment.dtype and base <= ptr and \
                 ptr + array.nbytes <= base + segment.nbytes:
-            return SliceRef("shm", name=name, offset=ptr - base,
-                            shape=array.shape, dtype=array.dtype.str)
+            return SliceRef(name, ptr - base, array.shape, array.dtype.str)
     return None
 
 
 class SharedWaferBuffer:
     """A transition matrix living in a shared-memory segment.
 
-    Create with :meth:`from_array` (one memcpy of an existing matrix) or
-    :meth:`draw_sharded` (draw the matrix block-by-block *directly into*
-    the segment, bit-identical to
-    :meth:`~repro.production.lot.Wafer.draw_sharded`).  The parent-side
-    :attr:`array` view is registered so :func:`as_slice_ref` recognises
-    any slice of it; workers attach the same pages read-only.
+    Create with :meth:`from_array` (one memcpy of an existing matrix).
+    The parent-side :attr:`array` view is registered so
+    :func:`as_slice_ref` recognises any slice of it; workers attach the
+    same pages read-only.
 
     The creating process owns the segment: :meth:`close` (or the ``with``
     block, or the garbage-collection safety net) unlinks it.  On Linux,
@@ -366,33 +303,8 @@ class SharedWaferBuffer:
         buffer._array[...] = array
         return buffer
 
-    @classmethod
-    def draw_sharded(cls, spec: Any, seed: Any,
-                     block_devices: Optional[int] = None
-                     ) -> "SharedWaferBuffer":
-        """Draw a wafer's matrix block-by-block straight into a segment.
-
-        Bit-identical to
-        ``Wafer.draw_sharded(spec, seed, block_devices).transitions`` —
-        same per-block child seeds — but the full matrix only ever exists
-        in the shared segment: peak private memory is one block.
-        """
-        from repro.production.execution import (
-            DEFAULT_SHARD_DEVICES,
-            iter_slices,
-        )
-        from repro.production.lot import Wafer
-
-        if block_devices is None:
-            block_devices = DEFAULT_SHARD_DEVICES
-        buffer = cls.allocate((spec.n_devices, spec.n_codes - 1))
-        for lo, hi in iter_slices(spec.n_devices, block_devices):
-            buffer._array[lo:hi] = Wafer.draw_slice(
-                spec, lo, hi, seed, block_devices=block_devices)
-        return buffer
-
     # ------------------------------------------------------------------ #
-    # Views and descriptors
+    # Views
     # ------------------------------------------------------------------ #
 
     @property
@@ -405,17 +317,6 @@ class SharedWaferBuffer:
         if self._closed:
             raise ValueError("shared wafer buffer is closed")
         return self._array
-
-    def ref(self, lo: int, hi: int) -> SliceRef:
-        """The :class:`SliceRef` of rows ``lo:hi``."""
-        if self._closed:
-            raise ValueError("shared wafer buffer is closed")
-        if not 0 <= lo <= hi <= self.shape[0]:
-            raise ValueError(f"slice [{lo}, {hi}) is outside the buffer")
-        row_bytes = int(np.prod(self.shape[1:])) * self.dtype.itemsize
-        return SliceRef("shm", name=self.name, offset=lo * row_bytes,
-                        shape=(hi - lo,) + self.shape[1:],
-                        dtype=self.dtype.str)
 
     def wafer(self, spec: Any, wafer_id: str = "W0"):
         """Wrap the segment as a :class:`~repro.production.lot.Wafer`.
@@ -569,16 +470,6 @@ def _attach_view(name: str, offset: int, shape: Tuple[int, ...],
     return view.reshape(shape)
 
 
-def _detach_all() -> None:
-    """Drop every cached attachment (test hook; workers call it on exit)."""
-    while _ATTACHED:
-        _, (keepalive, _flat) = _ATTACHED.popitem(last=False)
-        try:
-            keepalive.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
-
-
 # ---------------------------------------------------------------------- #
 # Worker-side trampoline
 # ---------------------------------------------------------------------- #
@@ -608,9 +499,8 @@ def _pool_task(payload) -> Tuple[bool, Any]:
     """Worker-side trampoline: unpack one shard task and run it.
 
     Module-level so it pickles by reference under every multiprocessing
-    start method.  ``SliceRef`` arguments are resolved here — shared
-    memory attached, or rows regenerated — so the pipe only ever carried
-    descriptors.  Returns ``(warm, result)`` where ``warm`` flags a
+    start method.  ``SliceRef`` arguments are resolved here (the shared
+    segment attached), so the pipe only ever carried descriptors.  Returns ``(warm, result)`` where ``warm`` flags a
     worker that had already executed at least one task (the parent
     counts these as ``pool.tasks_reused_worker``).
 
@@ -805,17 +695,6 @@ class WorkerPool:
             t.count("pool.tasks_dispatched", len(tasks))
         if metas is None:
             metas = [None] * len(tasks)
-
-        if (observer is None and not collect
-                and (progress is None or not progress.active)):
-            # Uninstrumented fast path: ordered map, flags dropped.
-            try:
-                return [result for _warm, result in executor.map(
-                    _pool_task,
-                    [(func, args, False, None) for args in tasks])]
-            except BrokenProcessPool as exc:
-                raise self._mark_broken(exc) from exc
-
         submit_at: List[float] = []
         futures: List[Any] = []
         try:
@@ -970,6 +849,19 @@ def get_default_pool(workers: int) -> WorkerPool:
     if stale is not None:
         stale.close()
     return pool
+
+
+def dispatch_pool(workers: int) -> WorkerPool:
+    """The pool a ``workers``-wide dispatch runs on.
+
+    The innermost open :func:`shared_pool` pool if there is one (a
+    running campaign or ``with`` block), else the default pool grown to
+    ``workers`` — both left open for the next dispatch.
+    """
+    ambient = current_pool()
+    if ambient is not None and not ambient.closed:
+        return ambient
+    return get_default_pool(workers)
 
 
 def close_default_pool() -> None:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.campaign import Campaign, Scenario
 from repro.production import ExecutionPlan
-from repro.production.pool import close_default_pool
+from repro.production.pool import close_default_pool, shared_pool
 from repro.telemetry import Telemetry, metrics_document, telemetry_session
 
 #: (workers, chunk_size) geometries the campaign grid sweeps against the
@@ -74,11 +74,10 @@ class TestInterleavedCampaignInvariance:
 
     def test_cold_pool_matches_interleaved(self):
         scenarios = _scenarios()
-        warm = _digest(Campaign(scenarios, seed=7).run(
-            plan=ExecutionPlan(workers=2, shard_devices=64)))
-        cold = _digest(Campaign(scenarios, seed=7).run(
-            plan=ExecutionPlan(workers=2, shard_devices=64,
-                               reuse_pool=False)))
+        plan = ExecutionPlan(workers=2, shard_devices=64)
+        warm = _digest(Campaign(scenarios, seed=7).run(plan=plan))
+        with shared_pool(workers=2):
+            cold = _digest(Campaign(scenarios, seed=7).run(plan=plan))
         assert warm == cold
 
     def test_chip_aligned_scenarios(self):

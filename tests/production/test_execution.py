@@ -6,8 +6,7 @@ batch engine is bit-identical to the serial (``workers=1``) run and to
 the planless run — including the noisy stream paths and the
 multi-converter chip modes, because every device draws its own keyed
 noise.  Plus the plumbing around it: plan validation, shard bounds,
-sliced wafer draws, plan-threaded screening lines and the shard-merge of
-the result store.
+plan-threaded screening lines and the shard-merge of the result store.
 """
 
 import dataclasses
@@ -224,36 +223,6 @@ class TestPlanMatchesSingleShot:
                               wafer.spec.full_scale, wafer.spec.sample_rate)
         assert isinstance(result, BatchBistResult)
         assert result.n_devices == 90
-
-
-class TestWaferSliceDraw:
-    @pytest.mark.parametrize("architecture", ["flash", "sar", "pipeline"])
-    def test_slice_matches_sharded_draw(self, architecture):
-        spec = WaferSpec(n_devices=100, architecture=architecture)
-        full = Wafer.draw_sharded(spec, seed=9, block_devices=32)
-        for lo, hi in [(0, 100), (10, 20), (30, 34), (31, 33), (90, 100)]:
-            np.testing.assert_array_equal(
-                full.transitions[lo:hi],
-                Wafer.draw_slice(spec, lo, hi, seed=9, block_devices=32))
-
-    def test_empty_slice(self):
-        spec = WaferSpec(n_devices=10)
-        assert Wafer.draw_slice(spec, 4, 4, seed=0).shape == (0, 63)
-
-    def test_invalid_arguments(self):
-        spec = WaferSpec(n_devices=10)
-        with pytest.raises(ValueError):
-            Wafer.draw_slice(spec, 0, 11, seed=0)
-        with pytest.raises(ValueError):
-            Wafer.draw_slice(spec, 0, 5, seed=None)
-        with pytest.raises(ValueError):
-            Wafer.draw_slice(spec, 0, 5, seed=0, block_devices=0)
-
-    def test_sharded_draw_is_reproducible(self):
-        spec = WaferSpec(n_devices=50)
-        a = Wafer.draw_sharded(spec, seed=4, block_devices=16)
-        b = Wafer.draw_sharded(spec, seed=4, block_devices=16)
-        np.testing.assert_array_equal(a.transitions, b.transitions)
 
 
 class TestScreeningLinePlan:

@@ -1,13 +1,15 @@
-"""The executor's ambient per-thread seams: abort and shard journaling.
+"""The executor's ambient per-thread seams: abort, journal and SPC.
 
 :func:`~repro.production.execution.abort_scope` /
 :func:`~repro.production.execution.check_abort` are the cooperative
 cancellation a campaign uses to stop sibling scenario threads promptly;
 :func:`~repro.production.execution.journal_scope` is the
-checkpoint/resume seam of the streaming service.  Both are strictly
-opt-in: with neither installed, :meth:`ShardExecutor.map` must behave
-exactly as before (the byte-identity suites in ``test_execution.py`` and
-``test_pool.py`` pin that side).
+checkpoint/resume seam of the streaming service;
+:func:`~repro.production.execution.spc_scope` feeds an adaptive flow's
+SPC monitor.  All are strictly opt-in: with none installed,
+:meth:`ShardExecutor.map` must behave exactly as before (the
+byte-identity suites in ``test_execution.py`` and ``test_pool.py`` pin
+that side).
 """
 
 import threading
@@ -22,8 +24,19 @@ from repro.production.execution import (
     check_abort,
     current_abort,
     current_journal,
+    current_monitor,
     journal_scope,
+    spc_scope,
 )
+from repro.production.pool import close_default_pool
+from repro.telemetry import Telemetry, telemetry_session
+
+#: Every seam as its (scope, reader) pair.
+SEAMS = {
+    "abort": (abort_scope, current_abort),
+    "journal": (journal_scope, current_journal),
+    "spc": (spc_scope, current_monitor),
+}
 
 
 class _MemoryJournal:
@@ -56,32 +69,39 @@ def _double(value):
     return value * 2
 
 
-class TestAbortScope:
-    def test_default_is_no_abort(self):
-        assert current_abort() is None
-        check_abort()  # no-op without an installed event
+@pytest.mark.parametrize("seam", sorted(SEAMS))
+class TestSeamScopes:
+    def test_default_is_none(self, seam):
+        _scope, current = SEAMS[seam]
+        assert current() is None
 
-    def test_none_event_is_noop(self):
-        with abort_scope(None):
-            assert current_abort() is None
+    def test_none_is_noop(self, seam):
+        scope, current = SEAMS[seam]
+        with scope(None):
+            assert current() is None
 
-    def test_nesting_and_thread_locality(self):
+    def test_nesting_and_thread_locality(self, seam):
+        scope, current = SEAMS[seam]
         outer, inner = threading.Event(), threading.Event()
-        with abort_scope(outer):
-            assert current_abort() is outer
-            with abort_scope(inner):
-                assert current_abort() is inner
-            assert current_abort() is outer
-        assert current_abort() is None
+        with scope(outer):
+            assert current() is outer
+            with scope(inner):
+                assert current() is inner
+            with scope(None):
+                assert current() is outer
+            assert current() is outer
+        assert current() is None
         seen = []
-        with abort_scope(outer):
-            thread = threading.Thread(
-                target=lambda: seen.append(current_abort()))
+        with scope(outer):
+            thread = threading.Thread(target=lambda: seen.append(current()))
             thread.start()
             thread.join()
-        assert seen == [None]  # another thread never sees our event
+        assert seen == [None]  # another thread never sees our seam
 
+
+class TestAbortScope:
     def test_check_abort_raises_when_set(self):
+        check_abort()  # no-op without an installed event
         event = threading.Event()
         with abort_scope(event):
             check_abort()
@@ -116,9 +136,6 @@ class TestAbortScope:
 
 
 class TestJournalScope:
-    def test_default_is_no_journal(self):
-        assert current_journal() is None
-
     def test_records_then_replays(self):
         executor = ShardExecutor(ExecutionPlan(workers=1))
         journal = _MemoryJournal()
@@ -159,6 +176,29 @@ class TestJournalScope:
         assert calls == [1, 2]  # only the lost shards recomputed
         assert resumed.recorded == [(0, 1), (0, 2)]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partial_replay_spans_carry_absolute_shard_indices(self,
+                                                                workers):
+        executor = ShardExecutor(ExecutionPlan(workers=workers))
+        journal = _MemoryJournal()
+        with journal_scope(journal):
+            executor.map(_double, [(i,) for i in range(4)])
+        del journal.results[(0, 1)]
+        del journal.results[(0, 2)]
+        resumed = _MemoryJournal(preloaded=journal.results)
+        try:
+            with telemetry_session(Telemetry()) as telemetry, \
+                    journal_scope(resumed):
+                results = executor.map(_double, [(i,) for i in range(4)],
+                                       task_sizes=[5, 6, 7, 8])
+        finally:
+            close_default_pool()
+        assert results == [0, 2, 4, 6]
+        spans = [span.attrs for span in telemetry.spans
+                 if span.name == "executor.shard"]
+        assert sorted((a["shard"], a["devices"]) for a in spans) == [
+            (1, 6), (2, 7)]
+
     def test_run_counter_distinguishes_successive_runs(self):
         executor = ShardExecutor(ExecutionPlan(workers=1))
         journal = _MemoryJournal()
@@ -179,12 +219,3 @@ class TestJournalScope:
             assert executor.map(tracked, [(10,)]) == [20]
         assert calls == []  # both runs replayed under their old indices
 
-    def test_journal_is_thread_local(self):
-        journal = _MemoryJournal()
-        seen = []
-        with journal_scope(journal):
-            thread = threading.Thread(
-                target=lambda: seen.append(current_journal()))
-            thread.start()
-            thread.join()
-        assert seen == [None]

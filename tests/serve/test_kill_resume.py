@@ -86,6 +86,7 @@ class TestKillAndResume:
             # orphaned workers left behind either.
             os.killpg(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
+            victim.stdin.close()
 
         # The journal survived the SIGKILL with all three requests.
         assert ckpt.exists()
