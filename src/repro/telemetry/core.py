@@ -181,7 +181,9 @@ class _NullContext:
     binds no method objects for them; that binding was about a quarter
     of a disabled touchpoint's cost.  They ignore their arguments, so
     callers that pass the instance explicitly, such as
-    :class:`contextlib.ExitStack`, work too.
+    :class:`contextlib.ExitStack`, work too.  The arguments are optional
+    parameters rather than ``*args``, so a call builds no tuple (about
+    an eighth of a disabled touchpoint).
     """
 
     __slots__ = ()
@@ -190,11 +192,12 @@ class _NullContext:
     attrs: Dict[str, Any] = {}
 
     @staticmethod
-    def __enter__(*_: Any) -> "_NullContext":
+    def __enter__(_self: Any = None) -> "_NullContext":
         return _NULL_CONTEXT
 
     @staticmethod
-    def __exit__(*_: Any) -> None:
+    def __exit__(_first: Any = None, _second: Any = None,
+                 _third: Any = None, _fourth: Any = None) -> None:
         return None
 
     def set(self, **attrs: Any) -> None:

@@ -21,7 +21,8 @@ from repro.campaign import (
 from repro.campaign import driver as driver_module
 from repro.production import ExecutionPlan, PoolBrokenError
 from repro.production.execution import ExecutionAborted, current_abort
-from repro.production.pool import close_default_pool
+from repro.production.pool import (close_default_pool, current_pool,
+                                   get_default_pool, shared_pool)
 
 
 @pytest.fixture(autouse=True)
@@ -222,3 +223,20 @@ class TestPoolRetry:
         submitter = ScenarioSubmitter(ExecutionPlan(workers=1))
         with pytest.raises(RuntimeError, match="outside the context"):
             submitter.submit("lbl", 3, line=None, lot=None)
+
+
+class TestPoolChoice:
+    def test_borrows_the_innermost_shared_pool(self):
+        plan = ExecutionPlan(workers=2)
+        with shared_pool(workers=2) as pool:
+            with ScenarioSubmitter(plan):
+                assert current_pool() is pool
+                assert len(pool.worker_pids()) == 2  # warmed on entry
+            assert current_pool() is pool and not pool.closed
+
+    def test_falls_back_to_the_default_pool(self):
+        with ScenarioSubmitter(ExecutionPlan(workers=2)):
+            assert current_pool() is get_default_pool(2)
+        assert current_pool() is None
+        with ScenarioSubmitter(ExecutionPlan(workers=1)):
+            assert current_pool() is None  # serial: no pool at all

@@ -98,6 +98,16 @@ class TestSeamScopes:
             thread.join()
         assert seen == [None]  # another thread never sees our seam
 
+    def test_restored_when_the_block_raises(self, seam):
+        scope, current = SEAMS[seam]
+        outer, inner = threading.Event(), threading.Event()
+        with scope(outer):
+            with pytest.raises(RuntimeError):
+                with scope(inner):
+                    raise RuntimeError("shard failed")
+            assert current() is outer
+        assert current() is None
+
 
 class TestAbortScope:
     def test_check_abort_raises_when_set(self):

@@ -36,7 +36,7 @@ from repro.production import (
     share_wafer,
     shared_pool,
 )
-from repro.production.pool import _SEGMENTS
+from repro.production.pool import _SEGMENTS, dispatch_pool
 
 
 def _bist_config(noise: float = 0.05) -> BistConfig:
@@ -175,6 +175,22 @@ class TestWorkerPool:
         assert large is not small and small.closed
         assert get_default_pool(1) is large
         assert large.workers == 2
+
+    def test_dispatch_pool_is_the_innermost_shared_pool(self):
+        with shared_pool(workers=1) as outer:
+            assert dispatch_pool(2) is outer
+            with shared_pool(workers=1) as inner:
+                assert dispatch_pool(2) is inner
+            assert dispatch_pool(2) is outer
+        default = dispatch_pool(2)
+        assert default is get_default_pool(2)
+        assert default.workers == 2 and not default.closed
+
+    def test_dispatch_pool_skips_a_closed_shared_pool(self):
+        pool = WorkerPool(1)
+        with shared_pool(pool=pool):
+            pool.close()
+            assert dispatch_pool(1) is get_default_pool(1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["qmin"])
 
+    @pytest.mark.parametrize("flag", ["--pool-reuse", "--no-pool-reuse"])
+    def test_no_pool_reuse_switch(self, flag):
+        # A multi-worker run always dispatches on a persistent pool.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", flag])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_bist_pass(self, capsys):
