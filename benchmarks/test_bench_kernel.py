@@ -14,6 +14,14 @@ Two scalars back the kernel's acceptance claims, recorded into the
     Bytes of an 8-bit code matrix stored as int64 over the kernel's
     compact code matrix (int16), measured off the actual kernel output.
     Claim: >= 2x (the int16 compaction gives 4x).
+``kernel.pipeline_search_speedup``
+    A 256-die 6-bit pipeline draw
+    (:meth:`repro.adc.PipelineStageBackend.draw_transitions`, whose
+    breakpoint search is :func:`repro.adc.pipeline.search_transitions`)
+    against the same parameter draw read off the dense sweep
+    (:func:`repro.adc.pipeline.dense_transitions`), bit-identical outputs
+    asserted.  ``kernel.pipeline_draw_s`` is the draw a ``repro serve``
+    pipeline lot waits for.
 
 Wall-clock thresholds stay out of the gating tier-1 run for the usual
 reason: shared CI runners make timing assertions hostage to co-tenant
@@ -24,6 +32,8 @@ import time
 
 import numpy as np
 
+from repro.adc import PipelineStageBackend, backends
+from repro.adc.pipeline import dense_transitions
 from repro.core.kernel import batch_quantise_shared, shared_crossing_indices
 from repro.reporting import format_table
 
@@ -86,3 +96,29 @@ def test_compaction_memory_ratio(bench, report):
                 ["kernel", str(narrow.dtype), str(narrow.nbytes),
                  f"{ratio:.2f}"]],
                title="2000 devices x (4081 samples as codes)"))
+
+
+def test_pipeline_draw(bench, report, monkeypatch):
+    backend = PipelineStageBackend(6)
+    n_devices = 256
+
+    def draw():
+        return backend.draw_transitions(n_devices, rng=29)
+
+    searched = draw()
+    t_search = _best_of(draw)
+    # The same parameter draw, read off the dense sweep.
+    monkeypatch.setattr(backends, "search_transitions", dense_transitions)
+    np.testing.assert_array_equal(draw(), searched)
+    t_dense = _best_of(draw, repeats=3)  # ~0.1 s per call
+    speedup = t_dense / t_search
+    bench("kernel.pipeline_draw_s", t_search)
+    bench("kernel.pipeline_dense_s", t_dense)
+    bench("kernel.pipeline_search_speedup", speedup)
+    report("kernel: pipeline lot draw",
+           format_table(
+               ["variant", "seconds", "speedup"],
+               [["dense sweep (reference)", f"{t_dense:.4f}", "1.00"],
+                ["breakpoint search", f"{t_search:.4f}",
+                 f"{speedup:.2f}"]],
+               title=f"{n_devices} dies x 6 bits, 64 sweep points per LSB"))

@@ -17,7 +17,9 @@ The signal chain is written once, over a device axis, and read two ways:
 :func:`dense_transitions` digitises a fine input sweep (the reference, and
 the scalar model's extraction), and :func:`search_transitions` finds the
 same transitions by searching for each die's decision breakpoints on that
-sweep (the production backend's draw).
+sweep (the production backend's draw).  The search holds each stage as one
+table of dies by branches of stage decisions, so its memory is O(dies x
+branch columns) rather than O(dies x sweep points).
 """
 
 from __future__ import annotations
@@ -132,14 +134,15 @@ def _decide(residue, low, high):
     return np.where(residue < low, -1, np.where(residue >= high, 1, 0))
 
 
-def _amplify(residue, decision, gain):
+def _amplify(residue, decision, gain, out=None):
     """The residue passed on: ``gain * (residue - d/2)``.
 
     Normalised so that an ideal gain of 2 maps the selected third back onto
     the full range.  A real stage may overrange slightly; the final flash
-    clips it.
+    clips it.  ``out`` may be ``residue``, to amplify it in place.
     """
-    return gain * (residue - decision * 0.5)
+    return np.multiply(gain, np.subtract(residue, decision * 0.5, out=out),
+                       out=out)
 
 
 def _stage_weight(n_bits: int, stage: int) -> float:
@@ -202,38 +205,48 @@ def dense_transitions(gains: np.ndarray, low: np.ndarray, high: np.ndarray,
     return v[np.minimum(idx, x.size - 1)]
 
 
-def _first_reaching(rank, lo: np.ndarray, hi: np.ndarray,
-                    guess: np.ndarray) -> np.ndarray:
-    """Cut ``j`` of each segment ``[lo, hi)``: the first index whose rank
-    reaches ``j + 1``, or ``hi`` if none does.
+def _reaches(residue, gains, decisions, final, level, falling):
+    """Whether the stage's count along the sweep reaches a level.
 
-    ``rank(seg, index)`` must never fall along a segment.  Each guess is
-    confirmed by the ranks at its index and at the one before it; a
-    vectorised bisection settles the misses.
+    ``residue`` holds the sweep inputs ``x`` at the evaluated indices and
+    is overwritten.  ``gains`` and ``decisions`` hold each earlier stage's
+    gain and the branch's decision, ``level`` the residue (``r + 1`` for
+    the ``final`` flash) where the value steps to the level, and
+    ``falling`` the dies whose residues fall along the sweep.  Everything
+    broadcasts against ``residue``.
+
+    The residue is the exact chain of :func:`dense_transitions`.  Its
+    stage value is read by comparison, and the comparison is exact: a
+    decision is ``[r >= low] + [r >= max(low, high)] - 1`` (what
+    :func:`_decide` gives, whichever threshold is larger), and the flash,
+    ``floor((r + 1) * 2)``, reaches ``k`` where ``r + 1 >= k / 2``
+    (doubling is exact).  Counted along the sweep, the value reaches the
+    level where the residue is at or above ``level`` on a rising die, and
+    below it on a falling one.
     """
-    first, last = lo[:, None], hi[:, None]
-    n_cuts = guess.shape[1]
-    level = np.arange(1, n_cuts + 1)
-    guess = np.where(np.isfinite(guess), guess, first)
-    cut = np.ceil(np.clip(guess, first, last)).astype(np.int64)
-    ranks = rank(slice(None), np.concatenate(
-        [np.minimum(cut, last - 1), np.maximum(cut - 1, first)], axis=1))
-    late = (cut < last) & (ranks[:, :n_cuts] < level)
-    early = (cut > first) & (ranks[:, n_cuts:] >= level)
-    seg, j = np.nonzero(early | late)
-    # Bisect [start, stop]; stop reaches the level or is the segment end.
-    start = np.where(late[seg, j], cut[seg, j] + 1, lo[seg])
-    stop = np.where(early[seg, j], cut[seg, j] - 1, hi[seg])
+    for gain, decision in zip(gains, decisions):
+        _amplify(residue, decision, gain, out=residue)
+    if final:
+        residue += 1.0
+    return (residue >= level) != falling
+
+
+def _bisect(reaches, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The first index in ``[start, stop]`` of each miss that reaches its
+    level, or ``stop``.
+
+    ``reaches(miss, index)`` tells whether misses ``miss`` reach their
+    level at ``index``; it never turns false further along the sweep, and
+    ``stop`` reaches the level or ends the segment.
+    """
     while True:
         open_ = np.flatnonzero(start < stop)
         if not open_.size:
-            break
+            return start
         mid = (start[open_] + stop[open_]) // 2
-        reach = rank(seg[open_], mid[:, None])[:, 0] > j[open_]
+        reach = reaches(open_, mid)
         stop[open_] = np.where(reach, mid, stop[open_])
         start[open_] = np.where(reach, start[open_], mid + 1)
-    cut[seg, j] = start
-    return cut
 
 
 def search_transitions(gains: np.ndarray, low: np.ndarray,
@@ -245,16 +258,25 @@ def search_transitions(gains: np.ndarray, low: np.ndarray,
     Along one branch of stage decisions every residue is a monotone float
     function of the sweep index: ``x`` never decreases, and subtracting a
     constant or multiplying by a gain is monotone in IEEE arithmetic
-    (falling once the branch's gains multiply to a negative sign, constant
+    (falling once the die's gains multiply to a negative sign, constant
     after a zero gain).  So along a branch each stage decision, and the
-    final flash, steps one way only, each step at one index.  Starting
-    from one segment per die (the whole sweep), each stage splits every
-    segment where its decision changes; the index is guessed from the
-    branch's affine model of the residue and confirmed on the exact chain
-    (:func:`_first_reaching`).  Each leaf holds one output code; the first
-    leaf where a die's running maximum reaches a code gives its
-    transition.  Memory is O(segments), about two per code, instead of
-    ``(n_devices, codes * 64)``.
+    final flash, steps one way only, each step at one index, and a die
+    follows each branch over one segment of the sweep at most.
+
+    Each stage is a table of dies by branches: a column is one prefix of
+    stage decisions, shared by every die of the call, and holds each die's
+    segment on that branch (empty where the die never takes it).  The
+    stage cuts every segment where its value steps: each cut is guessed
+    from the branch's affine model of the die's residue, confirmed on the
+    exact chain at the cut and at the index before it (:func:`_reaches`),
+    and bisected on a miss.  The children that are non-empty on some die
+    are the next stage's columns.  After the final flash each leaf column
+    holds one output code on every die, so transition ``c`` starts at the
+    earliest non-empty leaf whose code is at least ``c``.  Memory is
+    O(dies x branch columns) instead of ``(n_devices, codes * 64)``: at the
+    production backend's default mismatch the final flash's table has 228
+    leaf columns at 6 bits (1,024 dies) and about 4,700 at 10 bits (64
+    dies).
     """
     n_devices, n_stages = gains.shape
     n_bits = n_stages + 2
@@ -262,81 +284,101 @@ def search_transitions(gains: np.ndarray, low: np.ndarray,
     v, x = _sweep_grid(n_bits, full_scale)
     n_points = x.size
 
-    # One row per segment [lo, hi) of a die's sweep, in sweep order, with
-    # the decisions of its branch so far.
-    die = np.arange(n_devices)
-    lo = np.zeros(n_devices, dtype=np.int64)
-    hi = np.full(n_devices, n_points, dtype=np.int64)
-    decisions = np.zeros((n_devices, n_stages), dtype=np.int8)
-    acc = np.zeros(n_devices)
-    # The branch's residue is about slope * x + offset; rising marks the
-    # branches whose residue does not fall along the sweep.
+    # Per branch column: its decisions (one row per stage) and their
+    # weighted sum.  Per die and column: the segment [lo, hi) and the
+    # offset of the residue, about slope * x + offset there.  Per die: the
+    # slope, the product of its gains so far, and whether its residues
+    # rise along the sweep.
+    decisions = np.zeros((0, 1), dtype=np.int8)
+    acc = np.zeros(1)
+    lo = np.zeros((n_devices, 1), dtype=np.int64)
+    hi = np.full((n_devices, 1), n_points, dtype=np.int64)
+    offset = np.zeros((n_devices, 1))
     slope = np.ones(n_devices)
-    offset = np.zeros(n_devices)
     rising = np.ones(n_devices, dtype=bool)
 
     for stage in range(n_stages + 1):
         final = stage == n_stages
-        n_values = 4 if final else 3
-
-        def rank(seg, index):
-            """The stage's value at sweep indices ``index[i]`` of segment
-            ``seg[i]``, counted 0 .. n_values - 1 along the sweep."""
-            owner = die[seg]
-            residue = x[index]
-            for k in range(stage):
-                residue = _amplify(residue, decisions[seg, k, None],
-                                   gains[owner, k, None])
-            if final:
-                value = _flash(residue)
-            else:
-                value = _decide(residue, low[owner, stage, None],
-                                high[owner, stage, None]) + 1
-            return np.where(rising[seg, None], value, n_values - 1 - value)
-
-        # The residues where the value steps, in sweep order.
+        falling = ~rising[:, None]
+        # The levels where the stage value steps, in sweep order: a
+        # decision's thresholds, or the 0.5, 1 and 1.5 of r + 1 where the
+        # flash floor((r + 1) * 2) steps (then modelled as r + 1).
         if final:
-            steps = np.array([[-0.5, 0.0, 0.5]])  # floor((r + 1) * 2)
+            levels = np.array([[0.5], [1.0], [1.5]])
+            offset = offset + 1.0
         else:
-            steps = np.stack([low[die, stage], np.maximum(low[die, stage],
-                                                          high[die, stage])],
-                             axis=1)
-        steps = np.where(rising[:, None], steps, steps[:, ::-1])
+            levels = np.stack(
+                [low[:, stage], np.maximum(low[:, stage], high[:, stage])])
+        levels = np.where(rising, levels, levels[::-1])
+        n_cuts = len(levels)
+
+        # Guess cut j of every segment where the affine model crosses level
+        # j, as a table (n_cuts, dies, columns); fmax sends the NaN of a zero
+        # slope to lo.
         with np.errstate(divide="ignore", invalid="ignore"):
-            guess = ((steps - offset[:, None]) / slope[:, None] + 1.0) \
-                * (n_points / 2)
-        cut = _first_reaching(rank, lo, hi, guess)
+            guess = levels[..., None] - offset
+            guess /= slope[:, None]
+        guess += 1.0
+        guess *= n_points / 2
+        np.fmax(guess, lo, out=guess)
+        np.minimum(guess, hi, out=guess)
+        cut = np.ceil(guess, out=guess).astype(np.int64)
 
-        # Split every segment into n_values children in sweep order and
-        # keep the non-empty ones.
-        bounds = np.concatenate([lo[:, None], cut, hi[:, None]], axis=1)
-        child_lo, child_hi = bounds[:, :-1].ravel(), bounds[:, 1:].ravel()
-        keep = np.flatnonzero(child_lo < child_hi)
-        parent = keep // n_values
-        value = keep % n_values
-        value = np.where(rising[parent], value, n_values - 1 - value)
-        die, lo, hi = die[parent], child_lo[keep], child_hi[keep]
+        # Confirm cut j by the count at it (reaches level j + 1) and at the
+        # index before it (does not).  An empty segment reads a clipped
+        # index and its answers are ignored.
+        index = np.concatenate([np.minimum(cut, hi - 1),
+                                np.maximum(cut - 1, lo)])
+        reach = _reaches(x.take(index, mode="clip"),
+                         gains.T[:stage, :, None], decisions, final,
+                         np.concatenate([levels, levels])[..., None],
+                         falling)
+        miss = np.nonzero(((cut < hi) & ~reach[:n_cuts])
+                          | ((cut > lo) & reach[n_cuts:]))
+        if miss[0].size:
+            j, die, col = miss
+
+            def reaches(m, index):
+                d, c = die[m], col[m]
+                return _reaches(x[index], gains.T[:stage, d],
+                                decisions[:, c], final, levels[j[m], d],
+                                falling[d, 0])
+
+            # A miss is late where its cut's count falls short, else early.
+            late = ~reach[miss]
+            cut[miss] = _bisect(
+                reaches, np.where(late, cut[miss] + 1, lo[die, col]),
+                np.where(late, hi[die, col], cut[miss] - 1))
+
+        # The children of every column in value order: value v runs from
+        # bound v to bound v + 1, counted from the top on falling dies.
+        bounds = np.concatenate([lo[None], cut, hi[None]])
+        starts = np.where(falling, bounds[-2::-1], bounds[:-1])
+        stops = np.where(falling, bounds[:0:-1], bounds[1:])
         if final:
-            codes = _output_code(acc[parent], value, n_bits)
             break
+        value, col = np.nonzero((starts < stops).any(axis=1))
+        lo = np.ascontiguousarray(starts[value, :, col].T)
+        hi = np.ascontiguousarray(stops[value, :, col].T)
         d = value - 1
-        gain = gains[die, stage]
-        decisions = decisions[parent]
-        decisions[:, stage] = d
-        acc = acc[parent] + d * _stage_weight(n_bits, stage)
-        slope = gain * slope[parent]
-        offset = _amplify(offset[parent], d, gain)
-        rising = rising[parent] != (gain < 0)
+        gain = gains[:, stage]
+        decisions = np.vstack([decisions[:, col], d.astype(np.int8)])
+        acc = acc[col] + d * _stage_weight(n_bits, stage)
+        offset = _amplify(offset[:, col], d, gain[:, None])
+        slope = gain * slope
+        rising = rising != (gain < 0)
 
-    # A die's running-maximum code first reaches c at the start of the
-    # first leaf whose running maximum does; dies are offset by n_codes so
-    # one accumulation and one search serve the whole batch.
-    reach = np.maximum.accumulate(codes + die * n_codes)
-    wanted = (np.arange(n_devices)[:, None] * n_codes
-              + np.arange(1, n_codes)).ravel()
-    pos = np.searchsorted(reach, wanted)
-    # A code the die never reaches finds the next die's leaf or the end.
-    owned = (np.append(die, n_devices)[pos]
-             == np.repeat(np.arange(n_devices), n_codes - 1))
-    idx = np.where(owned, np.append(lo, n_points)[pos], n_points)
-    return v[np.minimum(idx, n_points - 1)].reshape(n_devices, n_codes - 1)
+    # Every leaf holds one output code on all dies, and a die's running
+    # maximum first reaches code c at the earliest start of a non-empty
+    # leaf whose code is at least c: the earliest start per code, then a
+    # minimum over the codes from c up.
+    codes = _output_code(acc, np.arange(4)[:, None], n_bits).ravel()
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    heads = np.flatnonzero(np.diff(codes, prepend=-1))
+    value, col = np.divmod(order, acc.size)
+    np.copyto(starts, n_points, where=starts >= stops)
+    earliest = np.full((n_codes, n_devices), n_points)
+    earliest[codes[heads]] = np.minimum.reduceat(starts[value, :, col], heads)
+    reach = np.minimum.accumulate(earliest[::-1])[-2::-1]
+    return v.take(np.minimum(reach, n_points - 1).T)

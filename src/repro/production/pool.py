@@ -257,49 +257,35 @@ class SharedWaferBuffer:
     valid until they drop them.
     """
 
-    def __init__(self, shm, shape: Tuple[int, ...],
-                 dtype: np.dtype, owner: bool) -> None:
+    def __init__(self, shm, shape: Tuple[int, ...], dtype: np.dtype) -> None:
         self._shm = shm
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
-        self.owner = bool(owner)
         self._closed = False
         self._array = np.ndarray(self.shape, dtype=self.dtype,
                                  buffer=shm.buf)
         with _SEGMENTS_LOCK:
             _SEGMENTS[self.name] = self._array
         self._finalizer = weakref.finalize(
-            self, SharedWaferBuffer._cleanup, shm, self.name, self.owner)
-
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
+            self, SharedWaferBuffer._cleanup, shm, self.name)
 
     @classmethod
-    def allocate(cls, shape: Tuple[int, ...],
-                 dtype: Any = np.float64) -> "SharedWaferBuffer":
-        """An owned, zero-initialised segment of the given geometry."""
+    def from_array(cls, array: np.ndarray) -> "SharedWaferBuffer":
+        """Copy an existing matrix into a new owned segment (one memcpy)."""
         from multiprocessing import shared_memory
 
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        if nbytes <= 0:
+        array = np.asarray(array)
+        if array.nbytes <= 0:
             raise ValueError("cannot allocate an empty shared buffer")
         while True:
             name = _next_segment_name()
             try:
                 shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=nbytes)
+                    name=name, create=True, size=array.nbytes)
                 break
             except FileExistsError:  # pragma: no cover - pid+token clash
                 continue
-        return cls(shm, shape, dtype, owner=True)
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "SharedWaferBuffer":
-        """Copy an existing matrix into a new owned segment (one memcpy)."""
-        array = np.asarray(array)
-        buffer = cls.allocate(array.shape, array.dtype)
+        buffer = cls(shm, array.shape, array.dtype)
         buffer._array[...] = array
         return buffer
 
@@ -333,21 +319,20 @@ class SharedWaferBuffer:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _cleanup(shm, name: str, owner: bool) -> None:
+    def _cleanup(shm, name: str) -> None:
         with _SEGMENTS_LOCK:
             _SEGMENTS.pop(name, None)
         try:
             shm.close()
         except (BufferError, OSError):  # pragma: no cover - live views
             pass
-        if owner:
-            try:
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
+        try:
+            shm.unlink()
+        except (FileNotFoundError, OSError):  # pragma: no cover
+            pass
 
     def close(self) -> None:
-        """Drop the mapping; unlink the segment if this process owns it.
+        """Drop the mapping and unlink the segment.
 
         Idempotent.  Emits a ``pool.shm_detach`` span when telemetry is
         enabled, the bookend of the workers' ``pool.shm_attach`` spans.
@@ -365,8 +350,7 @@ class SharedWaferBuffer:
         self._array = None
         t = current_telemetry()
         if t.enabled:
-            with t.span("pool.shm_detach", segment=name, nbytes=nbytes,
-                        owner=self.owner):
+            with t.span("pool.shm_detach", segment=name, nbytes=nbytes):
                 self._finalizer()
         else:
             self._finalizer()

@@ -13,6 +13,9 @@ from repro.adc import (
 )
 from repro.adc.pipeline import (
     PipelineADC,
+    _amplify,
+    _decide,
+    _sweep_grid,
     dense_transitions,
     search_transitions,
 )
@@ -62,6 +65,17 @@ class TestBackendScalarAgreement:
             row, scalar.transfer_function().transitions)
 
 
+def _nominal_dies(rng, n_bits, n_devices):
+    """The backend's default mismatch: gains 2(1 + N(0, 0.03)), thresholds
+    -1/4 and +1/4 plus N(0, 0.5 LSB)."""
+    shape = (n_devices, n_bits - 2)
+    gains = 2.0 * (1.0 + rng.normal(0.0, 0.03, shape))
+    thr_sigma = 0.5 / (1 << n_bits)
+    low = -0.25 + rng.normal(0.0, thr_sigma, shape)
+    high = 0.25 + rng.normal(0.0, thr_sigma, shape)
+    return gains, low, high
+
+
 class TestPipelineBreakpointSearch:
     """The backend's breakpoint search must reproduce the dense sweep."""
 
@@ -88,6 +102,61 @@ class TestPipelineBreakpointSearch:
         np.testing.assert_array_equal(
             search_transitions(gains, low, high),
             dense_transitions(gains, low, high))
+
+    @given(n_bits=st.integers(3, 8), n_devices=st.integers(3, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_row_does_not_depend_on_the_batch(self, n_bits, n_devices,
+                                              seed):
+        """Dies share branch columns, so the table a die is searched in
+        depends on the other dies of the call; its row must not."""
+        rng = np.random.default_rng(seed)
+        gains, low, high = _nominal_dies(rng, n_bits, n_devices)
+        # Die 0 stays nominal, die 1 gets a zero gain and die 2 a negative
+        # one, so rising, constant and falling residues share the table;
+        # the rest are drawn from the three kinds.
+        kind = np.concatenate([[0, 1, 2], rng.integers(0, 3, n_devices - 3)])
+        stage = rng.integers(0, n_bits - 2, n_devices)
+        rows = np.arange(n_devices)
+        gains[rows, stage] = np.select(
+            [kind == 1, kind == 2], [0.0, -gains[rows, stage]],
+            gains[rows, stage])
+        batch = search_transitions(gains, low, high)
+        np.testing.assert_array_equal(batch,
+                                      dense_transitions(gains, low, high))
+        for i in rows:
+            np.testing.assert_array_equal(
+                batch[i], search_transitions(gains[i:i + 1], low[i:i + 1],
+                                             high[i:i + 1])[0])
+
+    @given(n_bits=st.integers(3, 8), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_thresholds_on_exact_residues(self, n_bits, seed):
+        """A threshold equal to a die's exact residue at a sweep point, or
+        one ulp either side, decides on the comparison itself; no model of
+        the residue can settle such a cut."""
+        rng = np.random.default_rng(seed)
+        n_devices, n_stages = 32, n_bits - 2
+        gains, low, high = _nominal_dies(rng, n_bits, n_devices)
+        _, x = _sweep_grid(n_bits, 1.0)
+        stage = rng.integers(0, n_stages, n_devices)
+        residue = x[rng.integers(0, x.size, n_devices)]
+        # The residue entering each die's chosen stage, as the dense chain
+        # computes it.
+        for k in range(n_stages - 1):
+            passed = _amplify(residue, _decide(residue, low[:, k],
+                                               high[:, k]), gains[:, k])
+            residue = np.where(k < stage, passed, residue)
+        ulps = rng.integers(-1, 2, n_devices)
+        tie = np.where(ulps < 0, np.nextafter(residue, -np.inf),
+                       np.where(ulps > 0, np.nextafter(residue, np.inf),
+                                residue))
+        rows = np.arange(n_devices)
+        on_low = rng.random(n_devices) < 0.5
+        low[rows[on_low], stage[on_low]] = tie[on_low]
+        high[rows[~on_low], stage[~on_low]] = tie[~on_low]
+        np.testing.assert_array_equal(search_transitions(gains, low, high),
+                                      dense_transitions(gains, low, high))
 
     def test_ideal_pipeline_ties_on_the_grid(self):
         """Ideal stages put every threshold exactly on a sweep point."""

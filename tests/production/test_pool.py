@@ -101,6 +101,11 @@ class TestSharedWaferBuffer:
             ref = as_slice_ref(shared.transitions[10:20])
             assert ref is not None and ref.name == buffer.name
 
+    @pytest.mark.parametrize("shape", [(0, 63), (10, 0)])
+    def test_empty_matrix_is_refused(self, shape):
+        with pytest.raises(ValueError, match="empty shared buffer"):
+            SharedWaferBuffer.from_array(np.zeros(shape))
+
     def test_close_is_idempotent_and_invalidates_views(self):
         buffer = SharedWaferBuffer.from_array(np.ones((10, 63)))
         name = buffer.name
