@@ -268,8 +268,8 @@ class TestProductionThroughput:
         for method in ("bist", "histogram"):
             line = ScreeningLine(config, method=method,
                                  samples_per_code=64.0)
-            line.screen_lot(Wafer(wafer.spec, wafer.transitions,
-                                  wafer.wafer_id), rng=0, store=store)
+            store.add(line.screen_lot(Wafer(wafer.spec, wafer.transitions,
+                                            wafer.wafer_id), rng=0))
         report("BIST vs conventional histogram line (5k shared dies)",
                store.method_table())
         bist_report, histogram_report = store.reports

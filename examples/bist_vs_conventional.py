@@ -53,9 +53,9 @@ for line in lines:
     print(f"{line.method:>9}: {line.describe()}")
     # A fresh Wafer wrapper per line keeps the shared transition matrix
     # while giving each report its own lot id.
-    line.screen_lot(Wafer(spec, wafer.transitions,
-                          f"{wafer.wafer_id}/{line.method}"),
-                    rng=0, store=store)
+    store.add(line.screen_lot(Wafer(spec, wafer.transitions,
+                                    f"{wafer.wafer_id}/{line.method}"),
+                              rng=0))
 print()
 
 # ---------------------------------------------------------------------- #

@@ -35,7 +35,8 @@ def main() -> None:
     # --- scenario 1: partial BIST, q = 2, four converters per IC -------- #
     partial_line = ScreeningLine(config, partial_q=2, devices_per_ic=4)
     print(f"scenario A: {partial_line.describe()}, 4 converters/IC")
-    report = partial_line.screen_lot(lot, rng=0, store=store)
+    report = partial_line.screen_lot(lot, rng=0)
+    store.add(report)
     print(f"  accept fraction: {report.accept_fraction:.1%}, "
           f"chip yield: {report.chip_yield:.1%}")
     print(f"  simulation: {report.simulated_devices_per_second:,.0f} "
@@ -44,7 +45,8 @@ def main() -> None:
     # --- scenario 2: full BIST on the same lot -------------------------- #
     full_line = ScreeningLine(config)
     print(f"scenario B: {full_line.describe()}")
-    report_full = full_line.screen_lot(lot, rng=0, store=store)
+    report_full = full_line.screen_lot(lot, rng=0)
+    store.add(report_full)
     print(f"  accept fraction: {report_full.accept_fraction:.1%}")
 
     # --- the floor report ----------------------------------------------- #

@@ -44,8 +44,8 @@ config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
                     transition_noise_lsb=0.02, deglitch_depth=2)
 line = ScreeningLine(config, retest_attempts=1,
                      bin_edges_lsb=(0.45, 0.7))
-store = ResultStore()
-report = line.screen_lot(lot, rng=42, store=store)
+report = line.screen_lot(lot, rng=42)
+store = ResultStore([report])
 print()
 print(f"screened {report.n_devices} dies in {report.wall_seconds:.2f} s "
       f"wall clock ({report.simulated_devices_per_second:,.0f} devices/s "

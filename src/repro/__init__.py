@@ -37,7 +37,7 @@ E.M.J.G. Bruls and P.P.L. Regtien.  It contains:
     (one frozen value object per run), :func:`~repro.campaign.factory.make_engine`
     (the only engine-construction site) and
     :class:`~repro.campaign.driver.Campaign` (scenario grids fanned over
-    the scale-out layer, shard-merged into one ledger).
+    the scale-out layer into one ledger).
 
 ``repro.reporting``
     Helpers used by the benchmark harness to print the paper's tables and
@@ -108,7 +108,6 @@ from repro.campaign import (
 )
 from repro.telemetry import (
     NULL_TELEMETRY,
-    MetricsReport,
     Telemetry,
     current_telemetry,
     metrics_document,
@@ -117,7 +116,6 @@ from repro.telemetry import (
 
 __all__ = [
     "NULL_TELEMETRY",
-    "MetricsReport",
     "Telemetry",
     "current_telemetry",
     "metrics_document",

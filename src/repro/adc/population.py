@@ -31,7 +31,13 @@ import numpy as np
 
 from repro.adc.base import ADC
 from repro.adc.ideal import TableADC
-from repro.adc.transfer import TransferFunction
+from repro.adc.transfer import (
+    TransferFunction,
+    batch_dnl_from_transitions,
+    batch_good_mask,
+    batch_max_dnl,
+    batch_max_inl,
+)
 
 __all__ = ["PopulationSpec", "DevicePopulation", "correlated_code_widths"]
 
@@ -320,27 +326,27 @@ class DevicePopulation:
         return float(off_diag_sum / (n * (n - 1)))
 
     def dnl_matrix(self) -> np.ndarray:
-        """End-point DNL of every device (devices x inner codes), in LSB."""
-        widths = self.code_width_matrix_lsb()
-        ref = widths.mean(axis=1, keepdims=True)
-        return widths / ref - 1.0
+        """End-point DNL of every device (devices x inner codes), in LSB.
+
+        Row ``i`` equals ``self[i].transfer_function().dnl()``, the
+        formula every truth score uses.
+        """
+        return batch_dnl_from_transitions(self.transition_matrix())
 
     def max_dnl_per_device(self) -> np.ndarray:
         """Largest |DNL| of each device, in LSB."""
-        return np.abs(self.dnl_matrix()).max(axis=1)
+        return batch_max_dnl(self.transition_matrix())
 
     def max_inl_per_device(self) -> np.ndarray:
         """Largest |INL| of each device, in LSB (cumulative end-point DNL)."""
-        inl = np.cumsum(self.dnl_matrix(), axis=1)
-        return np.abs(inl).max(axis=1)
+        return batch_max_inl(self.transition_matrix())
 
     def good_mask(self, dnl_spec_lsb: float,
                   inl_spec_lsb: Optional[float] = None) -> np.ndarray:
-        """Boolean mask of devices meeting the DNL (and optional INL) spec."""
-        good = self.max_dnl_per_device() <= dnl_spec_lsb
-        if inl_spec_lsb is not None:
-            good &= self.max_inl_per_device() <= inl_spec_lsb
-        return good
+        """Boolean mask of devices meeting the DNL (and optional INL) spec
+        (:func:`~repro.adc.transfer.batch_good_mask`)."""
+        return batch_good_mask(self.transition_matrix(), dnl_spec_lsb,
+                               inl_spec_lsb)
 
     def yield_fraction(self, dnl_spec_lsb: float,
                        inl_spec_lsb: Optional[float] = None) -> float:

@@ -42,6 +42,7 @@ __all__ = [
     "batch_dnl_from_transitions",
     "batch_max_dnl",
     "batch_max_inl",
+    "batch_good_mask",
 ]
 
 
@@ -199,6 +200,20 @@ def batch_max_inl(transitions: np.ndarray) -> np.ndarray:
     than as one matrix.
     """
     return _blockwise_max(transitions, cumulative=True)
+
+
+def batch_good_mask(transitions: np.ndarray, dnl_spec_lsb: float,
+                    inl_spec_lsb: Optional[float] = None) -> np.ndarray:
+    """Per-device truth: end-point |DNL| (and |INL|) within the spec.
+
+    The matrix form of :func:`repro.core.engine.true_goodness`, row for
+    row the same verdict; every population, wafer and batch engine scores
+    truth through it.
+    """
+    good = batch_max_dnl(transitions) <= dnl_spec_lsb
+    if inl_spec_lsb is not None:
+        good &= batch_max_inl(transitions) <= inl_spec_lsb
+    return good
 
 
 @dataclass

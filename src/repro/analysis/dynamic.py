@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -71,13 +71,6 @@ class SpectrumResult:
     sinad_db: float
     sfdr_db: float
     enob: float
-
-
-def _db(ratio: float) -> float:
-    """Power ratio in dB, guarding against zero."""
-    if ratio <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(ratio)
 
 
 def _db_ratio_rows(numerator: np.ndarray, denominator: np.ndarray,
@@ -372,23 +365,6 @@ class DynamicAnalyzer:
             sinad_db=sinad_db,
             sfdr_db=sfdr_db,
             enob=enob)
-
-    def _tone_power(self, power: np.ndarray,
-                    center_bin: int) -> Tuple[float, set]:
-        """Sum the power in a tone's bins (center ± leakage_bins)."""
-        lo = max(1, center_bin - self.leakage_bins)
-        hi = min(power.size, center_bin + self.leakage_bins + 1)
-        bins = set(range(lo, hi))
-        return float(power[lo:hi].sum()), bins
-
-    @staticmethod
-    def _alias_bin(bin_index: int, n_samples: int) -> int:
-        """Fold a bin index back into the first Nyquist zone."""
-        period = n_samples
-        folded = bin_index % period
-        if folded > period // 2:
-            folded = period - folded
-        return folded
 
     # ------------------------------------------------------------------ #
     # End-to-end measurement

@@ -17,7 +17,7 @@ driven through:
 :mod:`repro.campaign.driver` — :class:`Campaign`, which fans a scenario
     list/grid across the deterministic scale-out layer
     (:class:`~repro.production.execution.ExecutionPlan`) with per-scenario
-    child seeds and shard-merges everything into one
+    child seeds and keeps every scenario's report in one
     :class:`~repro.production.store.ResultStore`
     (:meth:`~repro.production.store.ResultStore.campaign_table`).
 

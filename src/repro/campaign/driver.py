@@ -3,10 +3,9 @@
 A :class:`Campaign` takes a list of
 :class:`~repro.campaign.scenario.Scenario` objects (usually from
 :meth:`Scenario.grid`), screens each one through a
-:class:`~repro.production.line.ScreeningLine`, and shard-merges the
-per-scenario :class:`~repro.production.store.ResultStore` ledgers into one
-— the "campaign driver that shard-merges ResultStores from parallel lot
-streams" the roadmap asked for.
+:class:`~repro.production.line.ScreeningLine`, and keeps the reports, in
+scenario order, in one :class:`~repro.production.store.ResultStore`
+ledger.
 
 Determinism is inherited end to end: scenario ``i`` screens under its own
 seed (the scenario's explicit ``seed``, or child ``i`` of the campaign's
@@ -29,7 +28,7 @@ import threading
 from concurrent.futures import (FIRST_EXCEPTION, Future, ThreadPoolExecutor,
                                 wait)
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,12 +38,10 @@ from repro.production.execution import (ExecutionPlan, abort_scope,
 from repro.production.line import LotScreeningReport, ScreeningLine
 from repro.production.lot import Lot, Wafer
 from repro.production.pool import (PoolBrokenError, dispatch_pool,
-                                   get_default_pool, share_wafer,
-                                   shared_pool)
+                                   share_wafer, shared_pool)
 from repro.production.store import ResultStore
 from repro.telemetry.core import current_telemetry
 from repro.telemetry.log import get_logger
-from repro.telemetry.metrics import MetricsReport
 
 __all__ = [
     "Campaign",
@@ -77,7 +74,7 @@ class LabelDeduper:
 
     A duplicate base label (two scenarios differing only in axes the
     canonical name does not show, e.g. noise) gets an ``" [k]"``
-    occurrence suffix so a merged ledger keeps the rows apart; a suffixed
+    occurrence suffix so the ledger keeps the rows apart; a suffixed
     candidate that collides with an explicit label skips to the next free
     suffix, so distinct scenarios never share a row.  Incremental on
     purpose: :meth:`Campaign.labels` claims a whole scenario list up
@@ -106,8 +103,8 @@ class LabelDeduper:
 def screen_scenario(label: str, seed: int, line: ScreeningLine, lot: Lot,
                     plan: Optional[ExecutionPlan] = None,
                     parent_span_id: Optional[int] = None
-                    ) -> Tuple[LotScreeningReport, ResultStore]:
-    """Screen one scenario into its own fresh child store.
+                    ) -> LotScreeningReport:
+    """Screen one scenario and return its report.
 
     The single screening step both drivers share: :class:`Campaign` runs
     it once per scenario (inline or on a scenario thread) and the
@@ -117,11 +114,9 @@ def screen_scenario(label: str, seed: int, line: ScreeningLine, lot: Lot,
     empty.
     """
     t = current_telemetry()
-    child = ResultStore()
     with t.under_span(parent_span_id):
         with t.span("campaign.scenario", label=label, seed=seed):
-            report = line.screen_lot(lot, rng=seed, store=child, plan=plan)
-    return report, child
+            return line.screen_lot(lot, rng=seed, plan=plan)
 
 
 def scenario_record(scenario: Scenario, label: str, seed: int,
@@ -149,12 +144,12 @@ def scenario_record(scenario: Scenario, label: str, seed: int,
         "tester_seconds": report.tester_seconds,
         "devices_per_hour": report.devices_per_hour,
         "cost_per_device": report.cost_per_device,
-        "flow": getattr(report, "flow", "fixed"),
+        "flow": report.flow,
         "excursion": scenario.excursion,
-        "saved_samples": getattr(report, "saved_samples", 0),
-        "saved_tester_seconds": getattr(report, "saved_tester_seconds", 0.0),
-        "aborted": getattr(report, "n_aborted", 0),
-        "excursions": getattr(report, "excursions", 0),
+        "saved_samples": report.saved_samples,
+        "saved_tester_seconds": report.saved_tester_seconds,
+        "aborted": report.n_aborted,
+        "excursions": report.excursions,
     }
 
 
@@ -240,9 +235,8 @@ class ScenarioSubmitter:
                journal: Any = None) -> "Future":
         """Schedule one scenario screening; returns its future.
 
-        The future resolves to the ``(report, child_store)`` pair of
-        :func:`screen_scenario`, raises
-        :class:`~repro.production.execution.ExecutionAborted` if
+        The future resolves to the report of :func:`screen_scenario`,
+        raises :class:`~repro.production.execution.ExecutionAborted` if
         :meth:`abort` fired first, and — past ``pool_retries`` rebuild
         attempts — :class:`~repro.production.pool.PoolBrokenError`.
         """
@@ -256,7 +250,7 @@ class ScenarioSubmitter:
 
     def _run(self, label: str, seed: int, line: ScreeningLine, lot: Lot,
              plan: ExecutionPlan, parent_span_id: Optional[int],
-             journal: Any) -> Tuple[LotScreeningReport, ResultStore]:
+             journal: Any) -> LotScreeningReport:
         retries = self.pool_retries
         while True:
             try:
@@ -275,9 +269,6 @@ class ScenarioSubmitter:
                              "rebuilding and retrying", label)
                 if journal is not None:
                     journal.begin_attempt()
-                # The broken pool was evicted; this both rebuilds the
-                # module default and surfaces a second failure early.
-                get_default_pool(plan.workers)
 
     # -- cancellation --------------------------------------------------- #
 
@@ -309,8 +300,8 @@ class CampaignResult:
         One :class:`~repro.production.line.LotScreeningReport` per
         scenario, in scenario order.
     store:
-        The shard-merged :class:`~repro.production.store.ResultStore`
-        ledger of the whole campaign.
+        The :class:`~repro.production.store.ResultStore` ledger of those
+        reports.
     """
 
     scenarios: List[Scenario]
@@ -318,17 +309,17 @@ class CampaignResult:
     seeds: List[int]
     reports: List[LotScreeningReport]
     store: ResultStore = field(default_factory=ResultStore)
-    metrics: Optional[MetricsReport] = None
 
     def table(self) -> str:
         """The per-scenario pivot table (yield/escapes/time/cost)."""
         return self.store.campaign_table()
 
     def metrics_table(self) -> str:
-        """The operational metrics pivot next to :meth:`table`."""
-        if self.metrics is None:
+        """The operational metrics pivot next to :meth:`table` (empty
+        when nothing was screened)."""
+        if not self.store:
             return ""
-        return self.metrics.table()
+        return self.store.metrics_table()
 
     def records(self) -> List[Dict[str, object]]:
         """One plain-dict record per scenario, for JSON/CSV export."""
@@ -353,7 +344,7 @@ class CampaignResult:
 
 
 class Campaign:
-    """Screen a list/grid of scenarios and merge one floor ledger.
+    """Screen a list/grid of scenarios into one floor ledger.
 
     Parameters
     ----------
@@ -413,7 +404,7 @@ class Campaign:
 
         A duplicate label (two scenarios differing only in axes the
         canonical name does not show, e.g. noise) gets an ``" [k]"``
-        occurrence suffix so the merged ledger keeps the rows apart; a
+        occurrence suffix so the ledger keeps the rows apart; a
         suffixed candidate that collides with an explicit label skips to
         the next free suffix, so distinct scenarios never share a row.
         """
@@ -446,7 +437,7 @@ class Campaign:
                          lines: List[ScreeningLine], lots: List[Lot],
                          plan: ExecutionPlan,
                          parent_span_id: Optional[int]
-                         ) -> List[Tuple[LotScreeningReport, ResultStore]]:
+                         ) -> List[LotScreeningReport]:
         """Drain every scenario's shards through one shared worker pool.
 
         One :class:`ScenarioSubmitter` thread per scenario submits its
@@ -455,7 +446,7 @@ class Campaign:
         single work queue.  The pool is warmed *before* the scenario
         threads start so every worker is forked from a moment when this
         process has no extra threads, and futures are consumed in
-        scenario order so logs, reports and the store merge are
+        scenario order so logs, reports and the ledger are
         byte-identical to the sequential path.
 
         Failure is prompt: the first scenario that raises aborts the
@@ -484,17 +475,14 @@ class Campaign:
                 failed.result()  # re-raises the scenario's error
             return [future.result() for future in futures]
 
-    def run(self, plan: Optional[ExecutionPlan] = None,
-            store: Optional[ResultStore] = None) -> CampaignResult:
-        """Screen every scenario and shard-merge one ledger.
+    def run(self, plan: Optional[ExecutionPlan] = None) -> CampaignResult:
+        """Screen every scenario into one ledger.
 
-        Each scenario fills its own child
-        :class:`~repro.production.store.ResultStore` (the "parallel lot
-        stream"); the children are merged with
-        :meth:`ResultStore.merge` into the result's store.  Every
-        scenario's device axis runs under ``plan`` (``None``:
-        ``ExecutionPlan()``), and the merged ledger is byte-identical for
-        any plan.
+        Each scenario's report joins the result's
+        :class:`~repro.production.store.ResultStore` in scenario order.
+        Every scenario's device axis runs under ``plan`` (``None``:
+        ``ExecutionPlan()``), and the ledger is byte-identical for any
+        plan.
 
         With a multi-worker plan, a multi-scenario campaign
         **interleaves**: all scenarios' shards feed one persistent
@@ -504,8 +492,8 @@ class Campaign:
         worker or one scenario, the scenarios screen one after another.
         Interleaving is purely a scheduling change — each device's noise
         is keyed by its scenario seed, insertion and row, never by
-        dispatch order, and reports/stores are collected in scenario
-        order, so the result is byte-identical to the sequential path.  In
+        dispatch order, and reports are collected in scenario order, so
+        the result is byte-identical to the sequential path.  In
         shared-wafer mode the one wafer is re-homed into shared memory
         for the duration of the run, so every scenario's every shard
         dispatches zero-copy.
@@ -523,8 +511,6 @@ class Campaign:
                                rng=self.seed, wafer_id=wafer_id)
         interleave = plan.workers > 1 and len(self.scenarios) > 1
         t = current_telemetry()
-        stores: List[ResultStore] = []
-        reports: List[LotScreeningReport] = []
         with t.span("campaign.run", scenarios=len(self.scenarios),
                     interleaved=interleave) as campaign_span:
             shared_buffer = None
@@ -540,21 +526,18 @@ class Campaign:
                         lots.append(scenario.draw_lot(seed=seed,
                                                       lot_id=label))
                 if interleave:
-                    results = self._run_interleaved(
+                    reports = self._run_interleaved(
                         labels, seeds, lines, lots, plan,
                         campaign_span.span_id)
                 else:
-                    results = [
+                    reports = [
                         screen_scenario(label, seed, line, lot, plan=plan)
                         for label, seed, line, lot in zip(
                             labels, seeds, lines, lots)]
             finally:
                 if shared_buffer is not None:
                     shared_buffer.close()
-            for index, (label, (report, child)) in enumerate(
-                    zip(labels, results)):
-                reports.append(report)
-                stores.append(child)
+            for index, (label, report) in enumerate(zip(labels, reports)):
                 _log.info("scenario %d/%d %s: %d/%d accepted",
                           index + 1, len(self.scenarios), label,
                           report.n_accepted, report.n_devices)
@@ -564,13 +547,6 @@ class Campaign:
                     sum(r.n_devices for r in reports))
             t.count("campaign.accepted",
                     sum(r.n_accepted for r in reports))
-        merged = ResultStore.merge(stores)
-        if store is not None:
-            for report in merged.reports:
-                store.add(report)
-        metrics = MetricsReport.from_reports(
-            labels, {label: [report]
-                     for label, report in zip(labels, reports)})
         return CampaignResult(scenarios=list(self.scenarios), labels=labels,
-                              seeds=seeds, reports=reports, store=merged,
-                              metrics=metrics)
+                              seeds=seeds, reports=reports,
+                              store=ResultStore(reports))

@@ -102,9 +102,7 @@ def make_engine(scenario: Scenario, *,
 
 
 def sequential_policy(scenario: Scenario, *,
-                      config: Optional[BistConfig] = None,
-                      alpha: Optional[float] = None,
-                      beta: Optional[float] = None):
+                      config: Optional[BistConfig] = None):
     """Build the SPRT policy (and per-code model) a scenario implies.
 
     The construction mirrors :func:`make_engine`: the scenario's process
@@ -117,11 +115,7 @@ def sequential_policy(scenario: Scenario, *,
     """
     from repro.analysis.distributions import CodeWidthDistribution
     from repro.analysis.error_model import ErrorModel
-    from repro.flows.sequential import (
-        DEFAULT_ALPHA,
-        DEFAULT_BETA,
-        SequentialPolicy,
-    )
+    from repro.flows.sequential import SequentialPolicy
 
     if config is None:
         config = scenario.bist_config()
@@ -131,11 +125,7 @@ def sequential_policy(scenario: Scenario, *,
         dnl_spec_lsb=config.dnl_spec_lsb,
         counter_bits=config.counter_bits)
     per_code = model.per_code()
-    policy = SequentialPolicy.from_per_code(
-        per_code,
-        alpha=DEFAULT_ALPHA if alpha is None else alpha,
-        beta=DEFAULT_BETA if beta is None else beta)
-    return policy, per_code
+    return SequentialPolicy.from_per_code(per_code), per_code
 
 
 def default_tester(scenario: Scenario) -> TesterModel:

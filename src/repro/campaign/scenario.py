@@ -16,7 +16,7 @@ reads:
   a fully configured screening line;
 * :class:`repro.campaign.driver.Campaign` fans a list (or
   :meth:`Scenario.grid`) of scenarios across the deterministic scale-out
-  layer and shard-merges the results into one
+  layer and keeps the reports in one
   :class:`~repro.production.store.ResultStore`.
 
 Because a scenario is frozen and hashable, grids deduplicate naturally:

@@ -36,7 +36,7 @@ be exercised without writing Python:
     Run a whole *scenario grid* in one call: comma-separated axis values
     (``--arch flash,sar --method bist,histogram --q 4,8``) expand to the
     cartesian product of declarative Scenarios, every scenario screens
-    under its own deterministic child seed, and the shard-merged ledger
+    under its own deterministic child seed, and the campaign ledger
     prints as one per-scenario table (``--json``/``--csv`` export the
     records).  The lot/partial/compare commands are thin wrappers over
     the same Scenario API.
@@ -45,7 +45,7 @@ be exercised without writing Python:
     Scenario-tagged wafer requests (stdin, or many concurrent TCP
     clients with ``--socket``), screen every request on the shared
     persistent worker pool, and emit rolling JSONL result events plus a
-    final merged ledger.  ``--checkpoint``/``--resume`` journal
+    final ledger.  ``--checkpoint``/``--resume`` journal
     completed shards so a killed server reconverges byte-identically.
 
 Every command accepts ``--help`` for its options.
@@ -619,9 +619,9 @@ def _cmd_lot(args: argparse.Namespace) -> int:
                         label=f"LOT-{args.seed}")
     line = ScreeningLine.from_scenario(scenario)
     lot = scenario.draw_lot()
-    store = ResultStore()
-    report = line.screen_lot(lot, rng=scenario.seed, store=store,
+    report = line.screen_lot(lot, rng=scenario.seed,
                              plan=_plan_from_args(args))
+    store = ResultStore([report])
 
     print(f"lot {lot.lot_id}: {args.wafers} wafers x {args.devices} "
           f"{args.arch} dies")

@@ -71,10 +71,9 @@ Overview
     (``devices_per_ic``), flash, SAR or pipeline wafers.
 
 :mod:`repro.production.store` — :class:`ResultStore`, the floor ledger:
-    accumulates per-lot accept/reject/bin statistics and renders them with
-    :mod:`repro.reporting.tables`; :meth:`ResultStore.merge` shard-merges
-    the per-scenario child ledgers of a campaign and
-    :meth:`ResultStore.campaign_table` pivots them per scenario.
+    a list of per-lot reports rendered with :mod:`repro.reporting.tables`;
+    every per-group view (:meth:`ResultStore.campaign_table` pivots a
+    campaign per scenario) reads one :func:`~repro.production.store.rollup`.
 
 The declarative front door over all of this lives in :mod:`repro.campaign`:
 a frozen :class:`~repro.campaign.scenario.Scenario` describes a run,
@@ -90,8 +89,7 @@ Quick start
 ...                               ResultStore)
 >>> lot = Lot.draw(WaferSpec(n_devices=1000), n_wafers=2, seed=7)
 >>> line = ScreeningLine(BistConfig(counter_bits=7, dnl_spec_lsb=1.0))
->>> store = ResultStore()
->>> report = line.screen_lot(lot, rng=0, store=store)
+>>> store = ResultStore([line.screen_lot(lot, rng=0)])
 >>> print(store.summary())          # doctest: +SKIP
 
 See ``examples/wafer_screening.py`` for a complete walk-through and

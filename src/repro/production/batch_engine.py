@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.adc.ideal import IdealADC
 from repro.adc.population import DevicePopulation
-from repro.adc.transfer import batch_max_dnl, batch_max_inl
+from repro.adc.transfer import batch_good_mask
 from repro.core.decision import decide_counts
 from repro.core.deglitch import DeglitchFilter
 from repro.core.engine import BistConfig, BistEngine, PopulationBistResult
@@ -637,13 +637,10 @@ class BistWaferEngine(WaferEngine):
                                       full_scale=spec.full_scale,
                                       sample_rate=spec.sample_rate, rng=rng,
                                       plan=plan)
-        # The matrix form of repro.core.engine.true_goodness.
-        truly_good = batch_max_dnl(transitions) <= dnl_spec_lsb
-        if inl_spec_lsb is not None:
-            truly_good &= batch_max_inl(transitions) <= inl_spec_lsb
-        return PopulationBistResult(n_devices=result.n_devices,
-                                    accepted=result.passed,
-                                    truly_good=truly_good)
+        return PopulationBistResult(
+            n_devices=result.n_devices, accepted=result.passed,
+            truly_good=batch_good_mask(transitions, dnl_spec_lsb,
+                                       inl_spec_lsb))
 
 
 class BatchBistEngine(BistWaferEngine):

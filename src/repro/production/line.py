@@ -265,10 +265,6 @@ class ScreeningLine:
         (p-chart + CUSUM over streaming shard results, one subgroup per
         shard) that aborts an excursed wafer's remaining shards.  Full
         BIST only.
-    sprt_alpha, sprt_beta:
-        Wald design risks of the sequential flow: target probability of
-        rejecting a good device (``alpha``) and of accepting a faulty
-        one (``beta``).
     """
 
     def __init__(self, config: BistConfig,
@@ -281,9 +277,7 @@ class ScreeningLine:
                  method: str = "bist",
                  dynamic_analyzer: Optional[DynamicAnalyzer] = None,
                  dynamic_spec: Optional[DynamicSpec] = None,
-                 flow: str = "fixed",
-                 sprt_alpha: Optional[float] = None,
-                 sprt_beta: Optional[float] = None) -> None:
+                 flow: str = "fixed") -> None:
         # Imported here, not at module scope: the campaign package imports
         # this module (Campaign drives ScreeningLine), so the factory hop
         # must not create an import cycle.
@@ -318,8 +312,6 @@ class ScreeningLine:
             flow=flow)
         self.config = config
         self.flow = flow
-        self.sprt_alpha = sprt_alpha
-        self.sprt_beta = sprt_beta
         self.scenario = scenario
         self.method = method
         self.partial_q = partial_q
@@ -457,9 +449,7 @@ class ScreeningLine:
         """
         from repro.campaign.factory import sequential_policy
 
-        return sequential_policy(self.scenario, config=self.config,
-                                 alpha=self.sprt_alpha,
-                                 beta=self.sprt_beta)
+        return sequential_policy(self.scenario, config=self.config)
 
     def test_plan(self, n_bits: int, samples: int,
                    sample_rate: float) -> TestPlan:
@@ -483,10 +473,12 @@ class ScreeningLine:
     # ------------------------------------------------------------------ #
 
     def screen_lot(self, lot: Union[Lot, Wafer], rng: NoiseSeed = None,
-                   store=None,
                    plan: Optional[ExecutionPlan] = None
                    ) -> LotScreeningReport:
         """Run a lot (or a single wafer) through the whole line.
+
+        Returns the lot's report; a floor ledger is a
+        :class:`~repro.production.store.ResultStore` of such reports.
 
         Parameters
         ----------
@@ -500,9 +492,6 @@ class ScreeningLine:
             spawn_key=(w, i))``, and each device of an insertion draws
             its own keyed stream from that, so the report is
             byte-identical for any plan.
-        store:
-            Optional :class:`~repro.production.store.ResultStore` the
-            report is appended to.
         plan:
             The :class:`~repro.production.execution.ExecutionPlan` every
             station's engine runs under (``None``: ``ExecutionPlan()``).
@@ -758,7 +747,7 @@ class ScreeningLine:
                   "%.3f s wall", lot.lot_id, self.method, n_accepted,
                   n_devices, bist_seconds + retest_seconds, wall_seconds)
 
-        report = LotScreeningReport(
+        return LotScreeningReport(
             lot_id=lot.lot_id,
             n_devices=n_devices,
             n_accepted=n_accepted,
@@ -783,6 +772,3 @@ class ScreeningLine:
             saved_tester_seconds=saved_seconds if sprt else 0.0,
             n_aborted=n_aborted,
             excursions=excursions_detected)
-        if store is not None:
-            store.add(report)
-        return report

@@ -25,11 +25,7 @@ import numpy as np
 from repro.adc.backends import ARCHITECTURES, TransferBackend, make_backend
 from repro.adc.ideal import TableADC
 from repro.adc.population import DevicePopulation
-from repro.adc.transfer import (
-    TransferFunction,
-    batch_max_dnl,
-    batch_max_inl,
-)
+from repro.adc.transfer import TransferFunction, batch_good_mask
 
 __all__ = ["WaferSpec", "Wafer", "Lot"]
 
@@ -226,29 +222,18 @@ class Wafer:
     # Bulk true linearity (the reference the BIST is scored against)
     # ------------------------------------------------------------------ #
 
-    def max_dnl_per_device(self) -> np.ndarray:
-        """Largest end-point |DNL| of each die, in LSB."""
-        return batch_max_dnl(self.transitions)
-
-    def max_inl_per_device(self) -> np.ndarray:
-        """Largest end-point |INL| of each die, in LSB."""
-        return batch_max_inl(self.transitions)
-
     def good_mask(self, dnl_spec_lsb: float,
                   inl_spec_lsb: Optional[float] = None) -> np.ndarray:
         """Boolean mask of dies truly meeting the specification.
 
         The matrix analogue of :func:`repro.core.engine.true_goodness`:
-        the same end-point criterion, evaluated for every die.  The
-        reductions run over blocks of about 1,024 dies
-        (:func:`~repro.adc.transfer.batch_max_dnl`), so a 65,536-die
-        wafer's DNL temporaries stay in cache instead of streaming
-        through main memory; each die is still reduced on its own.
+        the same end-point criterion, evaluated for every die
+        (:func:`~repro.adc.transfer.batch_good_mask`).  The reductions
+        run over blocks of about 1,024 dies, so a 65,536-die wafer's DNL
+        temporaries stay in cache instead of streaming through main
+        memory; each die is still reduced on its own.
         """
-        good = self.max_dnl_per_device() <= dnl_spec_lsb
-        if inl_spec_lsb is not None:
-            good &= self.max_inl_per_device() <= inl_spec_lsb
-        return good
+        return batch_good_mask(self.transitions, dnl_spec_lsb, inl_spec_lsb)
 
     def yield_fraction(self, dnl_spec_lsb: float,
                        inl_spec_lsb: Optional[float] = None) -> float:

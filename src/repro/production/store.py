@@ -1,53 +1,78 @@
 """Result store: per-lot screening statistics and floor-level reporting.
 
-The :class:`ResultStore` is the production line's ledger.  Every screened
-lot appends one :class:`~repro.production.line.LotScreeningReport`; the
-store aggregates accept/reject/bin counts, measured error rates and tester
-time across lots and renders them as the plain-text tables the rest of the
+The :class:`ResultStore` is the production line's ledger: a list of
+:class:`~repro.production.line.LotScreeningReport` objects, one per
+screened lot.  Every per-group figure — the store totals, the method,
+scenario, campaign and metrics pivots, and the streaming server's
+rolling snapshots — comes from one function, :func:`rollup`, and the
+store renders the pivots as the plain-text tables the rest of the
 reproduction uses (:mod:`repro.reporting.tables`), so a multi-lot
 Monte-Carlo campaign produces one readable floor report.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 from repro.production.line import LotScreeningReport, StationStats
 from repro.reporting.tables import format_table
 
-__all__ = ["ResultStore"]
+__all__ = ["ResultStore", "rollup"]
+
+
+def rollup(reports: Sequence[LotScreeningReport]) -> Dict[str, Any]:
+    """Totals of a group of lot reports, summed in the given order.
+
+    Counts, tester seconds, saved seconds, excursions and aborted dies
+    are plain sums; accept fraction and devices per tester-hour follow
+    from the summed counts; true yield, type I/II and cost per device are
+    weighted by each lot's devices.  An empty group reads zero (and
+    infinite devices per hour, as a lot without tester time does).
+    """
+    devices = sum(r.n_devices for r in reports)
+    accepted = sum(r.n_accepted for r in reports)
+    seconds = sum(r.tester_seconds for r in reports)
+
+    def weighted(value: Callable[[LotScreeningReport], float]) -> float:
+        if not devices:
+            return 0.0
+        return sum(value(r) * r.n_devices for r in reports) / devices
+
+    return {
+        "lots": len(reports),
+        "devices": devices,
+        "accepted": accepted,
+        "accept_fraction": accepted / devices if devices else 0.0,
+        "true_yield": weighted(lambda r: r.p_good),
+        "type_i": weighted(lambda r: r.type_i),
+        "type_ii": weighted(lambda r: r.type_ii),
+        "tester_seconds": seconds,
+        "devices_per_hour": (devices / seconds * 3600.0 if seconds > 0
+                             else float("inf")),
+        "cost_per_device": weighted(lambda r: r.cost_per_device),
+        "saved_tester_seconds": sum(r.saved_tester_seconds
+                                    for r in reports),
+        "excursions": sum(r.excursions for r in reports),
+        "aborted": sum(r.n_aborted for r in reports),
+    }
+
+
+def _method_key(report: LotScreeningReport) -> str:
+    # Full and partial BIST are different test plans: separate rows.
+    if report.method == "bist" and report.mode == "partial":
+        return f"partial bist q={report.q}"
+    return report.method
 
 
 class ResultStore:
-    """Accumulates screening reports lot by lot."""
+    """The floor ledger: screening reports in arrival order."""
 
-    def __init__(self) -> None:
-        self._reports: List[LotScreeningReport] = []
-
-    # ------------------------------------------------------------------ #
-    # Accumulation
-    # ------------------------------------------------------------------ #
+    def __init__(self, reports: Iterable[LotScreeningReport] = ()) -> None:
+        self._reports: List[LotScreeningReport] = list(reports)
 
     def add(self, report: LotScreeningReport) -> None:
         """Append one lot's screening report."""
         self._reports.append(report)
-
-    @classmethod
-    def merge(cls, stores: Iterable["ResultStore"]) -> "ResultStore":
-        """Combine several stores into one, preserving store order.
-
-        The shard-merge of the floor ledger: when a campaign's lots are
-        screened by separate workers (each filling its own store), merging
-        the partial stores yields the same aggregate method/scenario/bin
-        tables a single sequential store would have produced — every
-        aggregate in this class is order-insensitive across lots, and the
-        row order of :meth:`lot_table` follows the given store order.
-        """
-        merged = cls()
-        for store in stores:
-            for report in store._reports:
-                merged.add(report)
-        return merged
 
     def __len__(self) -> int:
         return len(self._reports)
@@ -64,31 +89,27 @@ class ResultStore:
     @property
     def total_devices(self) -> int:
         """Dies screened across all lots."""
-        return sum(r.n_devices for r in self._reports)
+        return rollup(self._reports)["devices"]
 
     @property
     def total_accepted(self) -> int:
         """Dies finally accepted across all lots."""
-        return sum(r.n_accepted for r in self._reports)
+        return rollup(self._reports)["accepted"]
 
     @property
     def total_tester_seconds(self) -> float:
         """Tester time consumed across all lots."""
-        return sum(r.tester_seconds for r in self._reports)
+        return rollup(self._reports)["tester_seconds"]
 
     @property
     def overall_accept_fraction(self) -> float:
         """Accept fraction over every die screened so far."""
-        total = self.total_devices
-        return self.total_accepted / total if total else 0.0
+        return rollup(self._reports)["accept_fraction"]
 
     @property
     def overall_devices_per_hour(self) -> float:
         """Floor throughput in devices per tester-hour."""
-        seconds = self.total_tester_seconds
-        if seconds <= 0.0:
-            return float("inf")
-        return self.total_devices / seconds * 3600.0
+        return rollup(self._reports)["devices_per_hour"]
 
     def bin_totals(self) -> Dict[str, int]:
         """Accepted-die counts per quality bin, summed over lots."""
@@ -102,8 +123,8 @@ class ResultStore:
         """Per-station totals (devices in/accepted, tester time) over lots.
 
         Returned in the line's canonical order — screening stations (by
-        name), then retest, then binning — independent of the order lots
-        were added or stores were merged.
+        name), then retest, then binning — independent of the order the
+        lots were added in.
         """
         merged: Dict[str, StationStats] = {}
         for report in self._reports:
@@ -147,6 +168,16 @@ class ResultStore:
              "cost/device"],
             rows, title="Screening results per lot")
 
+    def _groups(self, key: Callable[[LotScreeningReport], str],
+                ordered=sorted):
+        """``(name, reports, rollup)`` per group of ``key``; ``ordered``
+        orders the names (``sorted``, or ``list`` for first appearance)."""
+        groups: Dict[str, List[LotScreeningReport]] = {}
+        for report in self._reports:
+            groups.setdefault(key(report), []).append(report)
+        return [(name, groups[name], rollup(groups[name]))
+                for name in ordered(groups)]
+
     def method_table(self) -> str:
         """One row per screening method, aggregated over its lots.
 
@@ -156,31 +187,11 @@ class ResultStore:
         draw (as ``repro compare`` arranges).  Full and partial BIST lots
         are separate rows (different test plans), keyed by the partition.
         """
-        methods: Dict[str, List[LotScreeningReport]] = {}
-        for r in self._reports:
-            if r.method == "bist" and r.mode == "partial":
-                key = f"partial bist q={r.q}"
-            else:
-                key = r.method
-            methods.setdefault(key, []).append(r)
-        rows = []
-        for name in sorted(methods):
-            reports = methods[name]
-            devices = sum(r.n_devices for r in reports)
-            accepted = sum(r.n_accepted for r in reports)
-            seconds = sum(r.tester_seconds for r in reports)
-            type_i = (sum(r.type_i * r.n_devices for r in reports) / devices
-                      if devices else 0.0)
-            type_ii = (sum(r.type_ii * r.n_devices for r in reports) / devices
-                       if devices else 0.0)
-            cost = (sum(r.cost_per_device * r.n_devices for r in reports)
-                    / devices if devices else 0.0)
-            rows.append([name, devices, accepted,
-                         accepted / devices if devices else 0.0,
-                         type_i, type_ii, seconds,
-                         devices / seconds * 3600.0 if seconds > 0
-                         else float("inf"),
-                         cost])
+        fields = ("devices", "accepted", "accept_fraction", "type_i",
+                  "type_ii", "tester_seconds", "devices_per_hour",
+                  "cost_per_device")
+        rows = [[name] + [totals[f] for f in fields]
+                for name, _, totals in self._groups(_method_key)]
         return format_table(
             ["method", "devices", "accepted", "accept frac", "type I",
              "type II", "tester [s]", "devices/h", "cost/device"],
@@ -193,22 +204,10 @@ class ResultStore:
         architectures under the same method aggregate into separate rows,
         so a multi-architecture campaign reads as one table.
         """
-        scenarios: Dict[str, List[LotScreeningReport]] = {}
-        for r in self._reports:
-            scenarios.setdefault(r.scenario, []).append(r)
-        rows = []
-        for name in sorted(scenarios):
-            reports = scenarios[name]
-            devices = sum(r.n_devices for r in reports)
-            accepted = sum(r.n_accepted for r in reports)
-            seconds = sum(r.tester_seconds for r in reports)
-            type_i = (sum(r.type_i * r.n_devices for r in reports) / devices
-                      if devices else 0.0)
-            type_ii = (sum(r.type_ii * r.n_devices for r in reports)
-                       / devices if devices else 0.0)
-            rows.append([name, len(reports), devices, accepted,
-                         accepted / devices if devices else 0.0,
-                         type_i, type_ii, seconds])
+        fields = ("lots", "devices", "accepted", "accept_fraction",
+                  "type_i", "type_ii", "tester_seconds")
+        rows = [[name] + [totals[f] for f in fields]
+                for name, _, totals in self._groups(lambda r: r.scenario)]
         return format_table(
             ["scenario", "lots", "devices", "accepted", "accept frac",
              "type I", "type II", "tester [s]"],
@@ -221,39 +220,40 @@ class ResultStore:
         yield, escapes, tester time and cost per scenario, keyed by the
         lot identifier (which the campaign driver sets to the scenario
         label).  Lots sharing a label aggregate into one device-weighted
-        row; rows are sorted by label, so the table is invariant under
-        merge order.
+        row; rows are sorted by label, so the table does not depend on
+        the order the lots arrived in.
         """
-        groups: Dict[str, List[LotScreeningReport]] = {}
-        for r in self._reports:
-            groups.setdefault(r.lot_id, []).append(r)
-        rows = []
-        for label in sorted(groups):
-            reports = groups[label]
-            devices = sum(r.n_devices for r in reports)
-            accepted = sum(r.n_accepted for r in reports)
-            seconds = sum(r.tester_seconds for r in reports)
-
-            def weighted(value) -> float:
-                if not devices:
-                    return 0.0
-                return sum(value(r) * r.n_devices
-                           for r in reports) / devices
-
-            rows.append([label, reports[0].scenario, devices, accepted,
-                         accepted / devices if devices else 0.0,
-                         weighted(lambda r: r.p_good),
-                         weighted(lambda r: r.type_i),
-                         weighted(lambda r: r.type_ii),
-                         seconds,
-                         devices / seconds * 3600.0 if seconds > 0
-                         else float("inf"),
-                         weighted(lambda r: r.cost_per_device)])
+        fields = ("devices", "accepted", "accept_fraction", "true_yield",
+                  "type_i", "type_ii", "tester_seconds", "devices_per_hour",
+                  "cost_per_device")
+        rows = [[label, reports[0].scenario] + [totals[f] for f in fields]
+                for label, reports, totals in
+                self._groups(lambda r: r.lot_id)]
         return format_table(
             ["scenario", "tag", "devices", "accepted", "accept frac",
              "true yield", "type I", "type II", "tester [s]", "devices/h",
              "cost/device"],
             rows, title="Campaign results per scenario")
+
+    def metrics_table(self) -> str:
+        """The operator pivot: one row per scenario label, in the order
+        the labels first arrived.
+
+        Throughput, escapes, saved tester time and cost next to
+        :meth:`campaign_table`, built from the reports alone (no clocks),
+        so it is safe to print in byte-diffed output.
+        """
+        fields = ("lots", "devices", "accepted", "type_i", "type_ii",
+                  "tester_seconds", "saved_tester_seconds",
+                  "devices_per_hour", "cost_per_device")
+        rows = [[label] + [totals[f] for f in fields]
+                for label, _, totals in
+                self._groups(lambda r: r.lot_id, ordered=list)]
+        return format_table(
+            ["scenario", "lots", "devices", "accepted", "type I",
+             "type II", "tester [s]", "saved [s]", "devices/h",
+             "cost/device"],
+            rows, title="Campaign metrics per scenario")
 
     def station_table(self) -> str:
         """One row per station, aggregated over every screened lot."""
@@ -296,13 +296,14 @@ class ResultStore:
 
     def summary(self) -> str:
         """Multi-line overview of the whole screening campaign."""
+        totals = rollup(self._reports)
         lines = [
-            f"lots screened: {len(self)}",
-            f"devices screened: {self.total_devices}",
-            f"devices accepted: {self.total_accepted} "
-            f"({self.overall_accept_fraction:.1%})",
-            f"tester time: {self.total_tester_seconds:.3f} s "
-            f"({self.overall_devices_per_hour:.0f} devices/hour)",
+            f"lots screened: {totals['lots']}",
+            f"devices screened: {totals['devices']}",
+            f"devices accepted: {totals['accepted']} "
+            f"({totals['accept_fraction']:.1%})",
+            f"tester time: {totals['tester_seconds']:.3f} s "
+            f"({totals['devices_per_hour']:.0f} devices/hour)",
         ]
         chips = self.total_chips()
         if chips:

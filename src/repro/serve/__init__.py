@@ -23,8 +23,8 @@ of half-finished work.
 
 :mod:`repro.serve.store`
     :class:`~repro.serve.store.RollingStore` — monotonic running totals
-    per result event, and the final ledger with child stores merged in
-    arrival order (byte-identical to the equivalent batch
+    per result event, and the final ledger of the reports in arrival
+    order (byte-identical to the equivalent batch
     :meth:`Campaign.run <repro.campaign.driver.Campaign.run>`).
 
 :mod:`repro.serve.checkpoint`

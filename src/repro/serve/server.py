@@ -198,7 +198,7 @@ class ServeServer:
         """Await one screening and emit its result (or error) event."""
         t = current_telemetry()
         try:
-            report, child = await asyncio.wrap_future(future)
+            report = await asyncio.wrap_future(future)
         except PoolBrokenError as exc:
             if t.enabled:
                 t.count("serve.pool_broken")
@@ -216,22 +216,21 @@ class ServeServer:
                                   error=f"{type(exc).__name__}: {exc}"),
                        sink)
             return
-        self.rolling.add(request.seq, request.label, report, child)
+        self.rolling.add(request.seq, report)
         if t.enabled:
             t.count("serve.results")
             t.count("serve.devices", report.n_devices)
-        excursions = getattr(report, "excursions", 0)
-        if excursions:
+        if report.excursions:
             # An aborted wafer is operationally urgent (a line stoppage,
             # not a statistic), so it gets its own event ahead of the
             # result — and a counter in the deterministic block.
             if t.enabled:
-                t.count("serve.excursions", excursions)
+                t.count("serve.excursions", report.excursions)
             self._emit(event_line("excursion", id=request.id,
                                   seq=request.seq, label=request.label,
-                                  excursions=excursions,
-                                  aborted=getattr(report, "n_aborted", 0),
-                                  flow=getattr(report, "flow", "fixed")),
+                                  excursions=report.excursions,
+                                  aborted=report.n_aborted,
+                                  flow=report.flow),
                        sink)
         record = scenario_record(request.scenario, request.label,
                                  request.seed, report)

@@ -1,31 +1,43 @@
 """Rolling result aggregation for the streaming serve front door.
 
-A batch :class:`~repro.campaign.driver.Campaign` merges its per-scenario
-child :class:`~repro.production.store.ResultStore` ledgers once, at the
-end.  A long-running server needs the same ledger *while requests are
-still arriving*: the :class:`RollingStore` accumulates each completed
-request's ``(report, child store)`` pair as it lands and exposes
+A batch :class:`~repro.campaign.driver.Campaign` builds its
+:class:`~repro.production.store.ResultStore` ledger once, at the end.  A
+long-running server needs the same ledger *while requests are still
+arriving*: the :class:`RollingStore` keeps each completed request's
+report, keyed by request ``seq``, as it lands and exposes
 
 * :meth:`snapshot` — running totals (requests, devices, accepted,
   tester seconds) plus per-scenario running yield/escape/cost, attached
   to every ``result`` event.  Counts are **monotonic**: a completed
   request only ever adds, it is never revised or dropped.
-* :meth:`merged` / :meth:`ledger` — the full floor ledger, with child
-  stores merged in request-``seq`` order.  Merging in arrival order (not
-  completion order) is what makes the final ledger byte-identical to the
-  batch campaign of the same request stream, no matter how the pool
+* :meth:`merged` / :meth:`ledger` — the full floor ledger, with the
+  reports in request-``seq`` order.  Arrival order (not completion
+  order) is what makes the final ledger byte-identical to the batch
+  campaign of the same request stream, no matter how the pool
   interleaved the actual work.
+
+Both read :func:`~repro.production.store.rollup`, the one rollup every
+ledger view shares.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.production.line import LotScreeningReport
-from repro.production.store import ResultStore
+from repro.production.store import ResultStore, rollup
 
 __all__ = ["RollingStore"]
+
+#: Rollup fields of the running totals (after ``requests``).
+_TOTAL_FIELDS = ("devices", "accepted", "accept_fraction", "tester_seconds",
+                 "saved_tester_seconds", "excursions", "aborted")
+
+#: Rollup fields of the per-scenario block (after ``label``).
+_SCENARIO_FIELDS = ("lots", "devices", "accepted", "accept_fraction",
+                    "true_yield", "type_i", "type_ii", "tester_seconds",
+                    "cost_per_device")
 
 
 class RollingStore:
@@ -33,20 +45,18 @@ class RollingStore:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[int, Tuple[str, LotScreeningReport,
-                                       ResultStore]] = {}
+        self._reports: Dict[int, LotScreeningReport] = {}
 
-    def add(self, seq: int, label: str, report: LotScreeningReport,
-            child: ResultStore) -> None:
+    def add(self, seq: int, report: LotScreeningReport) -> None:
         """Record one completed request (its seq must be new)."""
         with self._lock:
-            if seq in self._entries:
+            if seq in self._reports:
                 raise ValueError(f"request seq {seq} already recorded")
-            self._entries[seq] = (label, report, child)
+            self._reports[seq] = report
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._reports)
 
     # ------------------------------------------------------------------ #
     # Rolling views
@@ -55,68 +65,33 @@ class RollingStore:
     def snapshot(self, label: Optional[str] = None) -> Dict[str, object]:
         """Monotonic running totals over every completed request.
 
-        With ``label``, a ``scenario`` block with that ledger row's
-        running device-weighted yield/escape/cost is attached — the
-        per-scenario rolling view a ``result`` event carries for its own
-        scenario.
+        Sums run in completion order.  With ``label``, a ``scenario``
+        block with that ledger row's running device-weighted
+        yield/escape/cost is attached — the per-scenario rolling view a
+        ``result`` event carries for its own scenario (the server draws
+        each request's lot under its label, so the row is the reports of
+        that ``lot_id``).
         """
         with self._lock:
-            entries = list(self._entries.values())
-        reports = [report for _, report, _ in entries]
-        devices = sum(r.n_devices for r in reports)
-        accepted = sum(r.n_accepted for r in reports)
-        out: Dict[str, object] = {
-            "requests": len(entries),
-            "devices": devices,
-            "accepted": accepted,
-            "accept_fraction": accepted / devices if devices else 0.0,
-            "tester_seconds": sum(r.tester_seconds for r in reports),
-            # Adaptive-flow running totals; all zero on a ledger of
-            # fixed-flow clean requests, so legacy streams read the same.
-            "saved_tester_seconds": sum(
-                getattr(r, "saved_tester_seconds", 0.0) for r in reports),
-            "excursions": sum(getattr(r, "excursions", 0)
-                              for r in reports),
-            "aborted": sum(getattr(r, "n_aborted", 0) for r in reports),
-        }
+            reports = list(self._reports.values())
+        totals = rollup(reports)
+        out: Dict[str, object] = {"requests": totals["lots"]}
+        out.update((name, totals[name]) for name in _TOTAL_FIELDS)
         if label is not None:
-            out["scenario"] = self._label_stats(entries, label)
+            row = rollup([r for r in reports if r.lot_id == label])
+            out["scenario"] = {"label": label, **{
+                name: row[name] for name in _SCENARIO_FIELDS}}
         return out
 
-    @staticmethod
-    def _label_stats(entries, label: str) -> Dict[str, object]:
-        reports = [report for lbl, report, _ in entries if lbl == label]
-        devices = sum(r.n_devices for r in reports)
-
-        def weighted(value) -> float:
-            if not devices:
-                return 0.0
-            return sum(value(r) * r.n_devices for r in reports) / devices
-
-        accepted = sum(r.n_accepted for r in reports)
-        return {
-            "label": label,
-            "lots": len(reports),
-            "devices": devices,
-            "accepted": accepted,
-            "accept_fraction": accepted / devices if devices else 0.0,
-            "true_yield": weighted(lambda r: r.p_good),
-            "type_i": weighted(lambda r: r.type_i),
-            "type_ii": weighted(lambda r: r.type_ii),
-            "tester_seconds": sum(r.tester_seconds for r in reports),
-            "cost_per_device": weighted(lambda r: r.cost_per_device),
-        }
-
     # ------------------------------------------------------------------ #
-    # The merged ledger
+    # The ledger
     # ------------------------------------------------------------------ #
 
     def merged(self) -> ResultStore:
-        """All child stores merged in request-seq (arrival) order."""
+        """The ledger of every completed request, in request-seq order."""
         with self._lock:
-            children = [self._entries[seq][2]
-                        for seq in sorted(self._entries)]
-        return ResultStore.merge(children)
+            return ResultStore(self._reports[seq]
+                               for seq in sorted(self._reports))
 
     def campaign_table(self) -> str:
         """The rolling campaign pivot (one row per scenario label)."""

@@ -25,7 +25,6 @@ from repro.telemetry.core import (
 )
 from repro.telemetry.log import ShardProgress, configure_logging, get_logger
 from repro.telemetry.metrics import (
-    MetricsReport,
     metrics_document,
     render_metrics,
     write_metrics,
@@ -35,7 +34,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "SCHEMA_VERSION",
     "GaugeStat",
-    "MetricsReport",
     "NullTelemetry",
     "ShardProgress",
     "SpanRecord",

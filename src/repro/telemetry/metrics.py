@@ -1,4 +1,4 @@
-"""Metrics export: schema-versioned JSON documents and the campaign pivot.
+"""Metrics export: schema-versioned JSON documents.
 
 :func:`metrics_document` renders a :class:`~repro.telemetry.core.Telemetry`
 collector as a plain dict with a hard determinism contract:
@@ -86,23 +86,19 @@ population, never on the execution geometry:
 ``flow.aborted_devices``
     Devices left untested (and rejected) on aborted wafers.
 
-:class:`MetricsReport` is the operator-facing pivot next to
-:meth:`~repro.production.store.ResultStore.campaign_table`: one row per
-scenario with throughput, escapes and cost, built purely from screening
-reports so it carries no wall-clock noise.
+The operator-facing per-scenario pivot built from screening reports
+(no clocks) is
+:meth:`~repro.production.store.ResultStore.metrics_table`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
-from repro.reporting.tables import format_table
 from repro.telemetry.core import SCHEMA_VERSION, Telemetry
 
 __all__ = [
-    "MetricsReport",
     "metrics_document",
     "render_metrics",
     "write_metrics",
@@ -154,76 +150,3 @@ def write_metrics(path: str, telemetry: Telemetry,
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(render_metrics(metrics_document(telemetry, context)))
         handle.write("\n")
-
-
-@dataclass
-class MetricsReport:
-    """Per-scenario operational rollup of a campaign run.
-
-    Built from the campaign's screening reports alone (no clocks), so
-    the table is deterministic and safe to print in byte-diffed output.
-    """
-
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-
-    @classmethod
-    def from_reports(cls, labels: List[str],
-                     reports_by_label: Mapping[str, List[Any]]
-                     ) -> "MetricsReport":
-        """Aggregate lot reports (grouped by scenario label) into rows."""
-        rows = []
-        for label in labels:
-            reports = reports_by_label.get(label, [])
-            devices = sum(r.n_devices for r in reports)
-            accepted = sum(r.n_accepted for r in reports)
-            seconds = sum(r.tester_seconds for r in reports)
-
-            def weighted(value) -> float:
-                if not devices:
-                    return 0.0
-                return sum(value(r) * r.n_devices
-                           for r in reports) / devices
-
-            rows.append({
-                "label": label,
-                "lots": len(reports),
-                "devices": devices,
-                "accepted": accepted,
-                "escapes": weighted(lambda r: r.type_ii),
-                "yield_loss": weighted(lambda r: r.type_i),
-                "tester_seconds": seconds,
-                "devices_per_hour": (devices / seconds * 3600.0
-                                     if seconds > 0 else float("inf")),
-                "cost_per_device": weighted(lambda r: r.cost_per_device),
-                "saved_tester_seconds": sum(
-                    getattr(r, "saved_tester_seconds", 0.0)
-                    for r in reports),
-                "aborted": sum(getattr(r, "n_aborted", 0)
-                               for r in reports),
-            })
-        return cls(rows)
-
-    @property
-    def total_devices(self) -> int:
-        return sum(row["devices"] for row in self.rows)
-
-    @property
-    def total_accepted(self) -> int:
-        return sum(row["accepted"] for row in self.rows)
-
-    def as_records(self) -> List[Dict[str, Any]]:
-        """The rows as plain dicts (stable order), for JSON export."""
-        return [dict(row) for row in self.rows]
-
-    def table(self) -> str:
-        """The operator pivot, one row per scenario."""
-        return format_table(
-            ["scenario", "lots", "devices", "accepted", "type I",
-             "type II", "tester [s]", "saved [s]", "devices/h",
-             "cost/device"],
-            [[row["label"], row["lots"], row["devices"], row["accepted"],
-              row["yield_loss"], row["escapes"], row["tester_seconds"],
-              row.get("saved_tester_seconds", 0.0),
-              row["devices_per_hour"], row["cost_per_device"]]
-             for row in self.rows],
-            title="Campaign metrics per scenario")

@@ -7,6 +7,9 @@ import pytest
 
 from repro.adc import DevicePopulation, PopulationSpec
 from repro.adc.population import correlated_code_widths
+from repro.adc.transfer import batch_max_dnl, batch_max_inl
+from repro.core.engine import true_goodness
+from repro.production import Wafer
 
 
 class TestCorrelatedCodeWidths:
@@ -155,6 +158,33 @@ class TestDevicePopulation:
         pop = DevicePopulation.paper_batch(size=5)
         assert len(pop) == 5
         assert pop.spec.n_bits == 6
+
+
+class TestOneTruth:
+    """The population, its wafer and the scalar path score one truth.
+
+    Each die is checked at a spec equal to its own largest |DNL| (or
+    |INL|), where a one-ulp difference between two formulas flips the
+    verdict.  At full scale 1.0 the LSB is a power of two and every
+    formula agrees; at 1.1 and 2.5 it is not.
+    """
+
+    @pytest.mark.parametrize("architecture", ["flash", "sar", "pipeline"])
+    @pytest.mark.parametrize("full_scale", [1.0, 1.1, 2.5])
+    def test_good_masks_agree_on_the_limit(self, architecture, full_scale):
+        pop = DevicePopulation(PopulationSpec(
+            n_bits=6, size=64, seed=0, full_scale=full_scale,
+            architecture=architecture))
+        wafer = Wafer.from_population(pop)
+        transitions = pop.transition_matrix()
+        for index, spec in enumerate(batch_max_dnl(transitions)):
+            truth = true_goodness(pop[index], spec)
+            assert pop.good_mask(spec)[index] == truth, index
+            assert wafer.good_mask(spec)[index] == truth, index
+        for index, spec in enumerate(batch_max_inl(transitions)):
+            truth = true_goodness(pop[index], 10.0, inl_spec_lsb=spec)
+            assert pop.good_mask(10.0, spec)[index] == truth, index
+            assert wafer.good_mask(10.0, spec)[index] == truth, index
 
 
 class TestVectorisedDraw:

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro.campaign import Campaign, Scenario, scenario_child_seed
-from repro.production import ExecutionPlan, ResultStore, ScreeningLine
+from repro.production import ExecutionPlan, ScreeningLine
 
 
 def _strip_wall(report):
@@ -136,8 +136,3 @@ class TestLabelsAndExport:
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError):
             Campaign([])
-
-    def test_store_argument_receives_reports(self):
-        ledger = ResultStore()
-        Campaign(Scenario(n_devices=40), seed=2).run(store=ledger)
-        assert len(ledger) == 1

@@ -7,6 +7,8 @@ be retried against a rebuilt pool exactly ``pool_retries`` times — with
 the journal's run numbering realigned per attempt — before propagating.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -22,7 +24,9 @@ from repro.campaign import driver as driver_module
 from repro.production import ExecutionPlan, PoolBrokenError
 from repro.production.execution import ExecutionAborted, current_abort
 from repro.production.pool import (close_default_pool, current_pool,
-                                   get_default_pool, shared_pool)
+                                   dispatch_pool, get_default_pool,
+                                   shared_pool)
+from repro.telemetry import Telemetry, telemetry_session
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +34,15 @@ def _clean_default_pool():
     close_default_pool()
     yield
     close_default_pool()
+
+
+def _suicide(tag):
+    """Kill the worker process executing this task (deterministically)."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _identity(value):
+    return value
 
 
 def _scenarios():
@@ -129,19 +142,39 @@ class TestPoolRetry:
             calls.append(label)
             if len(calls) == 1:
                 raise PoolBrokenError("injected worker death")
-            return "report", "store"
+            return "report"
 
         monkeypatch.setattr(driver_module, "screen_scenario", fake_screen)
-        rebuilt = []
-        monkeypatch.setattr(driver_module, "get_default_pool",
-                            lambda workers: rebuilt.append(workers))
         plan = ExecutionPlan(workers=1)
         with ScenarioSubmitter(plan, max_threads=1,
                                pool_retries=1) as submitter:
             future = submitter.submit("lbl", 3, line=None, lot=None)
-            assert future.result(timeout=10) == ("report", "store")
+            assert future.result(timeout=10) == "report"
         assert calls == ["lbl", "lbl"]
-        assert rebuilt == [1]
+
+    def test_worker_death_retries_on_a_fresh_pool(self, monkeypatch):
+        """A real SIGKILLed worker: the retry dispatches on a new pool."""
+        pools = []
+
+        def dying_screen(label, seed, line, lot, plan=None,
+                         parent_span_id=None):
+            pool = dispatch_pool(plan.workers)
+            pools.append(pool)
+            if len(pools) == 1:
+                pool.dispatch(_suicide, [(0,)])
+            return pool.dispatch(_identity, [(label,)])[0]
+
+        monkeypatch.setattr(driver_module, "screen_scenario", dying_screen)
+        telemetry = Telemetry()
+        with telemetry_session(telemetry):
+            with ScenarioSubmitter(ExecutionPlan(workers=2),
+                                   pool_retries=1) as submitter:
+                future = submitter.submit("lbl", 3, line=None, lot=None)
+                assert future.result(timeout=60) == "lbl"
+        first, second = pools
+        assert first.broken
+        assert second is not first and not second.broken
+        assert telemetry.counters.get("pool.rebuilt") == 1
 
     def test_retries_exhausted_propagates_typed_error(self, monkeypatch):
         calls = []
@@ -152,8 +185,6 @@ class TestPoolRetry:
             raise PoolBrokenError("still broken")
 
         monkeypatch.setattr(driver_module, "screen_scenario", fake_screen)
-        monkeypatch.setattr(driver_module, "get_default_pool",
-                            lambda workers: None)
         plan = ExecutionPlan(workers=1)
         with ScenarioSubmitter(plan, max_threads=1,
                                pool_retries=2) as submitter:
@@ -199,17 +230,15 @@ class TestPoolRetry:
             events.append("screen")
             if events.count("screen") == 1:
                 raise PoolBrokenError("injected")
-            return "report", "store"
+            return "report"
 
         monkeypatch.setattr(driver_module, "screen_scenario", fake_screen)
-        monkeypatch.setattr(driver_module, "get_default_pool",
-                            lambda workers: None)
         plan = ExecutionPlan(workers=1)
         with ScenarioSubmitter(plan, max_threads=1,
                                pool_retries=1) as submitter:
             future = submitter.submit("lbl", 3, line=None, lot=None,
                                       journal=StubJournal())
-            assert future.result(timeout=10) == ("report", "store")
+            assert future.result(timeout=10) == "report"
         # The retry re-screens from the top with the run counter reset.
         assert events == ["screen", "begin_attempt", "screen"]
 

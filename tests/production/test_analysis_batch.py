@@ -183,8 +183,8 @@ class TestAnalysisScreeningLine:
         config = BistConfig(n_bits=6, dnl_spec_lsb=0.5)
         line = ScreeningLine(config, method="histogram",
                              samples_per_code=32.0)
-        store = ResultStore()
-        report = line.screen_lot(lot, rng=0, store=store)
+        report = line.screen_lot(lot, rng=0)
+        store = ResultStore([report])
         direct = BatchHistogramTest(samples_per_code=32.0,
                                     dnl_spec_lsb=0.5).run_wafer(
                                         lot.wafers[0])
@@ -273,8 +273,8 @@ class TestSharedWaferComparison:
         for method in ("bist", "histogram"):
             line = ScreeningLine(config, method=method,
                                  samples_per_code=64.0)
-            line.screen_lot(Wafer(wafer.spec, wafer.transitions,
-                                  wafer.wafer_id), rng=0, store=store)
+            store.add(line.screen_lot(Wafer(wafer.spec, wafer.transitions,
+                                            wafer.wafer_id), rng=0))
         reports = store.reports
         assert reports[0].p_good == reports[1].p_good  # same truth
         # Both methods track the truth closely at the paper's settings.

@@ -236,13 +236,12 @@ class TestScreeningLinePlan:
         reports = []
         stores = []
         for workers, chunk in [(1, None), (2, 31), (2, None)]:
-            store = ResultStore()
             report = self._line().screen_lot(
-                lot, rng=9, store=store,
+                lot, rng=9,
                 plan=ExecutionPlan(workers=workers, chunk_size=chunk,
                                    shard_devices=50))
             reports.append(report)
-            stores.append(store)
+            stores.append(ResultStore([report]))
         base = reports[0]
         for report in reports[1:]:
             assert report.n_accepted == base.n_accepted
@@ -273,12 +272,10 @@ class TestResultStoreMerge:
         partials = []
         for method, lot in zip(("bist", "histogram", "bist"), lots):
             line = ScreeningLine(config, method=method)
-            line.screen_lot(lot, rng=0, store=sequential)
-            partial = ResultStore()
-            line.screen_lot(lot, rng=0, store=partial)
-            partials.append(partial)
+            sequential.add(line.screen_lot(lot, rng=0))
+            partials.append(line.screen_lot(lot, rng=0))
 
-        merged = ResultStore.merge(partials)
+        merged = ResultStore(partials)
         assert merged.lot_table() == sequential.lot_table()
         assert merged.method_table() == sequential.method_table()
         assert merged.scenario_table() == sequential.scenario_table()
@@ -291,7 +288,7 @@ class TestResultStoreMerge:
         for arch in ("flash", "sar"):
             lot = Lot.draw(WaferSpec(n_devices=40, architecture=arch),
                            n_wafers=1, seed=2, lot_id=arch)
-            ScreeningLine(config).screen_lot(lot, rng=0, store=store)
+            store.add(ScreeningLine(config).screen_lot(lot, rng=0))
         table = store.scenario_table()
         assert "flash/full" in table
         assert "sar/full" in table

@@ -110,10 +110,10 @@ class TestResultStore:
         config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
         line = ScreeningLine(config)
         store = ResultStore()
-        line.screen_lot(small_lot, rng=0, store=store)
+        store.add(line.screen_lot(small_lot, rng=0))
         other = Lot.draw(WaferSpec(n_devices=150), n_wafers=1, seed=9,
                          lot_id="LOT-U")
-        line.screen_lot(other, rng=0, store=store)
+        store.add(line.screen_lot(other, rng=0))
 
         assert len(store) == 2
         assert store.total_devices == 950
@@ -137,9 +137,8 @@ class TestResultStore:
     def test_station_totals_merge(self, small_lot):
         config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
         line = ScreeningLine(config, retest_attempts=1)
-        store = ResultStore()
-        line.screen_lot(small_lot, rng=0, store=store)
-        line.screen_lot(small_lot, rng=0, store=store)
+        store = ResultStore([line.screen_lot(small_lot, rng=0),
+                             line.screen_lot(small_lot, rng=0)])
         totals = {s.name: s for s in store.station_totals()}
         assert totals["bist"].n_in == 1600
         per_lot = [r for r in store.reports]
@@ -151,8 +150,7 @@ class TestResultStore:
         config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
         edges = tuple(0.30 + 0.03 * i for i in range(10))
         line = ScreeningLine(config, bin_edges_lsb=edges)
-        store = ResultStore()
-        line.screen_lot(small_lot, rng=0, store=store)
+        store = ResultStore([line.screen_lot(small_lot, rng=0)])
         table = store.bin_table()
         lines = [row.split()[0] for row in table.splitlines()[3:]]
         assert lines == line.bin_names()  # bin-2 before bin-10, etc.

@@ -227,8 +227,8 @@ class TestPartialScreeningLine:
                        n_wafers=1, seed=31, lot_id="P-31")
         config = BistConfig(n_bits=6, dnl_spec_lsb=0.5)
         line = ScreeningLine(config, partial_q=2, devices_per_ic=4)
-        store = ResultStore()
-        report = line.screen_lot(lot, rng=0, store=store)
+        report = line.screen_lot(lot, rng=0)
+        store = ResultStore([report])
         engine = BatchPartialBistEngine(PartialBistConfig(
             n_bits=6, q=2, dnl_spec_lsb=0.5))
         direct = engine.run_wafer(lot.wafers[0])

@@ -1,10 +1,11 @@
-"""ResultStore.merge edge cases: the shard-merge contract of the ledger.
+"""One ledger from many reports: the edges and the order contract.
 
-A campaign merges one child store per scenario ("parallel lot streams");
-these tests pin the edges of that operation — empty stores, single-store
-merges, duplicate scenario labels — and the invariant every aggregate
-rendering depends on: merging the same reports in any order produces the
-same tables.
+A campaign's ledger is a :class:`ResultStore` built over its scenarios'
+reports ("parallel lot streams"); these tests pin the edges of building
+one — no reports, one store's reports, duplicate scenario labels — and
+the invariant every aggregate rendering depends on: the same reports in
+any order produce the same tables.  The last block pins :func:`rollup`
+on the adaptive-flow fields.
 """
 
 import itertools
@@ -13,17 +14,17 @@ import pytest
 
 from repro.campaign import Campaign, Scenario
 from repro.production import ResultStore
+from repro.production.store import rollup
 
 
-def _store_for(scenario, seed):
-    """One single-lot child store, as a campaign worker would fill it."""
-    result = Campaign(scenario, seed=seed).run()
-    return result.store
+def _reports_for(scenario, seed):
+    """The reports of one single-lot campaign."""
+    return Campaign(scenario, seed=seed).run().reports
 
 
 @pytest.fixture(scope="module")
-def child_stores():
-    """Three heterogeneous single-lot stores (methods, archs, retest)."""
+def lot_reports():
+    """Three heterogeneous lot reports (methods, archs, retest)."""
     scenarios = [
         Scenario(n_devices=60, dnl_spec_lsb=0.5),
         Scenario(n_devices=60, method="histogram", dnl_spec_lsb=0.5,
@@ -31,8 +32,8 @@ def child_stores():
         Scenario(n_devices=60, q=2, transition_noise_lsb=0.05,
                  retest_attempts=1, dnl_spec_lsb=0.5),
     ]
-    return [_store_for(scenario, seed=i) for i, scenario in
-            enumerate(scenarios)]
+    return [report for i, scenario in enumerate(scenarios)
+            for report in _reports_for(scenario, seed=i)]
 
 
 AGGREGATE_TABLES = ("method_table", "scenario_table", "campaign_table",
@@ -41,67 +42,62 @@ AGGREGATE_TABLES = ("method_table", "scenario_table", "campaign_table",
 
 class TestMergeEdges:
     def test_merge_of_nothing_is_empty(self):
-        merged = ResultStore.merge([])
+        merged = ResultStore([])
         assert len(merged) == 0
         assert merged.total_devices == 0
         assert merged.overall_accept_fraction == 0.0
         # Every rendering must still produce a (headers-only) table.
-        for table in AGGREGATE_TABLES + ("lot_table",):
+        for table in AGGREGATE_TABLES + ("lot_table", "metrics_table"):
             assert isinstance(getattr(merged, table)(), str)
 
     def test_merge_of_empty_stores_is_empty(self):
-        assert len(ResultStore.merge([ResultStore(), ResultStore()])) == 0
+        stores = [ResultStore(), ResultStore()]
+        assert len(ResultStore(report for store in stores
+                               for report in store.reports)) == 0
 
-    def test_single_store_merge_is_identity(self, child_stores):
-        store = child_stores[0]
-        merged = ResultStore.merge([store])
+    def test_single_store_merge_is_identity(self, lot_reports):
+        store = ResultStore(lot_reports[:1])
+        merged = ResultStore(store.reports)
         assert merged.reports == store.reports
-        for table in AGGREGATE_TABLES + ("lot_table",):
+        for table in AGGREGATE_TABLES + ("lot_table", "metrics_table"):
             assert getattr(merged, table)() == getattr(store, table)()
-
-    def test_merge_does_not_alias_children(self, child_stores):
-        merged = ResultStore.merge(child_stores)
-        before = len(child_stores[0])
-        merged.add(child_stores[1].reports[0])
-        assert len(child_stores[0]) == before
 
     def test_duplicate_scenario_labels_aggregate(self):
         scenario = Scenario(n_devices=60, label="dup")
-        merged = ResultStore.merge([_store_for(scenario, seed=1),
-                                    _store_for(scenario, seed=2)])
+        merged = ResultStore(_reports_for(scenario, seed=1)
+                             + _reports_for(scenario, seed=2))
         assert merged.total_devices == 120
-        table = merged.campaign_table()
         # One aggregated, device-weighted row — not two rows racing for
         # the same key.
-        assert table.count("dup") == 1
-        assert " 120 " in table
+        for table in (merged.campaign_table(), merged.metrics_table()):
+            assert table.count("dup") == 1
+            assert " 120 " in table
 
 
 class TestMergeOrderInvariance:
-    def test_every_aggregate_table_is_order_invariant(self, child_stores):
-        reference = ResultStore.merge(child_stores)
-        for permutation in itertools.permutations(child_stores):
-            merged = ResultStore.merge(permutation)
+    def test_every_aggregate_table_is_order_invariant(self, lot_reports):
+        reference = ResultStore(lot_reports)
+        for permutation in itertools.permutations(lot_reports):
+            merged = ResultStore(permutation)
             for table in AGGREGATE_TABLES:
                 assert getattr(merged, table)() == \
                     getattr(reference, table)(), table
 
     def test_lot_table_rows_are_order_covariant_but_complete(
-            self, child_stores):
+            self, lot_reports):
         """The per-lot ledger keeps arrival order (it is a log, not an
-        aggregate); any merge order carries the same multiset of rows."""
-        reference = sorted(
-            ResultStore.merge(child_stores).lot_table().splitlines())
-        for permutation in itertools.permutations(child_stores):
-            rows = ResultStore.merge(permutation).lot_table().splitlines()
+        aggregate); any order carries the same multiset of rows."""
+        reference = sorted(ResultStore(lot_reports).lot_table().splitlines())
+        for permutation in itertools.permutations(lot_reports):
+            rows = ResultStore(permutation).lot_table().splitlines()
             assert sorted(rows) == reference
 
-    def test_station_totals_have_canonical_order(self, child_stores):
+    def test_station_totals_have_canonical_order(self, lot_reports):
         # bist/histogram screening stations first (alphabetically), then
-        # retest, then binning — independent of merge order.
-        for permutation in itertools.permutations(child_stores):
+        # retest, then binning — independent of arrival order.
+        for permutation in itertools.permutations(lot_reports):
             names = [s.name for s in
-                     ResultStore.merge(permutation).station_totals()]
+                     ResultStore(permutation).station_totals()]
             assert names == ["bist", "histogram", "retest", "binning"]
 
 
@@ -155,9 +151,8 @@ class TestSequentialStationMerge:
             assert station.n_accounted == 270, \
                 [r.lot_id for r in ordering]
 
-    def test_fixed_stations_keep_none_accounted(self, child_stores):
-        merged = ResultStore.merge(child_stores)
-        for station in merged.station_totals():
+    def test_fixed_stations_keep_none_accounted(self, lot_reports):
+        for station in ResultStore(lot_reports).station_totals():
             assert station.n_accounted is None
             assert station.accounted == station.n_in
 
@@ -185,50 +180,32 @@ class TestSequentialStationMerge:
         assert report.n_accepted == 0
 
 
-class TestMetricsReportSequentialFields:
+class TestRollupSequentialFields:
     def test_rows_sum_saved_seconds_and_aborts(self):
-        from repro.telemetry.metrics import MetricsReport
         reports = [
             _sequential_report("L0", 100, 20, 0.5, excursions=1),
             _sequential_report("L1", 100, 0, 0.7),
         ]
-        pivot = MetricsReport.from_reports(["sprt"], {"sprt": reports})
-        (row,) = pivot.rows
-        assert row["saved_tester_seconds"] == pytest.approx(1.2)
-        assert row["aborted"] == 20
-        assert row["devices"] == 200
-        assert "saved [s]" in pivot.table()
+        totals = rollup(reports)
+        assert totals["lots"] == 2
+        assert totals["saved_tester_seconds"] == pytest.approx(1.2)
+        assert totals["aborted"] == 20
+        assert totals["excursions"] == 1
+        assert totals["devices"] == 200
+        assert "saved [s]" in ResultStore(reports).metrics_table()
 
     def test_empty_label_row_is_all_zero(self):
-        from repro.telemetry.metrics import MetricsReport
-        pivot = MetricsReport.from_reports(["ghost"], {})
-        (row,) = pivot.rows
-        assert row["devices"] == 0
-        assert row["saved_tester_seconds"] == 0.0
-        assert row["aborted"] == 0
-        assert row["cost_per_device"] == 0.0
+        totals = rollup([])
+        assert totals["lots"] == 0
+        assert totals["devices"] == 0
+        assert totals["saved_tester_seconds"] == 0.0
+        assert totals["aborted"] == 0
+        assert totals["cost_per_device"] == 0.0
 
     def test_all_aborted_lot_row(self):
-        from repro.telemetry.metrics import MetricsReport
-        reports = [_sequential_report("L0", 80, 80, 0.0, excursions=1)]
-        pivot = MetricsReport.from_reports(["dead"], {"dead": reports})
-        (row,) = pivot.rows
-        assert row["accepted"] == 0
-        assert row["tester_seconds"] == 0.0
-        assert row["aborted"] == 80
-
-    def test_legacy_reports_without_flow_fields(self):
-        from repro.telemetry.metrics import MetricsReport
-
-        class Legacy:
-            n_devices = 10
-            n_accepted = 9
-            tester_seconds = 0.5
-            type_i = 0.0
-            type_ii = 0.0
-            cost_per_device = 1e-6
-
-        pivot = MetricsReport.from_reports(["old"], {"old": [Legacy()]})
-        (row,) = pivot.rows
-        assert row["saved_tester_seconds"] == 0.0
-        assert row["aborted"] == 0
+        totals = rollup([_sequential_report("L0", 80, 80, 0.0,
+                                            excursions=1)])
+        assert totals["accepted"] == 0
+        assert totals["tester_seconds"] == 0.0
+        assert totals["devices_per_hour"] == float("inf")
+        assert totals["aborted"] == 80

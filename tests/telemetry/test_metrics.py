@@ -6,7 +6,6 @@ from repro.campaign import Campaign, Scenario
 from repro.production import ExecutionPlan
 from repro.telemetry import (
     SCHEMA_VERSION,
-    MetricsReport,
     Telemetry,
     metrics_document,
     render_metrics,
@@ -103,27 +102,25 @@ class TestMetricsDocument:
         assert doc["counters"] == {"devices": 3}
 
 
-class TestMetricsReport:
+class TestMetricsTable:
     def test_pivot_from_campaign_run(self):
         base = Scenario(n_devices=60)
         campaign = Campaign(base.grid(q=[None, 2]), seed=5)
         result = campaign.run()
-        assert result.metrics is not None
-        assert [row["label"] for row in result.metrics.rows] == result.labels
-        assert result.metrics.total_devices == 120
         table = result.metrics_table()
+        assert table == result.store.metrics_table()
         assert "Campaign metrics per scenario" in table
-        assert "flash/partial q=2" in table
-        records = result.metrics.as_records()
-        assert all(r["lots"] == 1 for r in records)
-        assert all(r["devices"] == 60 for r in records)
+        # One row per scenario, in scenario order: title, header, rule.
+        rows = table.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == ["flash/full",
+                                                    "flash/partial"]
+        assert "flash/partial q=2" in rows[1]
+        for row in rows:
+            lots, devices = row.split()[-9:-7]
+            assert (lots, devices) == ("1", "60")
 
     def test_empty_report(self):
         from repro.campaign.driver import CampaignResult
 
-        report = MetricsReport.from_reports([], {})
-        assert report.rows == []
-        assert report.total_devices == 0
         bare = CampaignResult(scenarios=[], labels=[], seeds=[], reports=[])
-        assert bare.metrics is None
         assert bare.metrics_table() == ""
