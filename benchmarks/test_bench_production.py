@@ -30,7 +30,8 @@ from repro.production import (
     shared_pool,
 )
 from repro.reporting import format_table
-from repro.telemetry import current_telemetry
+from repro.telemetry import NullTelemetry, current_telemetry, \
+    telemetry_session
 
 #: The speedup the batched engine must deliver at 10k devices.
 REQUIRED_SPEEDUP_10K = 20.0
@@ -68,6 +69,42 @@ def _time_batch(wafer: Wafer, repeats: int = 3):
         result = engine.run_wafer(wafer, rng=0)
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+class _CountingNullTelemetry(NullTelemetry):
+    """Disabled telemetry that counts the touchpoints a run crosses.
+
+    Each ``enabled`` read and each call of a recording or context method
+    adds one; the calls still do what the disabled object does.
+    """
+
+    def __init__(self) -> None:
+        self.touchpoints = 0
+
+    @property
+    def enabled(self) -> bool:
+        self.touchpoints += 1
+        return False
+
+
+def _counted(name: str):
+    def touchpoint(self, *args, **kwargs):
+        self.touchpoints += 1
+        return getattr(NullTelemetry, name)(self, *args, **kwargs)
+    return touchpoint
+
+
+for _name in ("span", "timer", "count", "record_timer", "set_gauge",
+              "under_span"):
+    setattr(_CountingNullTelemetry, _name, _counted(_name))
+
+
+def _touchpoints(wafer: Wafer, plan=None) -> int:
+    """Disabled telemetry touchpoints of one batched BIST run."""
+    counter = _CountingNullTelemetry()
+    with telemetry_session(counter):
+        BatchBistEngine(_CONFIG).run_wafer(wafer, rng=0, plan=plan)
+    return counter.touchpoints
 
 
 class TestProductionThroughput:
@@ -367,14 +404,23 @@ class TestProductionThroughput:
 
         Timing an instrumented vs uninstrumented run head-to-head would
         put a <2% wall-clock delta at the mercy of CI co-tenants, so the
-        pin is structural instead: microbenchmark the *entire* disabled
+        pin is structural instead: count the touchpoints the measured
+        1k-device BIST run crosses (a counting disabled telemetry
+        installed for one run), microbenchmark the *entire* disabled
         touchpoint bundle (session lookup, enabled guard, null span,
-        null timer record), multiply by a site budget far above the real
-        count, and hold that against the measured 1k-device BIST run.
-        A serial run crosses ~10 telemetry sites (it is O(shards), not
-        O(devices)); the budget allows 100."""
+        null timer record), charge every counted touchpoint the whole
+        bundle (an upper bound) and hold that against the run.
+
+        The count is O(shards), never O(devices) or O(chunks): one shard
+        of 8,000 dies in 8 chunks crosses as many touchpoints as one of
+        1,000 dies in a single chunk, and no run crosses more than the
+        100 sites the pin once budgeted."""
         wafer = _wafer(1000)
         run_s, _ = _time_batch(wafer)
+        touchpoints = _touchpoints(wafer)
+        one_shard = ExecutionPlan(shard_devices=8192, chunk_size=1024)
+        one_chunk = _touchpoints(wafer, plan=one_shard)
+        eight_chunks = _touchpoints(_wafer(8000), plan=one_shard)
 
         calls = 50_000
         start = time.perf_counter()
@@ -387,14 +433,20 @@ class TestProductionThroughput:
             t.record_timer("t", 0.0)
         per_site = (time.perf_counter() - start) / calls
 
-        site_budget = 100
-        overhead = site_budget * per_site / run_s
+        overhead = touchpoints * per_site / run_s
         bench("telemetry.noop_overhead_fraction", overhead)
+        bench("telemetry.noop_touchpoints", touchpoints)
         report("telemetry no-op overhead (1k-device BIST path)",
                f"{per_site * 1e9:.0f} ns per disabled touchpoint; "
-               f"{site_budget} budgeted sites = "
+               f"{touchpoints} touchpoints crossed = "
                f"{overhead * 100:.4f}% of the {run_s * 1e3:.1f} ms run "
-               f"(required < 2%)")
+               f"(required < 2%); one shard crosses {one_chunk} in 1 "
+               f"chunk and {eight_chunks} in 8")
+        assert touchpoints <= 100
+        assert eight_chunks == one_chunk, (
+            f"a shard of 8 chunks crosses {eight_chunks} telemetry "
+            f"touchpoints, one of 1 chunk {one_chunk}: a touchpoint runs "
+            f"per chunk or per device")
         assert overhead < 0.02, (
             f"disabled telemetry costs {overhead * 100:.2f}% of the "
             f"1k-device BIST run (required < 2%)")
