@@ -22,6 +22,14 @@ Two scalars back the kernel's acceptance claims, recorded into the
     (:func:`repro.adc.pipeline.dense_transitions`), bit-identical outputs
     asserted.  ``kernel.pipeline_draw_s`` is the draw a ``repro serve``
     pipeline lot waits for.
+``kernel.regular_decisions_s``
+    The batch engine's event-path decisions for the regular dies of a
+    65,536-die 6-bit wafer, from their crossing matrix in shards of
+    :data:`~repro.production.DEFAULT_SHARD_DEVICES`, as a default plan
+    feeds them: the verdicts from each row's smallest and largest count,
+    the max |DNL| from the two extreme widths over the full row's mean.
+    Against ``kernel.regular_full_row_s``, every count through
+    :func:`repro.core.decision.decide_counts`; equal outputs asserted.
 
 Wall-clock thresholds stay out of the gating tier-1 run for the usual
 reason: shared CI runners make timing assertions hostage to co-tenant
@@ -34,7 +42,12 @@ import numpy as np
 
 from repro.adc import PipelineStageBackend, backends
 from repro.adc.pipeline import dense_transitions
+from repro.core import BistConfig
+from repro.core.decision import decide_counts
 from repro.core.kernel import batch_quantise_shared, shared_crossing_indices
+from repro.production import DEFAULT_SHARD_DEVICES, BatchBistEngine, \
+    Wafer, WaferSpec
+from repro.production.batch_engine import _ChunkOutcome
 from repro.reporting import format_table
 
 REPEATS = 5
@@ -122,3 +135,60 @@ def test_pipeline_draw(bench, report, monkeypatch):
                 ["breakpoint search", f"{t_search:.4f}",
                  f"{speedup:.2f}"]],
                title=f"{n_devices} dies x 6 bits, 64 sweep points per LSB"))
+
+
+def _full_row_decisions(counts, limits):
+    """Every code through ``decide_counts``, then the max |DNL| of the
+    readings' widths over their row mean."""
+    decision = decide_counts(counts, limits)
+    widths = decision.readings * limits.delta_s_lsb
+    mean = widths.mean(axis=1)
+    mean = np.where(mean == 0.0, 1.0, mean)
+    return (decision.dnl_pass.all(axis=1), decision.inl_pass.all(axis=1),
+            np.abs(widths / mean[:, None] - 1.0).max(axis=1))
+
+
+def test_regular_decisions(bench, report):
+    wafer = Wafer.draw(WaferSpec(n_bits=6, sigma_code_width_lsb=0.21,
+                                 n_devices=65536), rng=31)
+    engine = BatchBistEngine(BistConfig(n_bits=6, counter_bits=7,
+                                        dnl_spec_lsb=1.0))
+    stimulus = engine.prepare(wafer.transitions).stimulus
+    crossing = shared_crossing_indices(wafer.transitions, stimulus)
+    regular = ((np.diff(crossing, axis=1) > 0).all(axis=1)
+               & (crossing[:, 0] >= 1)
+               & (crossing[:, -1] <= stimulus.size - 1))
+    shards = [crossing[regular][lo:lo + DEFAULT_SHARD_DEVICES]
+              for lo in range(0, int(regular.sum()), DEFAULT_SHARD_DEVICES)]
+
+    def extremes():
+        outcomes = []
+        for shard in shards:
+            counts = np.diff(shard, axis=1)
+            outcome = _ChunkOutcome.empty(counts.shape[0])
+            engine._regular_outcome(counts, counts.min(axis=1),
+                                    counts.max(axis=1), outcome,
+                                    slice(None))
+            outcomes.append((outcome.dnl_passed, outcome.inl_passed,
+                             outcome.measured_max_dnl_lsb))
+        return outcomes
+
+    def full_row():
+        return [_full_row_decisions(np.diff(shard, axis=1), engine.limits)
+                for shard in shards]
+
+    for fast, reference in zip(extremes(), full_row()):
+        for a, b in zip(fast, reference):
+            assert a.tobytes() == b.tobytes()
+    t_fast = _best_of(extremes)
+    t_ref = _best_of(full_row)
+    bench("kernel.regular_decisions_s", t_fast)
+    bench("kernel.regular_full_row_s", t_ref)
+    report("kernel: decisions of regular dies",
+           format_table(
+               ["variant", "seconds", "speedup"],
+               [["every count (reference)", f"{t_ref:.4f}", "1.00"],
+                ["row extremes", f"{t_fast:.4f}", f"{t_ref / t_fast:.2f}"]],
+               title=f"{int(regular.sum())} regular of 65536 dies x 6 "
+                     f"bits in shards of {DEFAULT_SHARD_DEVICES}, 7-bit "
+                     f"saturating counter, no INL spec"))

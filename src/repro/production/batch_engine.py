@@ -36,10 +36,15 @@ Two execution paths are selected automatically:
     between the upper bits and the counter is constant in between.  Noisy
     runs therefore match the scalar engine decision for decision.
 
-Both paths feed the same count-limit kernel
-(:func:`repro.core.decision.decide_counts`) the scalar LSB processor uses,
-and the stream path's event MSB check equals the matrix reference counter
-of :mod:`repro.core.kernel` that the scalar
+Both paths decide with the count-limit kernel
+(:func:`repro.core.decision.decide_counts`) the scalar LSB processor uses.
+The stream path and the event path's irregular devices feed it every
+count.  A regular device on the event path under a saturating counter
+without an INL spec feeds it only its smallest and largest count: the
+reading, the over-range flag and both limit comparisons are monotone in
+the count, so the row passes iff its two extremes do.  The stream path's
+event MSB check equals the matrix reference counter of
+:mod:`repro.core.kernel` that the scalar
 :class:`~repro.core.msb_checker.MsbChecker` runs with one row.
 
 :func:`chip_grouping` and :meth:`BatchBistEngine.run_chips` extend the batch
@@ -67,7 +72,7 @@ import numpy as np
 from repro.adc.ideal import IdealADC
 from repro.adc.population import DevicePopulation
 from repro.adc.transfer import batch_good_mask
-from repro.core.decision import decide_counts
+from repro.core.decision import counter_readings, decide_counts
 from repro.core.deglitch import DeglitchFilter
 from repro.core.engine import BistConfig, BistEngine, PopulationBistResult
 from repro.core.kernel import (
@@ -731,24 +736,30 @@ class BatchBistEngine(BistWaferEngine):
         ``#falls = code >> 1``).  Only the rare irregular devices (missing
         codes folding two crossings onto one sample, gross curves starting
         above the ramp) take the general sorted-event reduction in
-        :meth:`_irregular_events`.
+        :meth:`_irregular_events`.  The chunk takes ``diff(crossing)``
+        once: its row minimum tells the regular devices (smallest count
+        positive, first and last crossing inside the record), and its row
+        extremes decide them in :meth:`_regular_outcome`.
         """
-        cfg = self.config
         n_chunk = transitions.shape[0]
         n_samples = ramp_voltages.size
         crossing = shared_crossing_indices(transitions, ramp_voltages)
-
-        in_range = (crossing >= 1) & (crossing <= n_samples - 1)
-        regular = (in_range.all(axis=1)
-                   & (np.diff(crossing, axis=1) > 0).all(axis=1))
+        counts = np.diff(crossing, axis=1)
+        smallest = counts.min(axis=1)
+        largest = counts.max(axis=1)
+        # Strictly increasing crossings all lie inside the record iff the
+        # first and the last do.
+        regular = ((smallest > 0) & (crossing[:, 0] >= 1)
+                   & (crossing[:, -1] <= n_samples - 1))
         n_codes_expected = transitions.shape[1]
 
         outcome = _ChunkOutcome.empty(n_chunk)
         if regular.all():
-            self._regular_outcome(crossing, outcome,
-                                  np.ones(n_chunk, dtype=bool))
+            self._regular_outcome(counts, smallest, largest, outcome,
+                                  slice(None))
         else:
-            self._regular_outcome(crossing[regular], outcome, regular)
+            self._regular_outcome(counts[regular], smallest[regular],
+                                  largest[regular], outcome, regular)
             irregular = ~regular
             sub = self._irregular_events(crossing[irregular], n_samples)
             outcome.scatter(sub, irregular)
@@ -756,29 +767,57 @@ class BatchBistEngine(BistWaferEngine):
                                   == n_codes_expected)
         return outcome
 
-    def _regular_outcome(self, crossing: np.ndarray,
-                         outcome: "_ChunkOutcome",
-                         mask: np.ndarray) -> None:
-        """Fill the outcome for devices with one clean edge per transition."""
-        if crossing.shape[0] == 0:
+    def _regular_outcome(self, counts: np.ndarray, smallest: np.ndarray,
+                         largest: np.ndarray, outcome: "_ChunkOutcome",
+                         mask: Union[np.ndarray, slice]) -> None:
+        """Fill the outcome for devices with one clean edge per transition.
+
+        ``counts`` holds the devices' per-code sample counts, ``smallest``
+        and ``largest`` its row extremes.  A saturating counter reads
+        ``min(count, 2**bits)``, which is monotone in the count, and so
+        are the over-range flag and both limit comparisons.  So without
+        an INL spec, whose running sum needs every code, a row's
+        comparisons all pass iff they pass at its two extremes.  For a
+        positive row mean ``m``, ``|w / m - 1|`` in floating point is
+        largest at the row's smallest or largest width ``w``, so the
+        measured max |DNL| comes from the extremes and the full row's
+        mean.  Wrapping counters and INL specs decide on the full rows.
+        """
+        if counts.shape[0] == 0:
             return
         cfg = self.config
-        counts = np.diff(crossing, axis=1)
-        decision = decide_counts(counts, self._limits,
-                                 saturate=cfg.counter_saturate)
-        dnl_passed = decision.dnl_pass.all(axis=1)
-        inl_passed = decision.inl_pass.all(axis=1)
-        outcome.dnl_passed[mask] = dnl_passed
-        outcome.inl_passed[mask] = inl_passed
-        outcome.n_transitions[mask] = crossing.shape[1]
+        limits = self._limits
+        step = limits.delta_s_lsb
+        # Per-code arrays below are (codes, devices): reductions run down
+        # the columns.
+        if cfg.counter_saturate and limits.inl_spec_lsb is None:
+            # Row 0 holds every device's smallest count, row 1 its
+            # largest.  The comparisons are element-wise; the INL running
+            # sum, which would run along the devices, is not used.
+            decision = decide_counts(np.stack((smallest, largest)), limits)
+            # No count above the counter's reach: every reading equals
+            # its count.
+            readings = (counts if largest.max() <= 1 << limits.counter_bits
+                        else counter_readings(counts, limits.counter_bits))
+            mean = (readings * step).mean(axis=1)
+            dnl_pass, inl_pass = decision.dnl_pass, decision.inl_pass
+            widths = decision.readings * step
+        else:
+            decision = decide_counts(counts, limits,
+                                     saturate=cfg.counter_saturate)
+            dnl_pass, inl_pass = decision.dnl_pass.T, decision.inl_pass.T
+            widths = decision.readings * step
+            mean = widths.mean(axis=1)
+            widths = widths.T
+        outcome.dnl_passed[mask] = dnl_pass.all(axis=0)
+        outcome.inl_passed[mask] = inl_pass.all(axis=0)
+        outcome.n_transitions[mask] = counts.shape[1] + 1
         # Codes step 0, 1, 2, … one at a time, so the upper bits always
         # equal the reference counter: the functionality check passes.
         outcome.msb_passed[mask] = True
-        widths = decision.readings * self._limits.delta_s_lsb
-        mean = widths.mean(axis=1)
         mean = np.where(mean == 0.0, 1.0, mean)
         outcome.measured_max_dnl_lsb[mask] = \
-            np.abs(widths / mean[:, None] - 1.0).max(axis=1)
+            np.abs(widths / mean - 1.0).max(axis=0)
 
     def _irregular_events(self, crossing: np.ndarray,
                           n_samples: int) -> "_ChunkOutcome":

@@ -9,6 +9,9 @@ the shared differential harness (``harness.py``).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from harness import assert_full_bist_equivalent as _assert_population_equal
 from repro.adc import DevicePopulation, PopulationSpec
@@ -30,7 +33,9 @@ from repro.production import (
     batch_deglitch,
     chip_grouping,
 )
+from repro.core.decision import decide_counts
 from repro.core.deglitch import DeglitchFilter
+from repro.production.batch_engine import _ChunkOutcome
 
 #: Result registers and passing chips of the seeded noisy chip run below.
 PINNED_REGISTERS = [10, 13, 15, 6, 15, 15]
@@ -199,6 +204,74 @@ class TestBatchResultBookkeeping:
             ref = scalar.run(wafer.device(i))
             assert batch.measured_max_dnl_lsb[i] == pytest.approx(
                 np.max(np.abs(ref.measured_dnl_lsb)))
+
+
+def _full_row_decisions(counts, limits, saturate):
+    """Reference: every code through ``decide_counts``, then the max |DNL|
+    of the readings' widths over their row mean."""
+    decision = decide_counts(counts, limits, saturate=saturate)
+    widths = decision.readings * limits.delta_s_lsb
+    mean = widths.mean(axis=1)
+    mean = np.where(mean == 0.0, 1.0, mean)
+    return (decision.dnl_pass.all(axis=1), decision.inl_pass.all(axis=1),
+            np.abs(widths / mean[:, None] - 1.0).max(axis=1))
+
+
+@st.composite
+def _regular_count_rows(draw, counter_saturate=True, inl=False):
+    """A configuration and count rows of regular dies (every count > 0),
+    drawn around the limits, the counter's reach and the ideal count."""
+    config = BistConfig(
+        n_bits=draw(st.integers(2, 8)),
+        counter_bits=draw(st.integers(2, 10)),
+        dnl_spec_lsb=draw(st.floats(0.25, 2.0)),
+        inl_spec_lsb=draw(st.floats(0.25, 2.0)) if inl else None,
+        counter_saturate=counter_saturate)
+    limits = config.limits()
+    full = 1 << limits.counter_bits
+    edges = [limits.i_min - 1, limits.i_min, limits.i_max,
+             limits.i_max + 1, full - 1, full, full + 1,
+             round(limits.ideal_count)]
+    values = st.one_of(st.sampled_from([v for v in edges if v > 0]),
+                       st.integers(1, full + 2))
+    shape = (draw(st.integers(1, 6)), (1 << config.n_bits) - 2)
+    # The event path's counts are diffs of int32 crossing indices.
+    return config, draw(hnp.arrays(np.int32, shape, elements=values))
+
+
+class TestRegularDecisions:
+    """The event path's decisions on regular dies equal the full-row
+    reference: from the row extremes under a saturating counter without
+    an INL spec, on the full rows otherwise."""
+
+    @staticmethod
+    def _assert_matches_full_row(config, counts):
+        engine = BatchBistEngine(config)
+        outcome = _ChunkOutcome.empty(counts.shape[0])
+        engine._regular_outcome(counts, counts.min(axis=1),
+                                counts.max(axis=1), outcome, slice(None))
+        dnl, inl, max_dnl = _full_row_decisions(
+            counts, engine.limits, config.counter_saturate)
+        np.testing.assert_array_equal(outcome.dnl_passed, dnl)
+        np.testing.assert_array_equal(outcome.inl_passed, inl)
+        assert outcome.measured_max_dnl_lsb.tobytes() == max_dnl.tobytes()
+        assert (outcome.n_transitions == counts.shape[1] + 1).all()
+        assert outcome.msb_passed.all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_regular_count_rows())
+    def test_row_extremes_decide_a_saturating_counter(self, drawn):
+        self._assert_matches_full_row(*drawn)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_regular_count_rows(counter_saturate=False))
+    def test_wrapping_counter_decides_on_the_full_row(self, drawn):
+        self._assert_matches_full_row(*drawn)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_regular_count_rows(inl=True))
+    def test_inl_spec_decides_on_the_full_row(self, drawn):
+        self._assert_matches_full_row(*drawn)
 
 
 class TestBatchLsbProcessorProperties:
