@@ -12,6 +12,8 @@ Monte-Carlo campaign produces one readable floor report.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 from repro.production.line import LotScreeningReport, StationStats
@@ -20,8 +22,17 @@ from repro.reporting.tables import format_table
 __all__ = ["ResultStore", "rollup"]
 
 
+def _sum(values: Iterable[Any]) -> Any:
+    """``0 + v0 + v1 + ...``, added left to right on every Python.
+
+    The builtin ``sum()`` compensates float sums from Python 3.12 on, so
+    it would move a ledger's last digit between interpreters.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def rollup(reports: Sequence[LotScreeningReport]) -> Dict[str, Any]:
-    """Totals of a group of lot reports, summed in the given order.
+    """Totals of a group of lot reports, summed left to right in order.
 
     Counts, tester seconds, saved seconds, excursions and aborted dies
     are plain sums; accept fraction and devices per tester-hour follow
@@ -29,14 +40,14 @@ def rollup(reports: Sequence[LotScreeningReport]) -> Dict[str, Any]:
     weighted by each lot's devices.  An empty group reads zero (and
     infinite devices per hour, as a lot without tester time does).
     """
-    devices = sum(r.n_devices for r in reports)
-    accepted = sum(r.n_accepted for r in reports)
-    seconds = sum(r.tester_seconds for r in reports)
+    devices = _sum(r.n_devices for r in reports)
+    accepted = _sum(r.n_accepted for r in reports)
+    seconds = _sum(r.tester_seconds for r in reports)
 
     def weighted(value: Callable[[LotScreeningReport], float]) -> float:
         if not devices:
             return 0.0
-        return sum(value(r) * r.n_devices for r in reports) / devices
+        return _sum(value(r) * r.n_devices for r in reports) / devices
 
     return {
         "lots": len(reports),
@@ -50,10 +61,10 @@ def rollup(reports: Sequence[LotScreeningReport]) -> Dict[str, Any]:
         "devices_per_hour": (devices / seconds * 3600.0 if seconds > 0
                              else float("inf")),
         "cost_per_device": weighted(lambda r: r.cost_per_device),
-        "saved_tester_seconds": sum(r.saved_tester_seconds
-                                    for r in reports),
-        "excursions": sum(r.excursions for r in reports),
-        "aborted": sum(r.n_aborted for r in reports),
+        "saved_tester_seconds": _sum(r.saved_tester_seconds
+                                     for r in reports),
+        "excursions": _sum(r.excursions for r in reports),
+        "aborted": _sum(r.n_aborted for r in reports),
     }
 
 

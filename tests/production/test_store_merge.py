@@ -209,3 +209,16 @@ class TestRollupSequentialFields:
         assert totals["tester_seconds"] == 0.0
         assert totals["devices_per_hour"] == float("inf")
         assert totals["aborted"] == 80
+
+
+class TestRollupSummationOrder:
+    def test_float_totals_add_left_to_right(self):
+        """Ten lots of 0.1 tester seconds total 0.9999999999999999 on
+        every interpreter: Python 3.12's compensated ``sum()`` would give
+        1.0, and the ledger would print another last digit there."""
+        reports = [_sequential_report(f"L{i}", 100, 0, 0.1)
+                   for i in range(10)]
+        assert {r.tester_seconds for r in reports} == {0.1}
+        totals = rollup(reports)
+        assert totals["tester_seconds"] == 0.9999999999999999
+        assert totals["saved_tester_seconds"] == 0.9999999999999999

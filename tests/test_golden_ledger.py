@@ -20,18 +20,16 @@ carry floats at full precision, and no device count is a power of two,
 so a sum taken in another order, or a weighted mean computed another
 way, shows.
 
-From Python 3.12 on, ``sum()`` of floats is compensated, which moves one
-rolling total of this data in its last digit (0.082056 against
-0.08205599999999999).  The dump therefore runs with ``sum()`` adding
-left to right, as earlier interpreters do, so the recorded bytes pin the
-program's summation order on every supported Python.
+The rollup adds left to right on every interpreter, where Python 3.12's
+compensated ``sum()`` would move one rolling total of this data in its
+last digit (0.082056 against 0.08205599999999999), so the recorded bytes
+hold on every supported Python.
 
 To rewrite the data file after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_ledger.py``.
 """
 
 import asyncio
-import builtins
 import contextlib
 import functools
 import io
@@ -84,25 +82,6 @@ def _section(name, text):
     return f"== {name} ==\n{text}\n"
 
 
-def _left_to_right_sum(iterable, start=0):
-    """``sum()`` without compensation: ``start + x0 + x1 + ...``."""
-    total = start
-    for value in iterable:
-        total = total + value
-    return total
-
-
-@contextlib.contextmanager
-def _uncompensated_sum():
-    """Run the block with :func:`_left_to_right_sum` as ``sum()``."""
-    original = builtins.sum
-    builtins.sum = _left_to_right_sum
-    try:
-        yield
-    finally:
-        builtins.sum = original
-
-
 @contextlib.contextmanager
 def _full_precision_tables():
     """Render every ``format_table`` call with 17 significant digits."""
@@ -136,11 +115,6 @@ def _serve_session(scenarios):
 
 def golden_dump() -> str:
     """Every pinned rendering, as one text document."""
-    with _uncompensated_sum():
-        return _dump()
-
-
-def _dump() -> str:
     scenarios = golden_scenarios()
     result = Campaign(scenarios, seed=ROOT_SEED).run(plan=PLAN)
     store = result.store
