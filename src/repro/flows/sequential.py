@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.error_model import ErrorModel, PerCodeProbabilities
+from repro.analysis.error_model import PerCodeProbabilities
 from repro.core.decision import decide_counts
 from repro.core.kernel import shared_crossing_indices
 from repro.core.limits import CountLimits
@@ -44,7 +44,6 @@ __all__ = [
     "SequentialDecision",
     "SequentialPolicy",
     "code_pass_matrix",
-    "policy_for_scenario",
     "sprt_decide",
 ]
 
@@ -143,26 +142,6 @@ class SequentialPolicy:
         if not np.isfinite(self.log_accept) or step >= 0.0:
             return np.inf
         return math.ceil(self.log_accept / step)
-
-
-def policy_for_scenario(sigma_code_width_lsb: float, dnl_spec_lsb: float,
-                        counter_bits: int,
-                        alpha: float = DEFAULT_ALPHA,
-                        beta: float = DEFAULT_BETA) -> SequentialPolicy:
-    """The SPRT policy matching a scenario's measurement configuration.
-
-    Builds the closed-form :class:`~repro.analysis.error_model.ErrorModel`
-    for the scenario's process sigma, DNL spec and counter width, and
-    derives the Wald boundaries from its per-code conditionals.
-    """
-    from repro.analysis.distributions import CodeWidthDistribution
-
-    model = ErrorModel(
-        distribution=CodeWidthDistribution(sigma_lsb=sigma_code_width_lsb),
-        dnl_spec_lsb=dnl_spec_lsb,
-        counter_bits=counter_bits)
-    return SequentialPolicy.from_per_code(model.per_code(),
-                                          alpha=alpha, beta=beta)
 
 
 @dataclass
