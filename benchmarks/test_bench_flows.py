@@ -45,7 +45,7 @@ REPEATS = 3
 
 
 def _screen(scenario, lot):
-    line = ScreeningLine.from_scenario(scenario)
+    line = ScreeningLine(scenario)
     start = time.perf_counter()
     report = line.screen_lot(lot, plan=_PLAN)
     return time.perf_counter() - start, report

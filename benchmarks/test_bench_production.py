@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import DynamicAnalyzer, DynamicSpec
+from repro.campaign import Scenario
 from repro.core import BistConfig, BistEngine, PartialBistConfig, \
     PartialBistEngine
 from repro.production import (
@@ -300,11 +301,10 @@ class TestProductionThroughput:
         conventional histogram line."""
         wafer = Wafer.draw(WaferSpec(n_bits=6, sigma_code_width_lsb=0.21,
                                      n_devices=5000), rng=1997)
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=0.5)
         store = ResultStore()
         for method in ("bist", "histogram"):
-            line = ScreeningLine(config, method=method,
-                                 samples_per_code=64.0)
+            line = ScreeningLine(Scenario(method=method, dnl_spec_lsb=0.5,
+                                          samples_per_code=64.0))
             store.add(line.screen_lot(Wafer(wafer.spec, wafer.transitions,
                                             wafer.wafer_id), rng=0))
         report("BIST vs conventional histogram line (5k shared dies)",

@@ -20,7 +20,7 @@ it:
 
 import numpy as np
 
-from repro.core import BistConfig
+from repro.campaign import Scenario
 from repro.production import (
     ResultStore,
     ScreeningLine,
@@ -35,7 +35,7 @@ from repro.reporting import format_table
 # ---------------------------------------------------------------------- #
 spec = WaferSpec(n_bits=6, sigma_code_width_lsb=0.21, n_devices=2000)
 wafer = Wafer.draw(spec, rng=1997, wafer_id="CMP-1997")
-config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=0.5)
+base = Scenario(n_bits=6, counter_bits=7, dnl_spec_lsb=0.5)
 print(f"shared wafer {wafer.wafer_id}: {len(wafer)} dies, "
       f"true yield at ±0.5 LSB DNL = {wafer.yield_fraction(0.5):.1%}")
 print()
@@ -44,17 +44,18 @@ print()
 # 2. Three screening lines over the same dies.
 # ---------------------------------------------------------------------- #
 lines = [
-    ScreeningLine(config, method="bist"),
-    ScreeningLine(config, method="histogram", samples_per_code=64.0),
-    ScreeningLine(config, method="dynamic"),
+    ScreeningLine(base),
+    ScreeningLine(base.derive(method="histogram", samples_per_code=64.0)),
+    ScreeningLine(base.derive(method="dynamic")),
 ]
 store = ResultStore()
 for line in lines:
-    print(f"{line.method:>9}: {line.describe()}")
+    method = line.scenario.method
+    print(f"{method:>9}: {line.describe()}")
     # A fresh Wafer wrapper per line keeps the shared transition matrix
     # while giving each report its own lot id.
     store.add(line.screen_lot(Wafer(spec, wafer.transitions,
-                                    f"{wafer.wafer_id}/{line.method}"),
+                                    f"{wafer.wafer_id}/{method}"),
                               rng=0))
 print()
 
@@ -70,7 +71,7 @@ volume_rows = []
 for line, report in zip(lines, store.reports):
     plan = line.test_plan(spec.n_bits, report.samples_per_device,
                           spec.sample_rate)
-    volume_rows.append([line.method, report.samples_per_device,
+    volume_rows.append([report.method, report.samples_per_device,
                         plan.data_volume_bits,
                         report.cost_per_device])
 print(format_table(

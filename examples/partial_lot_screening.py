@@ -14,7 +14,8 @@ production scale on a *non-flash* architecture:
    throughput and cost for both scenarios.
 """
 
-from repro.core import BistConfig, PartialBistConfig
+from repro.campaign import Scenario
+from repro.core import PartialBistConfig
 from repro.production import (
     BatchPartialBistEngine,
     Lot,
@@ -28,12 +29,14 @@ def main() -> None:
     spec = WaferSpec(n_bits=6, n_devices=1500, architecture="sar",
                      unit_cap_sigma_rel=0.06)
     lot = Lot.draw(spec, n_wafers=2, seed=42, lot_id="SAR-42")
-    config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
+    # The lines' scenarios carry the measurement side; the lot above,
+    # with its own capacitor mismatch, is what they screen.
+    full = Scenario(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
 
     store = ResultStore()
 
     # --- scenario 1: partial BIST, q = 2, four converters per IC -------- #
-    partial_line = ScreeningLine(config, partial_q=2, devices_per_ic=4)
+    partial_line = ScreeningLine(full.derive(q=2, devices_per_ic=4))
     print(f"scenario A: {partial_line.describe()}, 4 converters/IC")
     report = partial_line.screen_lot(lot, rng=0)
     store.add(report)
@@ -43,7 +46,7 @@ def main() -> None:
           f"devices/s (batched engine)")
 
     # --- scenario 2: full BIST on the same lot -------------------------- #
-    full_line = ScreeningLine(config)
+    full_line = ScreeningLine(full)
     print(f"scenario B: {full_line.describe()}")
     report_full = full_line.screen_lot(lot, rng=0)
     store.add(report_full)

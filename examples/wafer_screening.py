@@ -18,6 +18,7 @@ wafers of converters, not single dies.  This example drives the
 
 import numpy as np
 
+from repro.campaign import Scenario
 from repro.core import BistConfig, BistEngine
 from repro.production import (
     BatchBistEngine,
@@ -40,10 +41,9 @@ for wafer in lot:
 # ---------------------------------------------------------------------- #
 # 2. The line: BIST -> retest -> binning, on a low-cost digital tester.
 # ---------------------------------------------------------------------- #
-config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
-                    transition_noise_lsb=0.02, deglitch_depth=2)
-line = ScreeningLine(config, retest_attempts=1,
-                     bin_edges_lsb=(0.45, 0.7))
+line = ScreeningLine(Scenario(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
+                              transition_noise_lsb=0.02, deglitch_depth=2,
+                              retest_attempts=1, bin_edges_lsb=(0.45, 0.7)))
 report = line.screen_lot(lot, rng=42)
 store = ResultStore([report])
 print()

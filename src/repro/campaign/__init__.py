@@ -10,9 +10,9 @@ driven through:
     building comparison grids that normalise and deduplicate themselves.
 
 :mod:`repro.campaign.factory` — :func:`make_engine`, the only place batch
-    engines are constructed (the screening line and the CLI are both
-    rewired onto it), plus :func:`default_tester` for the per-method
-    tester economics.
+    engines are constructed (the screening line and the CLI build theirs
+    through it), plus :func:`default_tester` for the per-method tester
+    economics.
 
 :mod:`repro.campaign.driver` — :class:`Campaign`, which fans a scenario
     list/grid across the deterministic scale-out layer

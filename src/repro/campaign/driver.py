@@ -364,17 +364,12 @@ class Campaign:
         architecture, resolution, sigma, device count).
     shared_wafer_id:
         Identifier of the shared wafer (default ``"SHARED-<seed>"``).
-    dynamic_analyzer, dynamic_spec:
-        Optional FFT configuration/limits applied to every ``"dynamic"``
-        scenario.
     """
 
     def __init__(self, scenarios: Union[Scenario, Sequence[Scenario]], *,
                  seed: int = 2026,
                  shared_wafer: bool = False,
-                 shared_wafer_id: Optional[str] = None,
-                 dynamic_analyzer=None,
-                 dynamic_spec=None) -> None:
+                 shared_wafer_id: Optional[str] = None) -> None:
         if isinstance(scenarios, Scenario):
             scenarios = [scenarios]
         self.scenarios = list(scenarios)
@@ -383,8 +378,6 @@ class Campaign:
         self.seed = int(seed)
         self.shared_wafer = bool(shared_wafer)
         self.shared_wafer_id = shared_wafer_id
-        self.dynamic_analyzer = dynamic_analyzer
-        self.dynamic_spec = dynamic_spec
         if self.shared_wafer:
             spec = self.scenarios[0].wafer_spec()
             for scenario in self.scenarios[1:]:
@@ -421,12 +414,8 @@ class Campaign:
     def lines(self) -> List[ScreeningLine]:
         """One screening line per scenario (built once, reused by run)."""
         if self._lines is None:
-            self._lines = [
-                ScreeningLine.from_scenario(
-                    scenario,
-                    dynamic_analyzer=self.dynamic_analyzer,
-                    dynamic_spec=self.dynamic_spec)
-                for scenario in self.scenarios]
+            self._lines = [ScreeningLine(scenario)
+                           for scenario in self.scenarios]
         return self._lines
 
     # ------------------------------------------------------------------ #

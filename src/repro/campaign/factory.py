@@ -1,21 +1,16 @@
 """The one place batch engines are constructed.
 
-Every path that used to pick an engine by hand — the ``if method ==``
-ladder in :class:`~repro.production.line.ScreeningLine`, its copy in the
-CLI, ad-hoc constructions in examples — now goes through
-:func:`make_engine`: a :class:`~repro.campaign.scenario.Scenario` in, the
-matching :class:`~repro.production.execution.WaferEngine` implementation
-out.  Adding a screening method means extending this factory (and the
-``SCREENING_METHODS`` tuple), nothing else.
+:func:`make_engine` turns a :class:`~repro.campaign.scenario.Scenario`
+into the matching :class:`~repro.production.execution.WaferEngine`
+implementation.  Adding a screening method means extending this factory
+(and the ``SCREENING_METHODS`` tuple), nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from repro.analysis.dynamic import DynamicAnalyzer, DynamicSpec
 from repro.campaign.scenario import AUTO_Q, Scenario
-from repro.core.engine import BistConfig
 from repro.core.partial_engine import PartialBistConfig
 from repro.economics.cost_model import TesterModel
 from repro.production.analysis_batch import (
@@ -35,27 +30,14 @@ BatchEngine = Union[BatchBistEngine, BatchPartialBistEngine,
                     BatchHistogramTest, BatchDynamicSuite]
 
 
-def make_engine(scenario: Scenario, *,
-                config: Optional[BistConfig] = None,
-                dynamic_analyzer: Optional[DynamicAnalyzer] = None,
-                dynamic_spec: Optional[DynamicSpec] = None) -> BatchEngine:
+def make_engine(scenario: Scenario) -> BatchEngine:
     """Build the batch engine a scenario describes.
 
-    Parameters
-    ----------
-    scenario:
-        The declarative run description; ``method``/``q``/
-        ``samples_per_code`` select and parameterise the engine.
-    config:
-        Optional measurement configuration overriding the scenario-derived
-        :meth:`~repro.campaign.scenario.Scenario.bist_config` — the hook
-        :class:`~repro.production.line.ScreeningLine` uses to pass its
-        caller's full :class:`~repro.core.engine.BistConfig` (stimulus
-        imperfections, counter policy, seeds) through unchanged.
-    dynamic_analyzer, dynamic_spec:
-        FFT configuration and pass/fail limits of the dynamic method —
-        rich objects the declarative scenario intentionally does not
-        carry.
+    ``method``/``q`` select the engine; the measurement fields
+    (resolution, specification, counter, noise, deglitch and the ramp
+    density) parameterise it.  The dynamic suite runs its default
+    4096-sample Hann analyzer with an ENOB floor one bit below the
+    resolution.
 
     Returns
     -------
@@ -67,48 +49,32 @@ def make_engine(scenario: Scenario, *,
     skeleton with identical run signatures, so callers drive them
     uniformly.
     """
-    if config is None:
-        config = scenario.bist_config()
-    method = scenario.method
-    if method == "histogram":
+    if scenario.method == "histogram":
         return BatchHistogramTest(
             samples_per_code=scenario.samples_per_code,
-            dnl_spec_lsb=config.dnl_spec_lsb,
-            inl_spec_lsb=config.inl_spec_lsb,
-            transition_noise_lsb=config.transition_noise_lsb,
-            seed=config.seed)
-    if method == "dynamic":
+            dnl_spec_lsb=scenario.dnl_spec_lsb,
+            inl_spec_lsb=scenario.inl_spec_lsb,
+            transition_noise_lsb=scenario.transition_noise_lsb)
+    if scenario.method == "dynamic":
         return BatchDynamicSuite(
-            analyzer=dynamic_analyzer,
-            spec=dynamic_spec,
-            transition_noise_lsb=config.transition_noise_lsb,
-            seed=config.seed)
+            transition_noise_lsb=scenario.transition_noise_lsb)
     if scenario.q is None:
-        return BatchBistEngine(config)
-    if config.deglitch_depth > 0:
-        raise ValueError(
-            "the partial-BIST flow has no deglitch filter; "
-            "unset deglitch_depth when using partial_q")
+        return BatchBistEngine(scenario.bist_config())
     return BatchPartialBistEngine(PartialBistConfig(
-        n_bits=config.n_bits,
-        q=None if scenario.q == AUTO_Q else int(scenario.q),
+        n_bits=scenario.n_bits,
+        q=None if scenario.q == AUTO_Q else scenario.q,
         samples_per_code=scenario.samples_per_code,
-        dnl_spec_lsb=config.dnl_spec_lsb,
-        inl_spec_lsb=config.inl_spec_lsb,
-        check_msb=config.check_msb,
-        transition_noise_lsb=config.transition_noise_lsb,
-        start_margin_lsb=config.start_margin_lsb,
-        seed=config.seed))
+        dnl_spec_lsb=scenario.dnl_spec_lsb,
+        inl_spec_lsb=scenario.inl_spec_lsb,
+        transition_noise_lsb=scenario.transition_noise_lsb))
 
 
-def sequential_policy(scenario: Scenario, *,
-                      config: Optional[BistConfig] = None):
+def sequential_policy(scenario: Scenario):
     """Build the SPRT policy (and per-code model) a scenario implies.
 
-    The construction mirrors :func:`make_engine`: the scenario's process
-    sigma plus the measurement configuration's DNL spec and counter width
-    feed the paper's closed-form error model, whose per-code accept
-    conditionals parameterise the Wald test.  Returns
+    The scenario's process sigma, DNL spec and counter width feed the
+    paper's closed-form error model, whose per-code accept conditionals
+    parameterise the Wald test.  Returns
     ``(SequentialPolicy, PerCodeProbabilities)`` — the same per-code
     object also centres the SPC monitor's p-chart, so both adaptive
     mechanisms share one analytic model of the process.
@@ -117,13 +83,11 @@ def sequential_policy(scenario: Scenario, *,
     from repro.analysis.error_model import ErrorModel
     from repro.flows.sequential import SequentialPolicy
 
-    if config is None:
-        config = scenario.bist_config()
     model = ErrorModel(
         distribution=CodeWidthDistribution(
             sigma_lsb=scenario.sigma_code_width_lsb),
-        dnl_spec_lsb=config.dnl_spec_lsb,
-        counter_bits=config.counter_bits)
+        dnl_spec_lsb=scenario.dnl_spec_lsb,
+        counter_bits=scenario.counter_bits)
     per_code = model.per_code()
     return SequentialPolicy.from_per_code(per_code), per_code
 

@@ -2,18 +2,15 @@
 
 The paper's argument is a *comparison across scenarios* — full BIST versus
 partial-``q`` BIST versus the conventional histogram/dynamic tests, across
-converter architectures and tester economics.  Until now every comparison
-was assembled by hand: pick an engine class, build its config, wire a
-:class:`~repro.production.line.ScreeningLine`, repeat with slightly
-different knobs.  A :class:`Scenario` replaces that with a single frozen
-dataclass naming everything a run depends on — architecture, method, ``q``,
-resolution, noise, wafer geometry, tester choice, seed — that every consumer
-reads:
+converter architectures and tester economics.  A :class:`Scenario` is one
+such comparison point: a single frozen dataclass naming everything a run
+depends on — architecture, method, ``q``, resolution, noise, wafer
+geometry, tester choice, seed — that every consumer reads:
 
 * :func:`repro.campaign.factory.make_engine` turns a scenario into the
   right batch engine (the only place engines are constructed);
-* :meth:`repro.production.line.ScreeningLine.from_scenario` turns it into
-  a fully configured screening line;
+* :class:`repro.production.line.ScreeningLine` is built from a scenario
+  alone, as a fully configured screening line;
 * :class:`repro.campaign.driver.Campaign` fans a list (or
   :meth:`Scenario.grid`) of scenarios across the deterministic scale-out
   layer and keeps the reports in one

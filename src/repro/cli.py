@@ -124,6 +124,90 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
              "the 'timing' block")
 
 
+#: The scalar Scenario flags of the scenario commands: flag -> (the
+#: Scenario field :func:`_base_scenario` reads it into, add_argument
+#: keywords).  ``--seed`` and ``--samples-per-code`` name no field:
+#: campaign's seed is the root of its scenarios' child seeds and compare's
+#: ramp density is its histogram scenario's, so each command places them.
+_SCENARIO_FLAGS = {
+    "--bits": ("n_bits", dict(type=int, default=6,
+                              help="converter resolution")),
+    "--devices": ("n_devices", dict(type=int, default=2000,
+                                    help="dies per wafer")),
+    "--sigma": ("sigma_code_width_lsb", dict(
+        type=float, default=0.21, help="code-width sigma in LSB")),
+    "--seed": (None, dict(type=int, default=2026,
+                          help="wafer-draw and acquisition-noise seed")),
+    "--dnl-spec": ("dnl_spec_lsb", dict(
+        type=float, default=1.0, help="DNL specification in LSB")),
+    "--inl-spec": ("inl_spec_lsb", dict(
+        type=float, default=None,
+        help="INL specification in LSB (default: not checked)")),
+    "--noise": ("transition_noise_lsb", dict(
+        type=float, default=0.0, help="transition noise in LSB")),
+    "--samples-per-code": (None, dict(
+        type=float, default=16.0,
+        help="ramp density of the partial-BIST and histogram stimuli")),
+    "--counter-bits": ("counter_bits", dict(
+        type=int, default=7, help="LSB-processing counter size")),
+    "--wafers": ("n_wafers", dict(type=int, default=2,
+                                  help="wafers per lot")),
+    "--per-ic": ("devices_per_ic", dict(
+        type=int, default=1,
+        help="converters per IC; >1 adds chip-level yield")),
+    "--retest": ("retest_attempts", dict(
+        type=int, default=0, help="retest attempts for rejected dies")),
+    "--deglitch": ("deglitch_depth", dict(
+        type=int, default=0, help="LSB deglitch filter depth (0 = off)")),
+    "--tester": ("tester", dict(
+        choices=("digital", "mixed"), default=None,
+        help="tester model pricing the insertions (default: digital for "
+             "the full BIST, mixed-signal for every other method)")),
+}
+
+#: The flags every scenario command declares.
+_SHARED_FLAGS = ("--bits", "--devices", "--sigma", "--seed", "--dnl-spec",
+                 "--inl-spec", "--noise", "--samples-per-code")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_scenario_arguments(parser: argparse.ArgumentParser, *extra: str,
+                            helps: Optional[dict] = None,
+                            **defaults) -> None:
+    """Declare the scalar Scenario flags of one scenario command.
+
+    Every command gets :data:`_SHARED_FLAGS`; ``extra`` names further
+    flags of :data:`_SCENARIO_FLAGS`.  ``defaults`` and ``helps``, keyed
+    by dest, replace a flag's default and help text.
+    """
+    helps = helps or {}
+    for flag in _SHARED_FLAGS + extra:
+        options = dict(_SCENARIO_FLAGS[flag][1])
+        dest = _dest(flag)
+        options["default"] = defaults.get(dest, options["default"])
+        options["help"] = helps.get(dest, options["help"])
+        if options["default"] is not None:
+            options["help"] += f" (default {options['default']:g})"
+        parser.add_argument(flag, **options)
+
+
+def _base_scenario(args: argparse.Namespace, **fields) -> Scenario:
+    """The Scenario of a command's scalar flags, with ``fields`` on top.
+
+    Reads every flag of :data:`_SCENARIO_FLAGS` that names a field and
+    that the command declares; the caller adds the rest.
+    """
+    given = vars(args)
+    base = {field: given[_dest(flag)]
+            for flag, (field, _) in _SCENARIO_FLAGS.items()
+            if field is not None and _dest(flag) in given}
+    base.update(fields)
+    return Scenario(**base)
+
+
 def _axis(choices, label: str):
     """An argparse ``type=`` parser for a comma-separated choices axis.
 
@@ -259,44 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     lot = sub.add_parser("lot", help="screen a production lot with the "
                                      "batched BIST")
-    lot.add_argument("--bits", type=int, default=6,
-                     help="converter resolution (default 6)")
-    lot.add_argument("--wafers", type=int, default=2,
-                     help="wafers in the lot (default 2)")
-    lot.add_argument("--devices", type=int, default=2000,
-                     help="dies per wafer (default 2000)")
-    lot.add_argument("--sigma", type=float, default=0.21,
-                     help="code-width sigma in LSB (default 0.21)")
-    lot.add_argument("--seed", type=int, default=2026,
-                     help="lot seed (default 2026)")
-    lot.add_argument("--counter-bits", type=int, default=7,
-                     help="LSB-processing counter size (default 7)")
-    lot.add_argument("--dnl-spec", type=float, default=1.0,
-                     help="DNL specification in LSB (default 1.0)")
-    lot.add_argument("--inl-spec", type=float, default=None,
-                     help="INL specification in LSB (default: not checked)")
-    lot.add_argument("--noise", type=float, default=0.0,
-                     help="transition noise in LSB (default 0, enables the "
-                          "stream path and makes retest meaningful)")
-    lot.add_argument("--deglitch", type=int, default=0,
-                     help="LSB deglitch filter depth (default 0 = off)")
-    lot.add_argument("--retest", type=int, default=0,
-                     help="retest attempts for rejected dies (default 0)")
-    lot.add_argument("--tester", choices=("digital", "mixed"),
-                     default=None,
-                     help="tester model pricing the insertions (default: "
-                          "digital for the full BIST, mixed for partial)")
+    _add_scenario_arguments(lot, "--counter-bits", "--wafers", "--per-ic",
+                            "--retest", "--deglitch", "--tester")
     lot.add_argument("--arch", choices=ARCHITECTURES, default="flash",
                      help="converter architecture of the dies "
                           "(default flash)")
     lot.add_argument("--q", type=int, default=None,
                      help="screen with the partial BIST, capturing q LSBs "
                           "off-chip (default: full BIST)")
-    lot.add_argument("--samples-per-code", type=float, default=16.0,
-                     help="partial-BIST ramp density (default 16)")
-    lot.add_argument("--per-ic", type=int, default=1,
-                     help="converters per IC; >1 adds chip-level yield "
-                          "(default 1)")
     lot.add_argument("--method", choices=SCREENING_METHODS, default="bist",
                      help="screening method of the first station: the "
                           "BIST, the conventional histogram test, or the "
@@ -306,29 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare", help="screen one shared wafer draw with the BIST and "
                         "the conventional test and compare the outcomes")
-    compare.add_argument("--bits", type=int, default=6,
-                         help="converter resolution (default 6)")
-    compare.add_argument("--devices", type=int, default=2000,
-                         help="dies on the shared wafer (default 2000)")
-    compare.add_argument("--sigma", type=float, default=0.21,
-                         help="code-width sigma in LSB (default 0.21)")
+    _add_scenario_arguments(
+        compare, "--counter-bits", dnl_spec=0.5, samples_per_code=64.0,
+        helps={"samples_per_code": "ramp density of the histogram "
+                                   "scenario only; 64 is the paper's "
+                                   "4096-sample production test"})
     compare.add_argument("--arch", choices=ARCHITECTURES, default="flash",
                          help="converter architecture (default flash)")
-    compare.add_argument("--seed", type=int, default=2026,
-                         help="wafer/acquisition seed (default 2026)")
-    compare.add_argument("--counter-bits", type=int, default=7,
-                         help="BIST counter size (default 7)")
-    compare.add_argument("--dnl-spec", type=float, default=0.5,
-                         help="DNL specification in LSB (default 0.5, the "
-                              "paper's stringent comparison point)")
-    compare.add_argument("--inl-spec", type=float, default=None,
-                         help="INL specification in LSB (default: not "
-                              "checked)")
-    compare.add_argument("--noise", type=float, default=0.0,
-                         help="transition noise in LSB (default 0)")
-    compare.add_argument("--samples-per-code", type=float, default=64.0,
-                         help="histogram-test ramp density (default 64, "
-                              "the paper's 4096-sample production test)")
     compare.add_argument("--q", type=int, default=None,
                          help="also compare the partial BIST with q LSBs "
                               "off-chip (default: full BIST only)")
@@ -366,39 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated process excursions to "
                                "inject into the drawn wafers: none, "
                                "drift, spatial, burst (default none)")
-    campaign.add_argument("--bits", type=int, default=8,
-                          help="converter resolution (default 8, leaving "
-                               "headroom for q grids up to 8)")
-    campaign.add_argument("--devices", type=int, default=1000,
-                          help="dies per wafer (default 1000)")
-    campaign.add_argument("--wafers", type=int, default=1,
-                          help="wafers per scenario lot (default 1)")
-    campaign.add_argument("--sigma", type=float, default=0.21,
-                          help="code-width sigma in LSB (default 0.21)")
-    campaign.add_argument("--noise", type=float, default=0.0,
-                          help="transition noise in LSB (default 0)")
-    campaign.add_argument("--counter-bits", type=int, default=7,
-                          help="BIST counter size (default 7)")
-    campaign.add_argument("--dnl-spec", type=float, default=1.0,
-                          help="DNL specification in LSB (default 1.0)")
-    campaign.add_argument("--inl-spec", type=float, default=None,
-                          help="INL specification in LSB (default: not "
-                               "checked)")
-    campaign.add_argument("--samples-per-code", type=float, default=16.0,
-                          help="partial-BIST/histogram ramp density "
-                               "(default 16)")
-    campaign.add_argument("--per-ic", type=int, default=1,
-                          help="converters per IC (default 1)")
-    campaign.add_argument("--retest", type=int, default=0,
-                          help="retest attempts for rejected dies "
-                               "(default 0)")
-    campaign.add_argument("--tester", choices=("digital", "mixed"),
-                          default=None,
-                          help="tester model for every scenario (default: "
-                               "per-method choice)")
-    campaign.add_argument("--seed", type=int, default=2026,
-                          help="campaign root seed; scenario i screens "
-                               "under child seed i (default 2026)")
+    _add_scenario_arguments(
+        campaign, "--counter-bits", "--wafers", "--per-ic", "--retest",
+        "--tester", bits=8, devices=1000, wafers=1,
+        helps={"seed": "campaign root seed; scenario i screens under "
+                       "child seed i"})
     campaign.add_argument("--json", action="store_true",
                           help="print the per-scenario records as JSON "
                                "instead of tables")
@@ -445,29 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     partial = sub.add_parser(
         "partial", help="Monte-Carlo partial-BIST run over a population")
-    partial.add_argument("--bits", type=int, default=6,
-                         help="converter resolution (default 6)")
-    partial.add_argument("--devices", type=int, default=1000,
-                         help="population size (default 1000)")
+    _add_scenario_arguments(partial, devices=1000)
     partial.add_argument("--q", type=int, default=None,
                          help="observed LSBs (default: Equation (1) "
                               "minimum for the stimulus)")
     partial.add_argument("--arch", choices=ARCHITECTURES, default="flash",
                          help="converter architecture (default flash)")
-    partial.add_argument("--sigma", type=float, default=0.21,
-                         help="flash code-width sigma in LSB (default 0.21)")
-    partial.add_argument("--samples-per-code", type=float, default=16.0,
-                         help="ramp density (default 16; smaller values "
-                              "model a faster stimulus)")
-    partial.add_argument("--dnl-spec", type=float, default=1.0,
-                         help="DNL specification in LSB (default 1.0)")
-    partial.add_argument("--inl-spec", type=float, default=None,
-                         help="INL specification in LSB (default: not "
-                              "checked)")
-    partial.add_argument("--noise", type=float, default=0.0,
-                         help="transition noise in LSB (default 0)")
-    partial.add_argument("--seed", type=int, default=2026,
-                         help="population/acquisition seed (default 2026)")
     _add_execution_arguments(partial)
 
     return parser
@@ -596,28 +589,12 @@ def _cmd_yield(args: argparse.Namespace) -> int:
 
 
 def _cmd_lot(args: argparse.Namespace) -> int:
-    # The old kwargs are a thin shim over the declarative Scenario; the
-    # scenario drives line construction (via the engine factory), the lot
-    # draw and the seeding, so `repro lot` is one Scenario end to end.
-    scenario = Scenario(architecture=args.arch,
-                        method=args.method,
-                        q=args.q,
-                        n_bits=args.bits,
-                        sigma_code_width_lsb=args.sigma,
-                        n_devices=args.devices,
-                        n_wafers=args.wafers,
-                        devices_per_ic=args.per_ic,
-                        samples_per_code=args.samples_per_code,
-                        counter_bits=args.counter_bits,
-                        dnl_spec_lsb=args.dnl_spec,
-                        inl_spec_lsb=args.inl_spec,
-                        transition_noise_lsb=args.noise,
-                        deglitch_depth=args.deglitch,
-                        retest_attempts=args.retest,
-                        tester=args.tester,
-                        seed=args.seed,
-                        label=f"LOT-{args.seed}")
-    line = ScreeningLine.from_scenario(scenario)
+    # One Scenario drives the line, the lot draw and the seeding.
+    scenario = _base_scenario(args, architecture=args.arch,
+                              method=args.method, q=args.q,
+                              samples_per_code=args.samples_per_code,
+                              seed=args.seed, label=f"LOT-{args.seed}")
+    line = ScreeningLine(scenario)
     lot = scenario.draw_lot()
     report = line.screen_lot(lot, rng=scenario.seed,
                              plan=_plan_from_args(args))
@@ -645,15 +622,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # shared-wafer campaign screens the identical dies with every method,
     # so the yield/escape/cost differences are attributable to the test
     # method alone — the paper's comparison, at production scale.
-    base = Scenario(architecture=args.arch,
-                    n_bits=args.bits,
-                    sigma_code_width_lsb=args.sigma,
-                    n_devices=args.devices,
-                    counter_bits=args.counter_bits,
-                    dnl_spec_lsb=args.dnl_spec,
-                    inl_spec_lsb=args.inl_spec,
-                    transition_noise_lsb=args.noise,
-                    seed=args.seed)
+    base = _base_scenario(args, architecture=args.arch, seed=args.seed)
     scenarios = [base.derive(label="full BIST")]
     if args.q is not None:
         scenarios.append(base.derive(q=args.q,
@@ -693,25 +662,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_partial(args: argparse.Namespace) -> int:
-    # A Scenario shim like `lot`, but engine-level: the Monte-Carlo run
+    # Engine-level, like `lot` without the line: the Monte-Carlo run
     # needs no screening line, so q may stay "auto" (the Equation (1)
     # minimum, resolved from the stimulus at run time).
-    scenario = Scenario(architecture=args.arch,
-                        method="bist",
-                        q=args.q if args.q is not None else AUTO_Q,
-                        n_bits=args.bits,
-                        sigma_code_width_lsb=args.sigma,
-                        n_devices=args.devices,
-                        samples_per_code=args.samples_per_code,
-                        dnl_spec_lsb=args.dnl_spec,
-                        inl_spec_lsb=args.inl_spec,
-                        transition_noise_lsb=args.noise,
-                        seed=args.seed)
+    scenario = _base_scenario(
+        args, architecture=args.arch,
+        q=args.q if args.q is not None else AUTO_Q,
+        samples_per_code=args.samples_per_code, seed=args.seed)
     wafer = scenario.draw_wafer(wafer_id=f"MC-{args.seed}")
     engine = make_engine(scenario)
 
-    # The telemetry timer replaces the old ad-hoc perf_counter pair; the
-    # handle measures wall time even under the null telemetry, so the
+    # The timer measures wall time even under the null telemetry, so the
     # devices/s row below works with or without an enabled session.
     with TimerHandle(current_telemetry(), "cli.partial.run_wafer") as tm:
         result = engine.run_wafer(wafer, rng=args.seed,
@@ -755,23 +716,12 @@ def _cmd_partial(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import json as _json
 
-    base = Scenario(n_bits=args.bits,
-                    sigma_code_width_lsb=args.sigma,
-                    n_devices=args.devices,
-                    n_wafers=args.wafers,
-                    devices_per_ic=args.per_ic,
-                    samples_per_code=args.samples_per_code,
-                    counter_bits=args.counter_bits,
-                    dnl_spec_lsb=args.dnl_spec,
-                    inl_spec_lsb=args.inl_spec,
-                    transition_noise_lsb=args.noise,
-                    retest_attempts=args.retest,
-                    tester=args.tester)
-    scenarios = base.grid(architecture=args.arch,
-                          method=args.method,
-                          q=args.q,
-                          flow=getattr(args, "flow", ["fixed"]),
-                          excursion=getattr(args, "excursion", [None]))
+    # --seed is the campaign's root seed, not the base scenario's: every
+    # scenario screens under its own child seed of it.
+    base = _base_scenario(args, samples_per_code=args.samples_per_code)
+    scenarios = base.grid(architecture=args.arch, method=args.method,
+                          q=args.q, flow=args.flow,
+                          excursion=args.excursion)
     campaign = Campaign(scenarios, seed=args.seed)
     result = campaign.run(plan=_plan_from_args(args))
 

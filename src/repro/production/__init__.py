@@ -65,10 +65,12 @@ Overview
 :mod:`repro.production.line` — :class:`ScreeningLine`, the station chain
     (screening → optional retest → quality binning) with per-station yield
     and throughput accounting, costed against a tester model via
-    :mod:`repro.economics`.  Screens under any (architecture, method, q)
-    scenario: full or partial BIST, the conventional histogram test or the
-    dynamic suite (``method=``), single converters or multi-converter ICs
-    (``devices_per_ic``), flash, SAR or pipeline wafers.
+    :mod:`repro.economics`.  Built from one
+    :class:`~repro.campaign.scenario.Scenario`, it screens under any
+    (architecture, method, q) point: full or partial BIST, the
+    conventional histogram test or the dynamic suite (``method``), single
+    converters or multi-converter ICs (``devices_per_ic``), flash, SAR or
+    pipeline wafers.
 
 :mod:`repro.production.store` — :class:`ResultStore`, the floor ledger:
     a list of per-lot reports rendered with :mod:`repro.reporting.tables`;
@@ -84,11 +86,11 @@ constructed (the line and the CLI are wired onto it), and
 Quick start
 -----------
 
->>> from repro.core import BistConfig
+>>> from repro.campaign import Scenario
 >>> from repro.production import (Lot, WaferSpec, ScreeningLine,
 ...                               ResultStore)
 >>> lot = Lot.draw(WaferSpec(n_devices=1000), n_wafers=2, seed=7)
->>> line = ScreeningLine(BistConfig(counter_bits=7, dnl_spec_lsb=1.0))
+>>> line = ScreeningLine(Scenario(counter_bits=7, dnl_spec_lsb=1.0))
 >>> store = ResultStore([line.screen_lot(lot, rng=0)])
 >>> print(store.summary())          # doctest: +SKIP
 

@@ -1,13 +1,15 @@
 """Screening-line orchestration: stations, yield and throughput accounting.
 
-A :class:`ScreeningLine` chains the stations a lot passes through on the
-test floor:
+A :class:`ScreeningLine` is built from one
+:class:`~repro.campaign.scenario.Scenario` and chains the stations a lot
+passes through on the test floor:
 
-1. **Screening station** — every die runs the batched test selected by
-   ``method``.  ``method="bist"`` (default) runs the batched BIST: in
-   full-BIST mode (:class:`~repro.production.batch_engine.BatchBistEngine`)
-   only a pass/fail flag leaves the chip; with ``partial_q`` set the
-   station runs the batched partial BIST
+1. **Screening station** — every die runs the batched test the
+   scenario's ``method`` selects.  ``method="bist"`` (default) runs the
+   batched BIST: in full-BIST mode
+   (:class:`~repro.production.batch_engine.BatchBistEngine`) only a
+   pass/fail flag leaves the chip; with ``q`` set the station runs the
+   batched partial BIST
    (:class:`~repro.production.partial_batch.BatchPartialBistEngine`),
    capturing ``q`` LSBs per sample off-chip as Equation (1) demands for
    faster stimuli.  ``method="histogram"`` screens with the *conventional*
@@ -42,11 +44,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.analysis.dynamic import DynamicAnalyzer, DynamicSpec
 from repro.core.engine import BistConfig, PopulationBistResult
 from repro.core.noise import NoiseSeed, noise_seed
 from repro.economics.cost_model import TesterModel, TestPlan, cost_per_device
@@ -65,6 +66,9 @@ from repro.production.lot import Lot, Wafer
 from repro.production.partial_batch import BatchPartialBistEngine
 from repro.telemetry.core import current_telemetry
 from repro.telemetry.log import get_logger
+
+if TYPE_CHECKING:
+    from repro.campaign.scenario import Scenario
 
 __all__ = ["StationStats", "LotScreeningReport", "ScreeningLine",
            "DEFAULT_BIN_EDGES_LSB", "SCREENING_METHODS"]
@@ -212,179 +216,75 @@ class LotScreeningReport:
 
 
 class ScreeningLine:
-    """A production screening line built around the batched test engines.
+    """A production screening line built from one scenario.
 
     Parameters
     ----------
-    config:
-        Measurement configuration every station uses (resolution,
-        specification, acquisition noise; the counter/deglitch fields only
-        apply to the BIST method).
-    retest_attempts:
-        How many times a rejected die is re-inserted (0 disables retest).
-    bin_edges_lsb:
-        Ascending thresholds separating the speed/quality bins of accepted
-        dies; ``n`` edges produce ``n + 1`` bins named ``bin-1`` (tightest)
-        to ``bin-n+1``.  The binning metric is the measured |DNL| in LSB
-        for the BIST and histogram methods and the effective-bit shortfall
-        ``n_bits - ENOB`` for the dynamic method.
-    tester:
-        Tester model executing the insertions; defaults to the low-cost
-        digital tester for the full BIST and to a mixed-signal tester for
-        every method that needs analog instruments (partial BIST,
-        histogram, dynamic).
-    devices_per_ic:
-        Converters sharing one IC (and thus one insertion); with more than
-        one the report carries chip-level yield.
-    partial_q:
-        ``None`` (default) screens with the full BIST; an integer ``q``
-        switches the BIST station to the batched partial scheme with ``q``
-        LSBs captured off-chip.  The partial flow has no on-chip LSB
-        processing block, so ``config.counter_bits`` does not apply (the
-        off-chip histogram is full precision), and a configured deglitch
-        filter is rejected as unsupported rather than silently dropped.
-        Only valid with ``method="bist"``.
-    samples_per_code:
-        Ramp density of the partial-BIST and histogram stimuli (ignored in
-        full-BIST mode, where the step size follows from the counter
-        width, and in dynamic mode, which uses a sine record).
-    method:
-        Screening method of the first station: ``"bist"`` (default),
-        ``"histogram"`` (the conventional ramp code-density test) or
-        ``"dynamic"`` (the single-tone FFT suite).
-    dynamic_analyzer, dynamic_spec:
-        FFT configuration and pass/fail limits of the dynamic method;
-        defaults to a 4096-sample Hann analyzer with an ENOB floor one bit
-        below the nominal resolution.
-    flow:
-        ``"fixed"`` (default) runs the paper's fixed-count decision;
-        ``"sprt"`` mounts the adaptive sequential flow of
-        :mod:`repro.flows` — a Wald-SPRT station deciding each device on
-        its incremental code stream (reporting saved tester-seconds
-        through the tester economics), plus a wafer-level SPC monitor
-        (p-chart + CUSUM over streaming shard results, one subgroup per
-        shard) that aborts an excursed wafer's remaining shards.  Full
-        BIST only.
+    scenario:
+        The :class:`~repro.campaign.scenario.Scenario` the line screens
+        under.  Its measurement fields (method, ``q``, resolution,
+        specification, counter, noise, deglitch) build the first
+        station's engine; ``retest_attempts``, ``bin_edges_lsb``,
+        ``devices_per_ic``, ``tester`` and ``flow`` configure the other
+        stations; ``seed`` is the acquisition-noise fallback of
+        :meth:`screen_lot`.  Its geometry fields describe the lot the
+        scenario draws; the line screens whatever lot it is handed.
+
+        The bin edges separate the quality bins of accepted dies: ``n``
+        edges produce ``n + 1`` bins named ``bin-1`` (tightest) to
+        ``bin-n+1``, graded on the measured |DNL| in LSB for the BIST and
+        histogram methods and on the effective-bit shortfall
+        ``n_bits - ENOB`` for the dynamic method.  Under ``flow="sprt"``
+        the first station is the adaptive sequential flow of
+        :mod:`repro.flows`: a Wald-SPRT station deciding each device on
+        its incremental code stream, plus a wafer-level SPC monitor that
+        aborts an excursed wafer's remaining shards.
     """
 
-    def __init__(self, config: BistConfig,
-                 retest_attempts: int = 0,
-                 bin_edges_lsb: Sequence[float] = DEFAULT_BIN_EDGES_LSB,
-                 tester: Optional[TesterModel] = None,
-                 devices_per_ic: int = 1,
-                 partial_q: Optional[int] = None,
-                 samples_per_code: float = 16.0,
-                 method: str = "bist",
-                 dynamic_analyzer: Optional[DynamicAnalyzer] = None,
-                 dynamic_spec: Optional[DynamicSpec] = None,
-                 flow: str = "fixed") -> None:
+    def __init__(self, scenario: Scenario) -> None:
         # Imported here, not at module scope: the campaign package imports
         # this module (Campaign drives ScreeningLine), so the factory hop
         # must not create an import cycle.
         from repro.campaign.factory import default_tester, make_engine
-        from repro.campaign.scenario import AUTO_Q, Scenario
+        from repro.campaign.scenario import AUTO_Q
 
-        if retest_attempts < 0:
-            raise ValueError("retest_attempts must be non-negative")
-        if devices_per_ic < 1:
-            raise ValueError("devices_per_ic must be positive")
-        if partial_q == AUTO_Q:
+        if scenario.q == AUTO_Q:
             raise ValueError(
-                "a screening line needs a concrete partial_q for its "
-                "tester economics; q='auto' scenarios resolve q per "
-                "stimulus and only drive engine-level runs (make_engine)")
-        # The scenario describes (and validates) the measurement side of
-        # this line: method, q, noise, deglitch compatibility.  Geometry
-        # fields stay at their defaults — a line screens whatever lot it
-        # is handed.
-        scenario = Scenario(
-            method=method,
-            q=partial_q,
-            n_bits=config.n_bits,
-            samples_per_code=samples_per_code,
-            counter_bits=config.counter_bits,
-            dnl_spec_lsb=config.dnl_spec_lsb,
-            inl_spec_lsb=config.inl_spec_lsb,
-            transition_noise_lsb=config.transition_noise_lsb,
-            deglitch_depth=config.deglitch_depth,
-            retest_attempts=retest_attempts,
-            bin_edges_lsb=tuple(float(e) for e in bin_edges_lsb),
-            flow=flow)
-        self.config = config
-        self.flow = flow
+                "a screening line needs a concrete q for its tester "
+                "economics; q='auto' scenarios resolve q per stimulus and "
+                "only drive engine-level runs (make_engine)")
         self.scenario = scenario
-        self.method = method
-        self.partial_q = partial_q
-        # The factory is the only place engines are constructed; the full
-        # caller-provided config (stimulus imperfections, counter policy,
-        # seed) rides through unchanged.
+        self.config: BistConfig = scenario.bist_config()
         self.engine: Union[BatchBistEngine, BatchPartialBistEngine,
                            BatchHistogramTest, BatchDynamicSuite]
-        self.engine = make_engine(scenario, config=config,
-                                  dynamic_analyzer=dynamic_analyzer,
-                                  dynamic_spec=dynamic_spec)
-        self.retest_attempts = int(retest_attempts)
-        self.bin_edges_lsb = list(scenario.bin_edges_lsb)
-        self.tester = (tester if tester is not None
-                       else default_tester(scenario))
-        self.devices_per_ic = int(devices_per_ic)
+        self.engine = make_engine(scenario)
+        self.tester: TesterModel = default_tester(scenario)
 
     @classmethod
-    def from_scenario(cls, scenario,
-                      tester: Optional[TesterModel] = None,
-                      dynamic_analyzer: Optional[DynamicAnalyzer] = None,
-                      dynamic_spec: Optional[DynamicSpec] = None
-                      ) -> "ScreeningLine":
-        """Build the fully configured line a scenario describes.
-
-        The declarative entry point: measurement config, method, ``q``,
-        retest policy, bins, tester and chip grouping all come from the
-        :class:`~repro.campaign.scenario.Scenario`; an explicit ``tester``
-        argument overrides the scenario's choice.
-        """
-        line = cls(scenario.bist_config(),
-                   retest_attempts=scenario.retest_attempts,
-                   bin_edges_lsb=scenario.bin_edges_lsb,
-                   tester=(tester if tester is not None
-                           else scenario.tester_model()),
-                   devices_per_ic=scenario.devices_per_ic,
-                   partial_q=scenario.q,
-                   samples_per_code=scenario.samples_per_code,
-                   method=scenario.method,
-                   dynamic_analyzer=dynamic_analyzer,
-                   dynamic_spec=dynamic_spec,
-                   flow=scenario.flow)
-        # Keep the caller's full scenario (geometry, seed, label included)
-        # rather than the line's measurement-only reconstruction.
-        line.scenario = scenario
-        return line
-
-    @property
-    def mode(self) -> str:
-        """Station flavour: BIST ``"full"``/``"partial"``, or the method."""
-        if self.method != "bist":
-            return self.method
-        return "full" if self.partial_q is None else "partial"
+    def from_scenario(cls, scenario: Scenario) -> "ScreeningLine":
+        """The line a scenario describes: ``ScreeningLine(scenario)``."""
+        return cls(scenario)
 
     @property
     def q(self) -> int:
         """Number of LSBs the tester captures per sample.
 
-        1 for the full BIST (the pass/fail flag channel), ``partial_q``
-        for the partial scheme, and the full word width for the
+        1 for the full BIST (the pass/fail flag channel), the scenario's
+        ``q`` for the partial scheme, and the full word width for the
         conventional histogram and dynamic methods.
         """
-        if self.method != "bist":
-            return int(self.config.n_bits)
-        return 1 if self.partial_q is None else int(self.partial_q)
+        if self.scenario.method != "bist":
+            return int(self.scenario.n_bits)
+        return 1 if self.scenario.q is None else int(self.scenario.q)
 
     def describe(self) -> str:
         """One-line description of the screening station's configuration."""
-        if self.method == "histogram":
+        method = self.scenario.method
+        if method == "histogram":
             return (f"conventional histogram test, "
                     f"{self.engine.samples_per_code:g} samples/code, "
                     f"DNL spec ±{self.config.dnl_spec_lsb} LSB")
-        if self.method == "dynamic":
+        if method == "dynamic":
             spec = self.engine.resolved_spec(self.config.n_bits)
             limits = []
             if spec.min_enob is not None:
@@ -401,7 +301,7 @@ class ScreeningLine:
                     f"{self.engine.analyzer.n_samples}-sample "
                     f"{self.engine.analyzer.window} window, "
                     + ", ".join(limits))
-        if self.partial_q is None:
+        if self.scenario.q is None:
             return f"full BIST, {self.engine.limits.describe()}"
         return (f"partial BIST, q={self.q} LSBs off-chip, "
                 f"DNL spec ±{self.config.dnl_spec_lsb} LSB")
@@ -412,7 +312,8 @@ class ScreeningLine:
 
     def bin_names(self) -> List[str]:
         """Names of the quality bins, tightest first."""
-        return [f"bin-{i + 1}" for i in range(len(self.bin_edges_lsb) + 1)]
+        edges = self.scenario.bin_edges_lsb
+        return [f"bin-{i + 1}" for i in range(len(edges) + 1)]
 
     def _insertion_seconds(self, n_devices: int, samples: int,
                            sample_rate: float) -> float:
@@ -436,32 +337,22 @@ class ScreeningLine:
         effective-bit shortfall for the dynamic suite (which measures no
         DNL at all).
         """
-        if self.method == "dynamic":
+        if self.scenario.method == "dynamic":
             return result.enob_shortfall_lsb
         return result.measured_max_dnl_lsb
-
-    def _sequential_policy(self):
-        """The SPRT policy and per-code model of this line's scenario.
-
-        Derived from the paper's closed-form error model for the line's
-        process sigma, DNL spec and counter width; the same per-code
-        conditionals feed the SPC monitor's analytic p-chart centre.
-        """
-        from repro.campaign.factory import sequential_policy
-
-        return sequential_policy(self.scenario, config=self.config)
 
     def test_plan(self, n_bits: int, samples: int,
                    sample_rate: float) -> TestPlan:
         """The per-device test plan pricing this line's insertions."""
         samples = max(samples, 1)
-        if self.method == "histogram":
+        method = self.scenario.method
+        if method == "histogram":
             return TestPlan.conventional_histogram(
                 n_bits=n_bits, samples=samples, sample_rate=sample_rate)
-        if self.method == "dynamic":
+        if method == "dynamic":
             return TestPlan.dynamic_fft(
                 n_bits=n_bits, samples=samples, sample_rate=sample_rate)
-        if self.partial_q is None:
+        if self.scenario.q is None:
             return TestPlan.full_bist(n_bits=n_bits, samples=samples,
                                       sample_rate=sample_rate)
         return TestPlan.partial_bist(n_bits=n_bits, q=self.q,
@@ -487,7 +378,7 @@ class ScreeningLine:
         rng:
             Seed of the acquisition noise of all stations (an integer, a
             :class:`~numpy.random.SeedSequence`, or ``None`` for the
-            line's ``config.seed``).  Insertion ``i`` (first pass, then
+            scenario's ``seed``).  Insertion ``i`` (first pass, then
             each retest) of wafer ``w`` runs under ``SeedSequence(seed,
             spawn_key=(w, i))``, and each device of an insertion draws
             its own keyed stream from that, so the report is
@@ -501,9 +392,12 @@ class ScreeningLine:
         if isinstance(lot, Wafer):
             lot = Lot([lot], lot_id=lot.wafer_id)
         spec = lot.spec
+        scenario = self.scenario
+        method = scenario.method
+        devices_per_ic = scenario.devices_per_ic
         if plan is None:
             plan = ExecutionPlan()
-        root = noise_seed(self.config.seed if rng is None else rng)
+        root = noise_seed(scenario.seed if rng is None else rng)
         if not isinstance(root, np.random.SeedSequence):
             root = np.random.SeedSequence(root)
 
@@ -523,12 +417,15 @@ class ScreeningLine:
         samples_per_device = 0
         n_chips = 0
         n_chips_passed = 0
-        chips_whole = self.devices_per_ic > 1
-        # Adaptive (sequential) flow bookkeeping.
-        sprt = self.flow == "sprt"
+        chips_whole = devices_per_ic > 1
+        # Adaptive (sequential) flow bookkeeping.  The SPRT policy comes
+        # from the paper's closed-form error model of the scenario; its
+        # per-code conditionals also centre the SPC monitor's p-chart.
+        sprt = scenario.flow == "sprt"
         policy = per_code = None
         if sprt:
-            policy, per_code = self._sequential_policy()
+            from repro.campaign.factory import sequential_policy
+            policy, per_code = sequential_policy(scenario)
         accounted_in = 0
         total_stop_codes = 0
         total_codes = 0
@@ -542,13 +439,13 @@ class ScreeningLine:
             # silently skipping chip yield would misreport the economics,
             # so a non-dividing wafer is an error (as in chip_grouping).
             for wafer in lot:
-                if len(wafer) % self.devices_per_ic != 0:
+                if len(wafer) % devices_per_ic != 0:
                     raise ValueError(
                         f"wafer {wafer.wafer_id} has {len(wafer)} dies, "
                         f"which do not fill whole ICs of "
-                        f"{self.devices_per_ic} converters")
+                        f"{devices_per_ic} converters")
 
-        with t.span("line.screen_lot", lot=lot.lot_id, method=self.method,
+        with t.span("line.screen_lot", lot=lot.lot_id, method=method,
                     wafers=len(lot)):
             for w_index, wafer in enumerate(lot):
                 n_wafer = len(wafer)
@@ -581,7 +478,7 @@ class ScreeningLine:
                         wafer.wafer_id, exc.shard, exc.statistic,
                         exc.value, exc.threshold, devices_done, n_wafer)
                 if (monitor is not None and not wafer_aborted
-                        and self.scenario.excursion is not None):
+                        and scenario.excursion is not None):
                     excursions_missed += 1
 
                 # Disposition: the tested prefix takes its measured
@@ -624,7 +521,7 @@ class ScreeningLine:
                 first_pass_ok += int(
                     np.count_nonzero(accepted[:devices_done]))
 
-                for attempt in range(self.retest_attempts):
+                for attempt in range(scenario.retest_attempts):
                     if wafer_aborted:
                         # An excursed wafer is dispositioned, not
                         # retested: its untested tail has no measurement
@@ -654,8 +551,7 @@ class ScreeningLine:
                     # Chips are assembled from consecutive dies of one
                     # wafer; an IC ships only when every converter on it
                     # passed.
-                    chip_passed, _ = chip_grouping(accepted,
-                                                   self.devices_per_ic)
+                    chip_passed, _ = chip_grouping(accepted, devices_per_ic)
                     n_chips += int(chip_passed.size)
                     n_chips_passed += int(np.count_nonzero(chip_passed))
         wall_seconds = time.perf_counter() - t0
@@ -673,7 +569,8 @@ class ScreeningLine:
                                        truly_good=good_all)
 
         # Binning station: grade accepted dies on the measured linearity.
-        bins = np.digitize(measured_all[accepted_all], self.bin_edges_lsb)
+        bins = np.digitize(measured_all[accepted_all],
+                           scenario.bin_edges_lsb)
         names = self.bin_names()
         bin_counts = {name: int(np.count_nonzero(bins == i))
                       for i, name in enumerate(names)}
@@ -699,10 +596,10 @@ class ScreeningLine:
                 "sequential", first_pass_in, first_pass_ok,
                 adaptive_seconds, n_accounted=accounted_in)
         else:
-            first_station = StationStats(self.method, first_pass_in,
+            first_station = StationStats(method, first_pass_in,
                                          first_pass_ok, bist_seconds)
         stations = [first_station]
-        if self.retest_attempts > 0:
+        if scenario.retest_attempts > 0:
             stations.append(StationStats("retest", retest_in, retest_ok,
                                          retest_seconds))
         stations.append(StationStats("binning", n_accepted, n_accepted, 0.0))
@@ -710,7 +607,7 @@ class ScreeningLine:
         cost_plan = self.test_plan(spec.n_bits, samples_per_device,
                                    spec.sample_rate)
         cost = cost_per_device(cost_plan, self.tester,
-                               devices_per_ic=self.devices_per_ic)
+                               devices_per_ic=devices_per_ic)
 
         if t.enabled:
             # Pass/fail/escape tallies per station, tied to the tester
@@ -744,7 +641,7 @@ class ScreeningLine:
                     t.count(f"flow.stop_quartile.q{i + 1}",
                             int(stop_quartiles[i]))
         _log.info("lot %s [%s]: %d/%d accepted, %.3f tester-s, "
-                  "%.3f s wall", lot.lot_id, self.method, n_accepted,
+                  "%.3f s wall", lot.lot_id, method, n_accepted,
                   n_devices, bist_seconds + retest_seconds, wall_seconds)
 
         return LotScreeningReport(
@@ -761,13 +658,13 @@ class ScreeningLine:
             type_ii=outcome.type_ii,
             samples_per_device=samples_per_device,
             wall_seconds=wall_seconds,
-            method=self.method,
-            mode=self.mode,
+            method=method,
+            mode=scenario.mode,
             q=self.q,
             architecture=spec.architecture,
             n_chips=n_chips if chips_whole else None,
             n_chips_passed=n_chips_passed if chips_whole else None,
-            flow=self.flow,
+            flow=scenario.flow,
             saved_samples=(total_codes - total_stop_codes) if sprt else 0,
             saved_tester_seconds=saved_seconds if sprt else 0.0,
             n_aborted=n_aborted,

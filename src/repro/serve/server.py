@@ -184,7 +184,7 @@ class ServeServer:
         # lives in the campaign.scenario child span it re-parents here.
         with t.span("serve.request", seq=request.seq,
                     label=request.label) as span:
-            line = ScreeningLine.from_scenario(request.scenario)
+            line = ScreeningLine(request.scenario)
             lot = request.scenario.draw_lot(seed=request.seed,
                                             lot_id=request.label)
             future = self._submitter.submit(

@@ -47,7 +47,7 @@ class TestDeterminism:
         result = campaign.run()
         for scenario, label, seed, report in zip(
                 grid, campaign.labels(), campaign.seeds(), result.reports):
-            line = ScreeningLine.from_scenario(scenario)
+            line = ScreeningLine(scenario)
             reference = line.screen_lot(
                 scenario.draw_lot(seed=seed, lot_id=label), rng=seed)
             assert _strip_wall(report) == _strip_wall(reference)

@@ -1,7 +1,5 @@
 """Unit tests for the declarative Scenario value object."""
 
-import dataclasses
-
 import pytest
 
 from repro.campaign import AUTO_Q, Scenario, default_tester, make_engine
@@ -57,6 +55,19 @@ class TestValidation:
             Scenario(deglitch_depth=2, q=2)
         with pytest.raises(ValueError):
             Scenario(deglitch_depth=2, method="histogram")
+
+    def test_devices_per_ic_must_be_positive(self):
+        # Construction-time validation: a line built from the scenario
+        # must not fail late, inside the economics of a screened lot.
+        with pytest.raises(ValueError, match="devices_per_ic"):
+            Scenario(devices_per_ic=0)
+        with pytest.raises(ValueError, match="devices_per_ic"):
+            Scenario(devices_per_ic=-3)
+
+    def test_retest_attempts_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="retest_attempts"):
+            Scenario(retest_attempts=-1)
+        assert Scenario(retest_attempts=0).retest_attempts == 0
 
     def test_chips_must_divide_wafer(self):
         with pytest.raises(ValueError):
@@ -181,16 +192,6 @@ class TestFactory:
         engine = make_engine(Scenario(q=AUTO_Q, samples_per_code=1.0))
         assert engine.config.q is None  # resolved per stimulus at run time
 
-    def test_config_override_rides_through(self):
-        config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
-        engine = make_engine(Scenario(), config=config)
-        assert engine.config is config
-
-    def test_partial_rejects_deglitch_config(self):
-        config = BistConfig(n_bits=6, deglitch_depth=2)
-        with pytest.raises(ValueError):
-            make_engine(Scenario(q=2), config=config)
-
     def test_default_tester_economics(self):
         assert default_tester(Scenario()).name == "digital ATE"
         assert default_tester(Scenario(q=2)).name == "mixed-signal ATE"
@@ -203,40 +204,18 @@ class TestFactory:
 
 
 class TestLineFromScenario:
-    def test_line_matches_hand_built(self):
-        scenario = Scenario(q=2, n_bits=6, counter_bits=7,
-                            dnl_spec_lsb=1.0, retest_attempts=1,
-                            devices_per_ic=4, n_devices=100, seed=1)
-        line = ScreeningLine.from_scenario(scenario)
-        reference = ScreeningLine(
-            BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0),
-            retest_attempts=1, devices_per_ic=4, partial_q=2)
-        assert line.describe() == reference.describe()
-        assert line.tester.name == reference.tester.name
-        assert line.q == reference.q and line.mode == reference.mode
+    def test_line_holds_the_scenario(self):
+        scenario = Scenario(q=2, retest_attempts=1, devices_per_ic=4,
+                            n_devices=100, seed=1)
+        line = ScreeningLine(scenario)
         assert line.scenario is scenario
+        assert line.config == scenario.bist_config()
+        assert line.tester.name == default_tester(scenario).name
+        assert line.q == 2
+        assert line.describe() == \
+            "partial BIST, q=2 LSBs off-chip, DNL spec ±1.0 LSB"
+        assert ScreeningLine(scenario).scenario is scenario
 
     def test_line_rejects_auto_q(self):
         with pytest.raises(ValueError):
-            ScreeningLine.from_scenario(Scenario(q=AUTO_Q))
-
-    def test_line_still_rejects_nonpositive_devices_per_ic(self):
-        # Construction-time validation must not regress to a late failure
-        # deep inside the economics after a whole lot has been screened.
-        with pytest.raises(ValueError):
-            ScreeningLine(BistConfig(n_bits=6), devices_per_ic=0)
-        with pytest.raises(ValueError):
-            ScreeningLine(BistConfig(n_bits=6), devices_per_ic=-3)
-
-    def test_screen_lot_matches_legacy_construction(self):
-        scenario = Scenario(method="histogram", n_devices=80, seed=5,
-                            dnl_spec_lsb=0.5, samples_per_code=8.0,
-                            label="H")
-        report = ScreeningLine.from_scenario(scenario).screen_lot(
-            scenario.draw_lot(), rng=scenario.seed)
-        legacy = ScreeningLine(
-            BistConfig(n_bits=6, dnl_spec_lsb=0.5), method="histogram",
-            samples_per_code=8.0).screen_lot(
-                scenario.draw_lot(), rng=scenario.seed)
-        assert dataclasses.replace(report, wall_seconds=0.0) == \
-            dataclasses.replace(legacy, wall_seconds=0.0)
+            ScreeningLine(Scenario(q=AUTO_Q))

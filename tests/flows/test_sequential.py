@@ -45,9 +45,9 @@ def baseline_reports():
     sprt = Scenario(label="sprt", flow="sprt", **BASELINE)
     lot = fixed.draw_lot()
     plan = ExecutionPlan(workers=1, shard_devices=64)
-    report_fixed = ScreeningLine.from_scenario(fixed).screen_lot(
+    report_fixed = ScreeningLine(fixed).screen_lot(
         lot, plan=plan)
-    report_sprt = ScreeningLine.from_scenario(sprt).screen_lot(
+    report_sprt = ScreeningLine(sprt).screen_lot(
         lot, plan=plan)
     policy, per_code = sequential_policy(sprt)
     return report_fixed, report_sprt, policy, per_code

@@ -113,7 +113,7 @@ def _burst_scenario(**overrides):
 class TestLineAbort:
     def test_burst_excursion_aborts_and_rejects_tail(self):
         scenario = _burst_scenario()
-        report = ScreeningLine.from_scenario(scenario).screen_lot(
+        report = ScreeningLine(scenario).screen_lot(
             scenario.draw_lot(),
             plan=ExecutionPlan(workers=1, shard_devices=64))
         assert report.excursions > 0
@@ -127,7 +127,7 @@ class TestLineAbort:
         lot = scenario.draw_lot()
 
         def digest(workers, chunk):
-            line = ScreeningLine.from_scenario(scenario)
+            line = ScreeningLine(scenario)
             report = line.screen_lot(
                 lot, plan=ExecutionPlan(workers=workers, chunk_size=chunk,
                                         shard_devices=64))
@@ -142,7 +142,7 @@ class TestLineAbort:
     def test_partial_prefix_carries_real_verdicts(self):
         scenario = _burst_scenario(n_wafers=1, n_devices=1024)
         lot = scenario.draw_lot()
-        report = ScreeningLine.from_scenario(scenario).screen_lot(
+        report = ScreeningLine(scenario).screen_lot(
             lot, plan=ExecutionPlan(workers=1, shard_devices=64))
         done = report.n_devices - report.n_aborted
         # The tested prefix dispositions normally, so some devices of the
@@ -152,7 +152,7 @@ class TestLineAbort:
 
     def test_clean_lot_never_aborts(self):
         scenario = _burst_scenario(excursion=None)
-        report = ScreeningLine.from_scenario(scenario).screen_lot(
+        report = ScreeningLine(scenario).screen_lot(
             scenario.draw_lot(),
             plan=ExecutionPlan(workers=1, shard_devices=64))
         assert report.excursions == 0

@@ -17,8 +17,7 @@ from harness import (
     draw_wafer,
 )
 from repro.analysis import DynamicAnalyzer, DynamicSpec, HistogramTest
-from repro.core import BistConfig
-from repro.economics import TesterModel
+from repro.campaign import Scenario
 from repro.production import (
     BatchDynamicSuite,
     BatchHistogramTest,
@@ -180,9 +179,8 @@ class TestAnalysisScreeningLine:
     def test_histogram_line_matches_engine_decisions(self):
         lot = Lot.draw(WaferSpec(n_devices=300, architecture="sar"),
                        n_wafers=1, seed=31, lot_id="H-31")
-        config = BistConfig(n_bits=6, dnl_spec_lsb=0.5)
-        line = ScreeningLine(config, method="histogram",
-                             samples_per_code=32.0)
+        line = ScreeningLine(Scenario(method="histogram", dnl_spec_lsb=0.5,
+                                      samples_per_code=32.0))
         report = line.screen_lot(lot, rng=0)
         store = ResultStore([report])
         direct = BatchHistogramTest(samples_per_code=32.0,
@@ -198,24 +196,21 @@ class TestAnalysisScreeningLine:
     def test_dynamic_line_screens_and_bins(self):
         lot = Lot.draw(WaferSpec(n_devices=120), n_wafers=1, seed=5,
                        lot_id="D-5")
-        config = BistConfig(n_bits=6, dnl_spec_lsb=0.5)
-        line = ScreeningLine(config, method="dynamic",
-                             dynamic_analyzer=DynamicAnalyzer(
-                                 n_samples=1024),
-                             dynamic_spec=DynamicSpec(min_enob=5.0),
-                             bin_edges_lsb=(0.5, 0.8))
+        # The default analyzer: 4096 samples, ENOB floor n_bits - 1 = 5.
+        line = ScreeningLine(Scenario(method="dynamic", dnl_spec_lsb=0.5,
+                                      bin_edges_lsb=(0.5, 0.8)))
         report = line.screen_lot(lot, rng=0)
         assert report.method == "dynamic"
-        assert report.samples_per_device == 1024
+        assert report.samples_per_device == 4096
         assert sum(report.bin_counts.values()) == report.n_accepted
         assert 0 < report.n_accepted < report.n_devices
 
     def test_histogram_retest_with_noise_recovers(self):
         lot = Lot.draw(WaferSpec(n_devices=250), n_wafers=1, seed=11)
-        config = BistConfig(n_bits=6, dnl_spec_lsb=0.5,
-                            transition_noise_lsb=0.1)
-        line = ScreeningLine(config, method="histogram",
-                             samples_per_code=16.0, retest_attempts=1)
+        line = ScreeningLine(Scenario(method="histogram", dnl_spec_lsb=0.5,
+                                      transition_noise_lsb=0.1,
+                                      samples_per_code=16.0,
+                                      retest_attempts=1))
         report = line.screen_lot(lot, rng=3)
         retest = [s for s in report.stations if s.name == "retest"]
         assert len(retest) == 1 and retest[0].n_in > 0
@@ -224,10 +219,9 @@ class TestAnalysisScreeningLine:
         """Conventional methods need (and are priced on) a mixed-signal
         tester; the full BIST keeps its cheap digital tester."""
         wafer = Wafer.draw(WaferSpec(n_devices=200), rng=7)
-        config = BistConfig(n_bits=6, dnl_spec_lsb=1.0)
-        bist_line = ScreeningLine(config)
-        histogram_line = ScreeningLine(config, method="histogram",
-                                       samples_per_code=64.0)
+        bist_line = ScreeningLine(Scenario())
+        histogram_line = ScreeningLine(Scenario(method="histogram",
+                                                samples_per_code=64.0))
         assert not bist_line.tester.has_mixed_signal
         assert histogram_line.tester.has_mixed_signal
         bist_report = bist_line.screen_lot(wafer, rng=0)
@@ -237,28 +231,18 @@ class TestAnalysisScreeningLine:
         assert histogram_report.devices_per_hour < \
             bist_report.devices_per_hour
 
-    def test_line_validation(self):
-        config = BistConfig(n_bits=6)
-        with pytest.raises(ValueError):
-            ScreeningLine(config, method="thermal")
-        with pytest.raises(ValueError):
-            ScreeningLine(config, method="histogram", partial_q=2)
-        with pytest.raises(ValueError):
-            ScreeningLine(BistConfig(n_bits=6, deglitch_depth=2),
-                          method="histogram")
-
     def test_explicit_tester_still_honoured(self):
-        config = BistConfig(n_bits=6)
-        line = ScreeningLine(config, method="histogram",
-                             tester=TesterModel.mixed_signal())
-        assert line.tester.name == "mixed-signal ATE"
+        # The scenario's named tester wins over the per-method default.
+        line = ScreeningLine(Scenario(method="histogram", tester="digital"))
+        assert line.tester.name == "digital ATE"
 
     def test_describe_per_method(self):
-        config = BistConfig(n_bits=6, dnl_spec_lsb=0.5)
-        assert "full BIST" in ScreeningLine(config).describe()
+        scenario = Scenario(dnl_spec_lsb=0.5)
+        assert "full BIST" in ScreeningLine(scenario).describe()
         assert "histogram" in ScreeningLine(
-            config, method="histogram").describe()
-        assert "ENOB" in ScreeningLine(config, method="dynamic").describe()
+            scenario.derive(method="histogram")).describe()
+        assert "ENOB" in ScreeningLine(
+            scenario.derive(method="dynamic")).describe()
 
 
 class TestSharedWaferComparison:
@@ -268,11 +252,10 @@ class TestSharedWaferComparison:
         type I/II differences are attributable to the method alone)."""
         wafer = Wafer.draw(WaferSpec(n_devices=400,
                                      sigma_code_width_lsb=0.21), rng=1997)
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=0.5)
         store = ResultStore()
         for method in ("bist", "histogram"):
-            line = ScreeningLine(config, method=method,
-                                 samples_per_code=64.0)
+            line = ScreeningLine(Scenario(method=method, dnl_spec_lsb=0.5,
+                                          samples_per_code=64.0))
             store.add(line.screen_lot(Wafer(wafer.spec, wafer.transitions,
                                             wafer.wafer_id), rng=0))
         reports = store.reports

@@ -21,6 +21,7 @@ from harness import (
     draw_wafer,
 )
 from repro.analysis import DynamicAnalyzer, DynamicSpec
+from repro.campaign import Scenario
 from repro.core import BistConfig, PartialBistConfig
 from repro.core.bist_scheme import PartialBistPartition
 from repro.production import (
@@ -227,9 +228,8 @@ class TestPlanMatchesSingleShot:
 
 class TestScreeningLinePlan:
     def _line(self) -> ScreeningLine:
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
-                            transition_noise_lsb=0.05, deglitch_depth=3)
-        return ScreeningLine(config, retest_attempts=1)
+        return ScreeningLine(Scenario(transition_noise_lsb=0.05,
+                                      deglitch_depth=3, retest_attempts=1))
 
     def test_reports_identical_across_plan_geometries(self):
         lot = Lot.draw(WaferSpec(n_devices=120), n_wafers=2, seed=6)
@@ -264,14 +264,13 @@ class TestScreeningLinePlan:
 class TestResultStoreMerge:
     def test_sharded_stores_merge_to_the_sequential_tables(self):
         spec = WaferSpec(n_devices=80)
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=0.5)
         lots = [Lot.draw(spec, n_wafers=1, seed=s, lot_id=f"L{s}")
                 for s in (1, 2, 3)]
 
         sequential = ResultStore()
         partials = []
         for method, lot in zip(("bist", "histogram", "bist"), lots):
-            line = ScreeningLine(config, method=method)
+            line = ScreeningLine(Scenario(method=method, dnl_spec_lsb=0.5))
             sequential.add(line.screen_lot(lot, rng=0))
             partials.append(line.screen_lot(lot, rng=0))
 
@@ -283,12 +282,11 @@ class TestResultStoreMerge:
         assert merged.total_devices == sequential.total_devices
 
     def test_scenario_table_splits_architectures(self):
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
         store = ResultStore()
         for arch in ("flash", "sar"):
             lot = Lot.draw(WaferSpec(n_devices=40, architecture=arch),
                            n_wafers=1, seed=2, lot_id=arch)
-            store.add(ScreeningLine(config).screen_lot(lot, rng=0))
+            store.add(ScreeningLine(Scenario()).screen_lot(lot, rng=0))
         table = store.scenario_table()
         assert "flash/full" in table
         assert "sar/full" in table
@@ -461,12 +459,12 @@ def test_unseeded_run_uses_the_configured_seed(kind, entry, plan):
 @pytest.mark.parametrize("plan", [None, ExecutionPlan()],
                          ids=["planless", "plan"])
 def test_unseeded_screen_lot_uses_the_configured_seed(plan):
-    """``screen_lot`` without ``rng`` falls back to ``config.seed``, so two
-    identical calls agree (they used to draw OS entropy)."""
-    config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
-                        transition_noise_lsb=0.05, deglitch_depth=3, seed=3)
+    """``screen_lot`` without ``rng`` falls back to the scenario's
+    ``seed``, so two identical calls agree."""
     lot = Lot.draw(WaferSpec(n_devices=256), n_wafers=1, seed=3)
-    line = ScreeningLine(config, retest_attempts=1)
+    line = ScreeningLine(Scenario(transition_noise_lsb=0.05,
+                                  deglitch_depth=3, retest_attempts=1,
+                                  seed=3))
     seeded = dataclasses.replace(line.screen_lot(lot, rng=3, plan=plan),
                                  wall_seconds=0.0)
     for _ in range(2):

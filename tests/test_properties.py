@@ -537,7 +537,7 @@ def _line_case(method, q, noisy, excursion, flow):
             transition_noise_lsb=0.05 if noisy else 0.0,
             deglitch_depth=3 if noisy and full_bist else 0,
             retest_attempts=1, excursion=excursion, flow=flow)
-        line = ScreeningLine.from_scenario(scenario)
+        line = ScreeningLine(scenario)
         lot = scenario.draw_lot(seed=5, lot_id="PROP")
         report = line.screen_lot(lot, rng=9)
         _GEOMETRY_CACHE[key] = (line, lot,
@@ -577,3 +577,60 @@ class TestScreenLotGeometryProperties:
         report = line.screen_lot(lot, rng=9, plan=ExecutionPlan(
             workers=workers, chunk_size=chunk))
         assert dataclasses.replace(report, wall_seconds=0.0) == reference
+
+
+#: Line stations of the scenario-reading property: (method, noisy, flow).
+READ_STATIONS = [("bist", False, "fixed"), ("bist", True, "fixed"),
+                 ("histogram", False, "fixed"), ("bist", False, "sprt")]
+
+
+def _read_case(method, noisy, flow, n_dies):
+    """A station's scenario, a lot of ``n_dies`` and its report (cached)."""
+    key = ("read", method, noisy, flow, n_dies)
+    if key not in _GEOMETRY_CACHE:
+        from repro.campaign import Scenario
+        from repro.production import ScreeningLine
+
+        scenario = Scenario(
+            method=method, dnl_spec_lsb=0.5, retest_attempts=1, flow=flow,
+            transition_noise_lsb=0.05 if noisy else 0.0,
+            deglitch_depth=3 if noisy else 0)
+        lot = Scenario(n_devices=n_dies).draw_lot(seed=5, lot_id="READ")
+        report = ScreeningLine(scenario).screen_lot(lot, rng=9)
+        _GEOMETRY_CACHE[key] = (scenario, lot, dataclasses.replace(
+            report, wall_seconds=0.0))
+    return _GEOMETRY_CACHE[key]
+
+
+class TestLineReadsItsStations:
+    """A line screens the lot it is handed under the ``rng`` it is given.
+
+    The scenario fields that describe the lot the scenario would draw,
+    and its seed, must not reach the report of any station.  The process
+    sigma does under ``flow="sprt"`` (the SPRT policy and the SPC centre
+    are derived from it), so only the fixed flow varies it.
+    """
+
+    @given(st.integers(64, 128), st.integers(1, 4096), st.integers(1, 3),
+           st.sampled_from(["flash", "sar", "pipeline"]),
+           st.none() | st.integers(0, 2**32 - 1),
+           st.none() | st.text(max_size=6),
+           st.floats(min_value=0.05, max_value=0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_report_ignores_the_lot_fields(self, n_dies, n_devices,
+                                           n_wafers, architecture, seed,
+                                           label, sigma):
+        from repro.production import ScreeningLine
+
+        changes = dict(n_devices=n_devices, n_wafers=n_wafers,
+                       architecture=architecture, seed=seed, label=label)
+        for method, noisy, flow in READ_STATIONS:
+            scenario, lot, reference = _read_case(method, noisy, flow,
+                                                  n_dies)
+            fields = dict(changes)
+            if flow == "fixed":
+                fields["sigma_code_width_lsb"] = sigma
+            line = ScreeningLine(scenario.derive(**fields))
+            report = line.screen_lot(lot, rng=9)
+            assert dataclasses.replace(report, wall_seconds=0.0) == \
+                reference, (method, noisy, flow)
