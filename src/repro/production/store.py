@@ -4,31 +4,91 @@ The :class:`ResultStore` is the production line's ledger: a list of
 :class:`~repro.production.line.LotScreeningReport` objects, one per
 screened lot.  Every per-group figure — the store totals, the method,
 scenario, campaign and metrics pivots, and the streaming server's
-rolling snapshots — comes from one function, :func:`rollup`, and the
-store renders the pivots as the plain-text tables the rest of the
+rolling snapshots — comes from one accumulator, :class:`RunningTotals`
+(:func:`rollup` folds a group of reports through it), and the store
+renders the pivots as the plain-text tables the rest of the
 reproduction uses (:mod:`repro.reporting.tables`), so a multi-lot
 Monte-Carlo campaign produces one readable floor report.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
 from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 from repro.production.line import LotScreeningReport, StationStats
 from repro.reporting.tables import format_table
 
-__all__ = ["ResultStore", "rollup"]
+__all__ = ["ResultStore", "RunningTotals", "rollup"]
 
 
-def _sum(values: Iterable[Any]) -> Any:
-    """``0 + v0 + v1 + ...``, added left to right on every Python.
+class RunningTotals:
+    """Running totals of a group of lot reports, added in arrival order.
 
-    The builtin ``sum()`` compensates float sums from Python 3.12 on, so
-    it would move a ledger's last digit between interpreters.
+    Every sum starts at the integer 0 and adds one report at a time, so
+    a float total is ``0 + v0 + v1 + ...`` left to right on every Python
+    (the builtin ``sum()`` compensates float sums from Python 3.12 on and
+    would move a ledger's last digit).  Adding is O(1), so a group that
+    grows one report at a time keeps its totals current without re-adding
+    the reports before it.
     """
-    return reduce(operator.add, values, 0)
+
+    __slots__ = ("lots", "devices", "accepted", "tester_seconds",
+                 "saved_tester_seconds", "excursions", "aborted",
+                 "_good", "_type_i", "_type_ii", "_cost")
+
+    def __init__(self) -> None:
+        self.lots = 0
+        self.devices = 0
+        self.accepted = 0
+        self.tester_seconds = 0
+        self.saved_tester_seconds = 0
+        self.excursions = 0
+        self.aborted = 0
+        # Device-weighted sums of the per-lot rates.
+        self._good = 0
+        self._type_i = 0
+        self._type_ii = 0
+        self._cost = 0
+
+    def add(self, report: LotScreeningReport) -> None:
+        """Add one lot's report to the totals."""
+        n = report.n_devices
+        self.lots += 1
+        self.devices += n
+        self.accepted += report.n_accepted
+        self.tester_seconds += report.tester_seconds
+        self.saved_tester_seconds += report.saved_tester_seconds
+        self.excursions += report.excursions
+        self.aborted += report.n_aborted
+        self._good += report.p_good * n
+        self._type_i += report.type_i * n
+        self._type_ii += report.type_ii * n
+        self._cost += report.cost_per_device * n
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The totals as the :func:`rollup` dict."""
+        devices = self.devices
+        seconds = self.tester_seconds
+
+        def weighted(total: float) -> float:
+            return total / devices if devices else 0.0
+
+        return {
+            "lots": self.lots,
+            "devices": devices,
+            "accepted": self.accepted,
+            "accept_fraction": self.accepted / devices if devices else 0.0,
+            "true_yield": weighted(self._good),
+            "type_i": weighted(self._type_i),
+            "type_ii": weighted(self._type_ii),
+            "tester_seconds": seconds,
+            "devices_per_hour": (devices / seconds * 3600.0 if seconds > 0
+                                 else float("inf")),
+            "cost_per_device": weighted(self._cost),
+            "saved_tester_seconds": self.saved_tester_seconds,
+            "excursions": self.excursions,
+            "aborted": self.aborted,
+        }
 
 
 def rollup(reports: Sequence[LotScreeningReport]) -> Dict[str, Any]:
@@ -40,32 +100,10 @@ def rollup(reports: Sequence[LotScreeningReport]) -> Dict[str, Any]:
     weighted by each lot's devices.  An empty group reads zero (and
     infinite devices per hour, as a lot without tester time does).
     """
-    devices = _sum(r.n_devices for r in reports)
-    accepted = _sum(r.n_accepted for r in reports)
-    seconds = _sum(r.tester_seconds for r in reports)
-
-    def weighted(value: Callable[[LotScreeningReport], float]) -> float:
-        if not devices:
-            return 0.0
-        return _sum(value(r) * r.n_devices for r in reports) / devices
-
-    return {
-        "lots": len(reports),
-        "devices": devices,
-        "accepted": accepted,
-        "accept_fraction": accepted / devices if devices else 0.0,
-        "true_yield": weighted(lambda r: r.p_good),
-        "type_i": weighted(lambda r: r.type_i),
-        "type_ii": weighted(lambda r: r.type_ii),
-        "tester_seconds": seconds,
-        "devices_per_hour": (devices / seconds * 3600.0 if seconds > 0
-                             else float("inf")),
-        "cost_per_device": weighted(lambda r: r.cost_per_device),
-        "saved_tester_seconds": _sum(r.saved_tester_seconds
-                                     for r in reports),
-        "excursions": _sum(r.excursions for r in reports),
-        "aborted": _sum(r.n_aborted for r in reports),
-    }
+    totals = RunningTotals()
+    for report in reports:
+        totals.add(report)
+    return totals.as_dict()
 
 
 def _method_key(report: LotScreeningReport) -> str:

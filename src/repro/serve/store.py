@@ -9,15 +9,20 @@ report, keyed by request ``seq``, as it lands and exposes
 * :meth:`snapshot` — running totals (requests, devices, accepted,
   tester seconds) plus per-scenario running yield/escape/cost, attached
   to every ``result`` event.  Counts are **monotonic**: a completed
-  request only ever adds, it is never revised or dropped.
+  request only ever adds, it is never revised or dropped.  The totals
+  are kept as they land, one accumulator for the whole stream and one
+  per scenario label, so a snapshot costs the same at any request
+  count.
 * :meth:`merged` / :meth:`ledger` — the full floor ledger, with the
   reports in request-``seq`` order.  Arrival order (not completion
   order) is what makes the final ledger byte-identical to the batch
   campaign of the same request stream, no matter how the pool
   interleaved the actual work.
 
-Both read :func:`~repro.production.store.rollup`, the one rollup every
-ledger view shares.
+Both add reports through
+:class:`~repro.production.store.RunningTotals`, the one accumulator
+every ledger view shares, so a snapshot reads what
+:func:`~repro.production.store.rollup` of the completed requests reads.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import threading
 from typing import Dict, Optional
 
 from repro.production.line import LotScreeningReport
-from repro.production.store import ResultStore, rollup
+from repro.production.store import ResultStore, RunningTotals
 
 __all__ = ["RollingStore"]
 
@@ -46,6 +51,8 @@ class RollingStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._reports: Dict[int, LotScreeningReport] = {}
+        self._total = RunningTotals()
+        self._by_label: Dict[str, RunningTotals] = {}
 
     def add(self, seq: int, report: LotScreeningReport) -> None:
         """Record one completed request (its seq must be new)."""
@@ -53,6 +60,9 @@ class RollingStore:
             if seq in self._reports:
                 raise ValueError(f"request seq {seq} already recorded")
             self._reports[seq] = report
+            self._total.add(report)
+            self._by_label.setdefault(report.lot_id,
+                                      RunningTotals()).add(report)
 
     def __len__(self) -> int:
         with self._lock:
@@ -70,15 +80,16 @@ class RollingStore:
         yield/escape/cost is attached — the per-scenario rolling view a
         ``result`` event carries for its own scenario (the server draws
         each request's lot under its label, so the row is the reports of
-        that ``lot_id``).
+        that ``lot_id``; a label with no completed request reads zero).
         """
         with self._lock:
-            reports = list(self._reports.values())
-        totals = rollup(reports)
+            totals = self._total.as_dict()
+            row = None
+            if label is not None:
+                row = self._by_label.get(label, RunningTotals()).as_dict()
         out: Dict[str, object] = {"requests": totals["lots"]}
         out.update((name, totals[name]) for name in _TOTAL_FIELDS)
-        if label is not None:
-            row = rollup([r for r in reports if r.lot_id == label])
+        if row is not None:
             out["scenario"] = {"label": label, **{
                 name: row[name] for name in _SCENARIO_FIELDS}}
         return out
