@@ -214,7 +214,8 @@ class TestLineFromScenario:
         assert line.q == 2
         assert line.describe() == \
             "partial BIST, q=2 LSBs off-chip, DNL spec ±1.0 LSB"
-        assert ScreeningLine(scenario).scenario is scenario
+        # The name perfbench wraps is the same constructor.
+        assert ScreeningLine.from_scenario(scenario).scenario is scenario
 
     def test_line_rejects_auto_q(self):
         with pytest.raises(ValueError):
