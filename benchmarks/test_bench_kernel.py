@@ -6,10 +6,12 @@ Two scalars back the kernel's acceptance claims, recorded into the
 ``kernel.event_fast_path_speedup``
     The arithmetic crossing-index fast path
     (:func:`repro.core.kernel.shared_crossing_indices` on a uniform
-    ramp: one arithmetic guess per crossing index, kept when it brackets
-    the level and sent to ``searchsorted`` otherwise) against the
-    historical ``np.searchsorted`` per-row reference it replaced, same
-    inputs, bit-identical outputs asserted.  Claim: >= 1.5x.
+    ramp: one arithmetic guess per crossing index, kept when the level's
+    computed position lies outside a proven rounding band around every
+    sample, so the ramp is never read, and sent to ``searchsorted``
+    otherwise) against the historical ``np.searchsorted`` per-row
+    reference it replaced, same inputs, bit-identical outputs asserted.
+    Claim: >= 1.5x.
 ``kernel.compact_memory_ratio_8bit``
     Bytes of an 8-bit code matrix stored as int64 over the kernel's
     compact code matrix (int16), measured off the actual kernel output.
@@ -30,6 +32,11 @@ Two scalars back the kernel's acceptance claims, recorded into the
     the max |DNL| from the two extreme widths over the full row's mean.
     Against ``kernel.regular_full_row_s``, every count through
     :func:`repro.core.decision.decide_counts`; equal outputs asserted.
+``kernel.max_dnl_extremes_s``
+    Truth scoring of the same wafer: :func:`repro.adc.batch_max_dnl`,
+    each die's max |DNL| from its mean and its narrowest and widest code.
+    Against ``kernel.max_dnl_full_row_s``, every code's |DNL| in the same
+    blocks of rows; equal bytes asserted.
 
 Wall-clock thresholds stay out of the gating tier-1 run for the usual
 reason: shared CI runners make timing assertions hostage to co-tenant
@@ -40,8 +47,9 @@ import time
 
 import numpy as np
 
-from repro.adc import PipelineStageBackend, backends
+from repro.adc import PipelineStageBackend, backends, batch_max_dnl
 from repro.adc.pipeline import dense_transitions
+from repro.adc.transfer import SCORING_BLOCK, batch_dnl_from_transitions
 from repro.core import BistConfig
 from repro.core.decision import decide_counts
 from repro.core.kernel import batch_quantise_shared, shared_crossing_indices
@@ -192,3 +200,31 @@ def test_regular_decisions(bench, report):
                title=f"{int(regular.sum())} regular of 65536 dies x 6 "
                      f"bits in shards of {DEFAULT_SHARD_DEVICES}, 7-bit "
                      f"saturating counter, no INL spec"))
+
+
+def _full_row_max_dnl(transitions):
+    """Every code's |DNL|, the largest per row, in scoring-sized blocks."""
+    rows = SCORING_BLOCK // transitions.shape[1]
+    return np.concatenate([
+        np.abs(batch_dnl_from_transitions(
+            transitions[lo:lo + rows])).max(axis=1)
+        for lo in range(0, transitions.shape[0], rows)])
+
+
+def test_truth_scoring(bench, report):
+    transitions = Wafer.draw(WaferSpec(n_bits=6, sigma_code_width_lsb=0.21,
+                                       n_devices=65536),
+                             rng=31).transitions
+    assert (batch_max_dnl(transitions).tobytes()
+            == _full_row_max_dnl(transitions).tobytes())
+    t_fast = _best_of(lambda: batch_max_dnl(transitions))
+    t_ref = _best_of(lambda: _full_row_max_dnl(transitions))
+    bench("kernel.max_dnl_extremes_s", t_fast)
+    bench("kernel.max_dnl_full_row_s", t_ref)
+    report("kernel: truth scoring",
+           format_table(
+               ["variant", "seconds", "speedup"],
+               [["every code (reference)", f"{t_ref:.4f}", "1.00"],
+                ["mean and extreme widths", f"{t_fast:.4f}",
+                 f"{t_ref / t_fast:.2f}"]],
+               title="max |DNL| of 65536 dies x 6 bits"))

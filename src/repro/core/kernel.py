@@ -127,29 +127,52 @@ def hist_dtype(n_samples: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _uniform_ramp_step(voltages: np.ndarray) -> Optional[float]:
-    """The sample step if ``voltages`` is a uniformly spaced rising ramp.
+def _uniform_ramp_step(voltages: np.ndarray
+                       ) -> Optional[Tuple[float, float]]:
+    """The step of a uniformly spaced rising ramp and its rounding band.
 
-    Returns ``None`` when the stimulus is too short, non-increasing, or
-    deviates from the linear fit by more than an eighth of a step (bowed
-    or noisy ramps) — callers then fall back to ``searchsorted``.
+    Returns ``(step, band)``: ``step`` is the mean sample spacing ``s``,
+    and ``band`` (``δ``, in samples) is how close to a sample a level's
+    computed position may lie before :func:`shared_crossing_indices`
+    stops trusting its guess.  With ``u`` the unit roundoff, ``n``
+    samples and ``dev = max |v[g] - fl(v[0] + s*g)|``:
+
+    * ``D = dev + 4u*(|v[0]| + s*n)`` bounds, in exact arithmetic, every
+      sample's distance from the line ``v[0] + s*g``;
+    * ``4u*(n + 1)`` bounds the rounding of a position
+      ``r = fl(fl(x - v[0]) / s)`` in ``[-1, n]``;
+    * ``δ = 2*(D/s + 4u*(n + 1))``, twice their sum, which also covers
+      the rounding of ``δ`` itself and of the test ``δ < g - r < 1 - δ``.
+
+    Returns ``None`` when the stimulus is too short, not rising, has a
+    subnormal step, or is too far from a line for the band to be narrow
+    (``δ >= 1/4``: bowed or noisy ramps) — callers then fall back to
+    ``searchsorted``.
     """
     n = voltages.size
     if n < 8:
         return None
-    step = (float(voltages[-1]) - float(voltages[0])) / (n - 1)
-    if not np.isfinite(step) or step <= 0.0:
+    first = float(voltages[0])
+    step = (float(voltages[-1]) - first) / (n - 1)
+    if not np.isfinite(step) or step < np.finfo(float).tiny:
         return None
     ideal = voltages[0] + step * np.arange(n)
-    if float(np.max(np.abs(voltages - ideal))) > 0.125 * step:
+    dev = float(np.max(np.abs(voltages - ideal)))
+    u = 2.0 ** -53  # unit roundoff of float64
+    line = dev + 4.0 * u * (abs(first) + step * n)
+    band = 2.0 * (line / step + 4.0 * u * (n + 1))
+    if not band < 0.25:  # also NaN: a ramp holding non-finite samples
         return None
-    return step
+    return step, band
 
 
-#: Transition levels per block of :func:`shared_crossing_indices` (128 KiB
+#: Transition levels per block of :func:`shared_crossing_indices` (256 KiB
 #: of float64).  A block's temporaries stay in cache; an unblocked
-#: 33k-device chunk streams each one (17 MB) through main memory.
-CROSSING_BLOCK = 1 << 14
+#: 33k-device chunk streams each one (17 MB) through main memory.  On
+#: 1,024-die 6-bit chunks (2 vCPUs), blocks of 2**15 levels ran about 10%
+#: faster than blocks of 2**14 (fewer calls per chunk) and no slower than
+#: blocks of 2**16.
+CROSSING_BLOCK = 1 << 15
 
 
 def shared_crossing_indices(transitions: np.ndarray,
@@ -159,16 +182,23 @@ def shared_crossing_indices(transitions: np.ndarray,
     Identical to ``np.searchsorted(voltages, transitions)`` on every
     input: entry ``[d, k]`` is the smallest sample index ``g`` with
     ``voltages[g] >= transitions[d, k]`` (``voltages.size`` when never
-    reached).  On a *uniformly spaced* rising ramp each index is guessed
-    once from the inverted ramp equation, ``g = ceil((x - v[0]) / step)``
-    clipped to ``[0, n]``, and accepted when ``v[g - 1] < x <= v[g]``
-    (with ``v[-1] = -inf`` and ``v[n] = +inf``).  That test is the
-    definition of a left ``searchsorted`` on a sorted ramp, so an
-    accepted guess is exact; the rare misses (levels within rounding of
-    a sample, non-finite levels) are re-derived with ``searchsorted``.
-    This removes the ``log(samples)`` binary search from the noise-free
-    event paths.  Levels are processed in :data:`CROSSING_BLOCK`-sized
-    blocks so the float temporaries stay in cache.  Stimuli that are not
+    reached).  On a *uniformly spaced* rising ramp each level ``x`` gets
+    its position ``r = fl(fl(x - v[0]) / s)`` in samples and the guess
+    ``g = ceil(r)`` clipped to ``[0, n]``, which is kept when
+    ``δ < g - r < 1 - δ`` for the rounding band ``δ`` of
+    :func:`_uniform_ramp_step`.  Why that is exact: ``r`` is within
+    ``4u*(n + 1)`` of the exact position ``t = (x - v[0]) / s`` and
+    ``δ`` is at least twice that plus ``D/s``, so ``t`` lies strictly
+    inside ``(g - 1 + D/s, g - D/s)``.  Every sample is within ``D`` of
+    the line ``v[0] + s*g``, so ``v[g - 1] < x <= v[g]`` holds exactly
+    (with ``v[-1] = -inf`` and ``v[n] = +inf``) — the definition of a
+    left ``searchsorted`` on a sorted ramp — without reading the ramp.
+    Every other level is re-derived with ``searchsorted``: levels within
+    ``δ`` of a sample (about 1e-11 samples on the engine ramps, so
+    practically none), levels outside the record, NaN and ±inf.  This
+    removes the ``log(samples)`` binary search from the noise-free event
+    paths.  Levels are processed in :data:`CROSSING_BLOCK`-sized blocks
+    so the float temporaries stay in cache.  Stimuli that are not
     uniform ramps (bowed, noisy, too short) take ``searchsorted``
     directly.
 
@@ -179,28 +209,29 @@ def shared_crossing_indices(transitions: np.ndarray,
     n_samples = voltages.size
     out_dtype = index_dtype(n_samples)
     flat = transitions.ravel()
-    step = _uniform_ramp_step(voltages)
-    if step is None:
+    ramp = _uniform_ramp_step(voltages)
+    if ramp is None:
         idx = np.searchsorted(voltages, flat)
         return idx.astype(out_dtype, copy=False).reshape(transitions.shape)
-    # below[g] = v[g - 1] and above[g] = v[g] for g in [0, n].
-    below = np.concatenate(([-np.inf], voltages))
-    above = np.concatenate((voltages, [np.inf]))
+    step, band = ramp
     out = np.empty(flat.size, dtype=out_dtype)
     for start in range(0, flat.size, CROSSING_BLOCK):
         x = flat[start:start + CROSSING_BLOCK]
-        guess = x - voltages[0]
-        guess /= step
-        np.ceil(guess, out=guess)
-        np.fmax(guess, 0.0, out=guess)  # also maps NaN to 0 (then a miss)
-        np.fmin(guess, n_samples, out=guess)
-        idx = guess.astype(np.intp)
-        hit = below.take(idx) < x
-        hit &= x <= above.take(idx)
+        position = x - voltages[0]
+        position /= step
+        guess = np.ceil(position)
+        np.clip(guess, 0.0, n_samples, out=guess)
+        gap = np.subtract(guess, position, out=position)
+        hit = gap > band
+        hit &= gap < 1.0 - band
+        idx = out[start:start + CROSSING_BLOCK]
+        # A NaN level's guess stays NaN and casts with a warning; it is
+        # a miss, overwritten below.
+        with np.errstate(invalid="ignore"):
+            idx[...] = guess
         if not hit.all():
             miss = ~hit
             idx[miss] = np.searchsorted(voltages, x[miss])
-        out[start:start + CROSSING_BLOCK] = idx
     return out.reshape(transitions.shape)
 
 

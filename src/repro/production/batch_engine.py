@@ -12,7 +12,8 @@ Two execution paths are selected automatically:
     Table 1/2 configuration).  With a monotone shared ramp the full
     ``(devices, samples)`` code matrix never needs to exist: the sample
     index at which each transition voltage is crossed is computed from the
-    ramp equation and verified against the two samples around it
+    ramp equation and kept when its position lies farther than a proven
+    rounding band from any sample
     (:func:`repro.core.kernel.shared_crossing_indices`, equal to a
     ``searchsorted`` of all levels into the ramp), and every downstream
     quantity — LSB edges (transitions crossed an odd number of times per
@@ -71,7 +72,7 @@ import numpy as np
 
 from repro.adc.ideal import IdealADC
 from repro.adc.population import DevicePopulation
-from repro.adc.transfer import batch_good_mask
+from repro.adc.transfer import batch_good_mask, row_steps
 from repro.core.decision import counter_readings, decide_counts
 from repro.core.deglitch import DeglitchFilter
 from repro.core.engine import BistConfig, BistEngine, PopulationBistResult
@@ -737,16 +738,16 @@ class BatchBistEngine(BistWaferEngine):
         codes folding two crossings onto one sample, gross curves starting
         above the ramp) take the general sorted-event reduction in
         :meth:`_irregular_events`.  The chunk takes ``diff(crossing)``
-        once: its row minimum tells the regular devices (smallest count
-        positive, first and last crossing inside the record), and its row
-        extremes decide them in :meth:`_regular_outcome`.
+        and its row extremes once, from one flat subtraction and two
+        ``reduceat`` passes (:func:`repro.adc.transfer.row_steps`): the
+        row minimum tells the regular devices (smallest count positive,
+        first and last crossing inside the record), and the extremes
+        decide them in :meth:`_regular_outcome`.
         """
         n_chunk = transitions.shape[0]
         n_samples = ramp_voltages.size
         crossing = shared_crossing_indices(transitions, ramp_voltages)
-        counts = np.diff(crossing, axis=1)
-        smallest = counts.min(axis=1)
-        largest = counts.max(axis=1)
+        counts, smallest, largest = row_steps(crossing)
         # Strictly increasing crossings all lie inside the record iff the
         # first and the last do.
         regular = ((smallest > 0) & (crossing[:, 0] >= 1)

@@ -228,10 +228,12 @@ class Wafer:
 
         The matrix analogue of :func:`repro.core.engine.true_goodness`:
         the same end-point criterion, evaluated for every die
-        (:func:`~repro.adc.transfer.batch_good_mask`).  The reductions
-        run over blocks of about 1,024 dies, so a 65,536-die wafer's DNL
+        (:func:`~repro.adc.transfer.batch_good_mask`).  A die's max
+        |DNL| is read from its mean width and its narrowest and widest
+        code, bit for bit the value every code gives; the reductions run
+        over blocks of about 2,048 dies, so a 65,536-die wafer's
         temporaries stay in cache instead of streaming through main
-        memory; each die is still reduced on its own.
+        memory, and each die is still reduced on its own.
         """
         return batch_good_mask(self.transitions, dnl_spec_lsb, inl_spec_lsb)
 
