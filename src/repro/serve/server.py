@@ -34,7 +34,7 @@ import asyncio
 import signal
 import sys
 import threading
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, Set, TextIO, Tuple
 
 from repro.campaign.driver import LabelDeduper, ScenarioSubmitter
 from repro.campaign.driver import scenario_record
@@ -115,6 +115,7 @@ class ServeServer:
         self._seq = 0
         self._tasks: List["asyncio.Task"] = []
         self._clients: List["asyncio.StreamWriter"] = []
+        self._handlers: Set["asyncio.Task"] = set()
         self._writer: Optional[CheckpointWriter] = None
         self._submitter: Optional[ScenarioSubmitter] = None
         self._closing: Optional["asyncio.Event"] = None
@@ -289,17 +290,29 @@ class ServeServer:
 
     async def _client(self, reader: "asyncio.StreamReader",
                       writer: "asyncio.StreamWriter") -> None:
-        """Serve one TCP client; its events echo back on its connection."""
+        """Serve one TCP client; its events echo back on its connection.
+
+        Returns when the client half-closes, at the EOF the session's end
+        gives it by closing the connection, or when the connection dies;
+        :meth:`run` awaits it, so it is never left for ``asyncio.run``
+        to cancel.
+        """
         t = current_telemetry()
         if t.enabled:
             t.count("serve.clients")
         self._clients.append(writer)
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            self._handle_line(line.decode("utf-8"), sink=writer)
-            await writer.drain()
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                self._handle_line(line.decode("utf-8"), sink=writer)
+                await writer.drain()
+        except ConnectionError:
+            return  # reset by the peer, or closed at shutdown mid-drain
         # The client half-closed its write side; keep the connection open
         # so in-flight result events still reach it — shutdown closes it.
 
@@ -334,6 +347,10 @@ class ServeServer:
         try:
             await self._session(loop, state)
             self._finalize()
+            # _finalize closed every client connection: a handler still
+            # reading gets EOF and returns.  A handler's own error was
+            # already reported by its stream protocol.
+            await asyncio.gather(*self._handlers, return_exceptions=True)
         finally:
             # Also on a refused resume: _replay raises on a corrupt
             # journal after the writer has opened it.

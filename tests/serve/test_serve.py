@@ -335,18 +335,20 @@ class TestSocketClients:
         assert sorted(results) == sorted(accepted)
         return [results[seq] for seq in accepted]
 
-    async def _run_session(self, server, out):
-        server_task = asyncio.create_task(server.run())
+    @staticmethod
+    async def _port(out):
         for _ in range(600):
             listening = [json.loads(line) for line in
                          out.getvalue().splitlines()
                          if '"listening"' in line]
             if listening:
-                break
+                return listening[0]["port"]
             await asyncio.sleep(0.05)
-        else:
-            pytest.fail("server never announced its port")
-        port = listening[0]["port"]
+        pytest.fail("server never announced its port")
+
+    async def _run_session(self, server, out):
+        server_task = asyncio.create_task(server.run())
+        port = await self._port(out)
         a, b = await asyncio.gather(
             self._client_session(port, self.CLIENT_A),
             self._client_session(port, self.CLIENT_B))
@@ -374,3 +376,77 @@ class TestSocketClients:
         assert server.rolling.ledger() == (
             reference.store.campaign_table() + "\n\n"
             + reference.store.summary() + "\n")
+
+    async def _idle_clients_session(self, server, out, telemetry, calls):
+        """A session ended by the operator under two idle clients: one
+        that never half-closes its write side, and one that connects and
+        sends nothing.  Returns the ``_client`` tasks still pending once
+        ``run()`` has returned."""
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: calls.append(context))
+        server_task = asyncio.create_task(server.run())
+        port = await self._port(out)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        kwargs, seed = self.CLIENT_B[0]
+        writer.write((json.dumps({"scenario": kwargs, "seed": seed})
+                      + "\n").encode())
+        await writer.drain()
+        event = {}
+        while event.get("event") != "result":
+            line = await asyncio.wait_for(reader.readline(), timeout=60)
+            assert line, "server closed before the result arrived"
+            event = json.loads(line)
+        _, silent = await asyncio.open_connection("127.0.0.1", port)
+        for _ in range(600):
+            if telemetry.counters.get("serve.clients") == 2:
+                break
+            await asyncio.sleep(0.01)
+        else:
+            pytest.fail("server never took the silent client")
+        server._closing.set()  # operator shutdown
+        assert await server_task == 0
+        pending = [task for task in asyncio.all_tasks()
+                   if task.get_coro().__qualname__ == "ServeServer._client"]
+        writer.close()
+        silent.close()
+        return pending
+
+    def test_shutdown_leaves_no_client_handler_to_cancel(self):
+        # A handler left pending is cancelled by asyncio.run's cleanup,
+        # and Python 3.11's stream protocol then reports the
+        # CancelledError through the loop's exception handler.
+        out = io.StringIO()
+        server = ServeServer(plan=ExecutionPlan(workers=1), seed=5,
+                             socket=("127.0.0.1", 0), out=out)
+        calls = []
+        with telemetry_session(Telemetry()) as telemetry:
+            pending = asyncio.run(self._idle_clients_session(
+                server, out, telemetry, calls))
+        assert pending == []
+        assert calls == []
+
+    def test_handler_returns_when_its_connection_dies(self):
+        """A drain that finds the connection gone (reset by the peer, or
+        closed by the session's end) ends the handler without an
+        error."""
+        class Reader:
+            async def readline(self):
+                return b"{not json\n"
+
+        class Writer:
+            def __init__(self):
+                self.data = b""
+
+            def is_closing(self):
+                return False
+
+            def write(self, data):
+                self.data += data
+
+            async def drain(self):
+                raise ConnectionResetError("Connection lost")
+
+        writer = Writer()
+        server = ServeServer(out=io.StringIO())
+        assert asyncio.run(server._client(Reader(), writer)) is None
+        assert json.loads(writer.data)["event"] == "error"
