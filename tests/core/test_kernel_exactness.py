@@ -311,10 +311,10 @@ class TestRowSteps:
 
     def test_rows_that_only_hold_the_dtype_extremes(self):
         info = np.iinfo(np.int32)
-        matrix = np.array([[0, info.max], [0, info.min + 1]], np.int32)
+        matrix = np.array([[0, info.max], [0, info.min]], np.int32)
         _, smallest, largest = row_steps(matrix)
-        assert smallest.tolist() == [info.max, info.min + 1]
-        assert largest.tolist() == [info.max, info.min + 1]
+        assert smallest.tolist() == [info.max, info.min]
+        assert largest.tolist() == [info.max, info.min]
         _, smallest, largest = row_steps(np.array([[0.0, np.inf],
                                                    [0.0, -np.inf]]))
         assert smallest.tolist() == [np.inf, -np.inf]
