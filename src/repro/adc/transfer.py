@@ -147,34 +147,26 @@ def row_steps(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
     ``steps = np.diff(matrix, axis=1)``, ``steps.min(axis=1)`` and
     ``steps.max(axis=1)`` (NaN propagating) — the code widths of a
     transition matrix, or the per-code sample counts of a crossing
-    matrix.  Rows of a few dozen elements are where numpy's ``axis=1``
-    paths are slow, running their inner loop once per row; here the
-    steps come from one flat subtraction of the C-contiguous matrix from
-    itself shifted by one, and the extremes from ``reduceat`` over the
-    row starts.  The flat difference viewed as ``(rows, cols)`` holds
-    the steps in its first ``cols - 1`` columns; the last column is the
-    difference across a row boundary, overwritten with the largest value
-    of the dtype before the minimum and the smallest before the maximum,
-    so it never wins.  ``steps`` is a view into that array.
+    matrix.  The steps come from one flat subtraction of the C-contiguous
+    matrix from itself shifted by one: numpy's 2-D ``diff`` runs its
+    inner loop once per row and costs 2-3x as much on rows of a few
+    dozen elements.  The flat difference viewed as ``(rows, cols)`` holds
+    the steps in its first ``cols - 1`` columns (the last one is the
+    difference across a row boundary), and ``steps`` is that view.  The
+    extremes are ``axis=1`` reductions of it.  ``reduceat`` over the row
+    starts took about half their time on an idle host, but it slowed
+    1.5-1.8x whenever other work shared the host, against 1.1-1.3x for
+    these reductions (2 vCPUs, numpy 2.4), so the screening and journal
+    replay times it fed swung from one run to the next.
     """
     matrix = np.ascontiguousarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise ValueError("need a (rows, >=2 columns) matrix")
-    rows, cols = matrix.shape
     flat = matrix.reshape(-1)
     diff = np.empty(flat.size, dtype=matrix.dtype)
     np.subtract(flat[1:], flat[:-1], out=diff[:-1])
-    table = diff.reshape(rows, cols)
-    if matrix.dtype.kind == "f":
-        top, bottom = np.inf, -np.inf
-    else:
-        top, bottom = np.iinfo(matrix.dtype).max, np.iinfo(matrix.dtype).min
-    starts = np.arange(0, flat.size, cols)
-    table[:, -1] = top
-    smallest = np.minimum.reduceat(diff, starts)
-    table[:, -1] = bottom
-    largest = np.maximum.reduceat(diff, starts)
-    return table[:, :-1], smallest, largest
+    steps = diff.reshape(matrix.shape)[:, :-1]
+    return steps, steps.min(axis=1), steps.max(axis=1)
 
 
 def batch_dnl_from_transitions(transitions: np.ndarray) -> np.ndarray:
@@ -195,9 +187,9 @@ def batch_dnl_from_transitions(transitions: np.ndarray) -> np.ndarray:
 
 #: Matrix elements per block of the truth-scoring reductions (1 MiB of
 #: float64, about 2,048 rows of a 6-bit converter).  On a 65,536-die
-#: 6-bit wafer (2 vCPUs), :func:`batch_max_dnl` took a median 18.8 ms
-#: at 2,048-row blocks, 19.2 ms at 1,024, 19.2 ms at 4,096 and 20.3 ms
-#: at 512; :func:`batch_max_inl` read 44-46 ms at all four.
+#: 6-bit wafer (2 vCPUs), :func:`batch_max_dnl` took a median 17.3 ms
+#: at 2,080-row blocks, 17.6 ms at 1,040, 18.5 ms at 520 and 20.5 ms at
+#: 260; :func:`batch_max_inl` read 44-46 ms at 512 to 4,096 rows.
 SCORING_BLOCK = 1 << 17
 
 

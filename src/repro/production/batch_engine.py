@@ -739,7 +739,7 @@ class BatchBistEngine(BistWaferEngine):
         above the ramp) take the general sorted-event reduction in
         :meth:`_irregular_events`.  The chunk takes ``diff(crossing)``
         and its row extremes once, from one flat subtraction and two
-        ``reduceat`` passes (:func:`repro.adc.transfer.row_steps`): the
+        ``axis=1`` reductions (:func:`repro.adc.transfer.row_steps`): the
         row minimum tells the regular devices (smallest count positive,
         first and last crossing inside the record), and the extremes
         decide them in :meth:`_regular_outcome`.
