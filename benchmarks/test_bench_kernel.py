@@ -173,7 +173,7 @@ def test_regular_decisions(bench, report):
         outcomes = []
         for shard in shards:
             counts = np.diff(shard, axis=1)
-            outcome = _ChunkOutcome.empty(counts.shape[0])
+            outcome = _ChunkOutcome.empty(*counts.shape)
             engine._regular_outcome(counts, counts.min(axis=1),
                                     counts.max(axis=1), outcome,
                                     slice(None))

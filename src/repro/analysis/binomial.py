@@ -30,8 +30,7 @@ from scipy import stats
 
 from repro.analysis.error_model import PerCodeProbabilities
 
-__all__ = ["DeviceProbabilities", "BinomialDeviceModel",
-           "wald_error_bounds", "sequential_escape_bound"]
+__all__ = ["DeviceProbabilities", "BinomialDeviceModel"]
 
 
 @dataclass(frozen=True)
@@ -197,54 +196,3 @@ class BinomialDeviceModel:
         deviations = np.abs(widths - 1.0)
         all_good = np.all(deviations <= z, axis=1)
         return float(all_good.mean())
-
-
-# ---------------------------------------------------------------------- #
-# Sequential (SPRT) flow bounds
-# ---------------------------------------------------------------------- #
-
-def wald_error_bounds(alpha: float, beta: float) -> "tuple[float, float]":
-    """Wald's bounds on the realised error rates of an SPRT.
-
-    A sequential probability-ratio test designed for nominal strengths
-    ``(alpha, beta)`` realises error rates ``(alpha', beta')`` bounded by
-
-    * ``alpha' <= alpha / (1 - beta)``  (false reject), and
-    * ``beta'  <= beta  / (1 - alpha)`` (false accept),
-
-    because overshoot past the log boundaries only makes the test more
-    conservative.  Returns ``(alpha_bound, beta_bound)``.
-    """
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise ValueError("need 0 < alpha < 1 and 0 < beta < 1")
-    return alpha / (1.0 - beta), beta / (1.0 - alpha)
-
-
-def sequential_escape_bound(per_code: PerCodeProbabilities, n_codes: int,
-                            min_accept_codes: float) -> float:
-    """Upper bound on the sequential flow's device escape (type II) rate.
-
-    The deterministic per-code accept stream feeding
-    :func:`repro.flows.sequential.sprt_decide` rejects at the first
-    failing code (the reject log-likelihood step dwarfs the boundary), so
-    the sequential test can only *add* escapes relative to the fixed
-    full-length test by accepting early: a device accepted after ``m``
-    codes ships with ``n_codes - m`` widths unobserved, each bad with
-    probability ``1 - p_good``.  Union-bounding that tail over the
-    earliest possible stop ``m = min_accept_codes`` gives
-
-    ``type_ii(sprt) <= type_ii(fixed) + (1 - p_good ** (n_codes - m))``
-
-    where ``type_ii(fixed)`` is the binomial device model's escape rate.
-    The bound is loose (it charges every device the worst-case untested
-    tail) but it is computable from the scenario alone, which is what the
-    flow benchmarks assert against.
-    """
-    if n_codes < 1:
-        raise ValueError("n_codes must be positive")
-    device = BinomialDeviceModel(per_code, n_codes).device()
-    if not np.isfinite(min_accept_codes):
-        return device.type_ii
-    m = int(np.clip(np.ceil(min_accept_codes), 0, n_codes))
-    tail = 1.0 - per_code.p_good ** (n_codes - m)
-    return float(min(1.0, device.type_ii + tail))

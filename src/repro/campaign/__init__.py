@@ -40,7 +40,7 @@ from repro.campaign.factory import (
     BatchEngine,
     default_tester,
     make_engine,
-    sequential_policy,
+    per_code_model,
 )
 from repro.campaign.driver import (
     Campaign,
@@ -64,8 +64,8 @@ __all__ = [
     "TESTER_CHOICES",
     "default_tester",
     "make_engine",
+    "per_code_model",
     "scenario_child_seed",
     "scenario_record",
-    "sequential_policy",
     "screen_scenario",
 ]

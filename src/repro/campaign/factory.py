@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.analysis.distributions import CodeWidthDistribution
+from repro.analysis.error_model import ErrorModel, PerCodeProbabilities
 from repro.campaign.scenario import AUTO_Q, Scenario
 from repro.core.partial_engine import PartialBistConfig
 from repro.economics.cost_model import TesterModel
@@ -21,7 +23,7 @@ from repro.production.batch_engine import BatchBistEngine
 from repro.production.partial_batch import BatchPartialBistEngine
 
 __all__ = ["BatchEngine", "default_tester", "make_engine",
-           "sequential_policy"]
+           "per_code_model"]
 
 #: Union of the engine types :func:`make_engine` can return — every one of
 #: them is a :class:`~repro.production.execution.WaferEngine` with the same
@@ -69,27 +71,18 @@ def make_engine(scenario: Scenario) -> BatchEngine:
         transition_noise_lsb=scenario.transition_noise_lsb))
 
 
-def sequential_policy(scenario: Scenario):
-    """Build the SPRT policy (and per-code model) a scenario implies.
+def per_code_model(scenario: Scenario) -> PerCodeProbabilities:
+    """The paper's closed-form per-code model of a scenario's process.
 
     The scenario's process sigma, DNL spec and counter width feed the
-    paper's closed-form error model, whose per-code accept conditionals
-    parameterise the Wald test.  Returns
-    ``(SequentialPolicy, PerCodeProbabilities)`` — the same per-code
-    object also centres the SPC monitor's p-chart, so both adaptive
-    mechanisms share one analytic model of the process.
+    :class:`~repro.analysis.error_model.ErrorModel`; its per-code accept
+    conditionals centre the SPC monitor's p-chart under ``flow="sprt"``.
     """
-    from repro.analysis.distributions import CodeWidthDistribution
-    from repro.analysis.error_model import ErrorModel
-    from repro.flows.sequential import SequentialPolicy
-
-    model = ErrorModel(
+    return ErrorModel(
         distribution=CodeWidthDistribution(
             sigma_lsb=scenario.sigma_code_width_lsb),
         dnl_spec_lsb=scenario.dnl_spec_lsb,
-        counter_bits=scenario.counter_bits)
-    per_code = model.per_code()
-    return SequentialPolicy.from_per_code(per_code), per_code
+        counter_bits=scenario.counter_bits).per_code()
 
 
 def default_tester(scenario: Scenario) -> TesterModel:

@@ -44,7 +44,7 @@ AUTO_Q = "auto"
 TESTER_CHOICES = (None, "digital", "mixed")
 
 #: Test-flow selections: the paper's fixed-count flow, or the adaptive
-#: sequential (Wald SPRT) flow of :mod:`repro.flows`.
+#: sequential flow of :mod:`repro.flows` (first-failing-code stop).
 FLOWS = ("fixed", "sprt")
 
 QValue = Union[int, str, None]
@@ -103,8 +103,9 @@ class Scenario:
     flow:
         Test flow: ``"fixed"`` (the paper's fixed-count decision,
         default) or ``"sprt"`` — the adaptive sequential flow of
-        :mod:`repro.flows`: a Wald-SPRT station stops each device at its
-        accept/reject boundary (reporting saved tester-seconds), and an
+        :mod:`repro.flows`: each device keeps the fixed flow's verdict
+        but stops at its first failing code, or at the end of the
+        record when it has none (reporting saved tester-seconds), and an
         SPC monitor (p-chart + CUSUM over streaming shard results) aborts
         a wafer's remaining shards on an excursion.  Only valid with the
         full BIST; grids normalise it back to ``"fixed"`` for other

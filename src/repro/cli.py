@@ -395,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
                           type=_axis(FLOWS, "flow"),
                           help="comma-separated test flows: 'fixed' "
                                "(full-length test) and/or 'sprt' (the "
-                               "sequential Wald station with wafer-level "
-                               "SPC abort; full-BIST scenarios only, "
-                               "other methods collapse to fixed) "
+                               "same verdicts, each die stopped at its "
+                               "first failing code, with wafer-level SPC "
+                               "abort; full-BIST scenarios only, other "
+                               "methods collapse to fixed) "
                                "(default fixed)")
     campaign.add_argument("--excursion", default=[None],
                           type=_excursion_axis,

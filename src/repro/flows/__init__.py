@@ -7,10 +7,11 @@ mechanisms on top of the existing decision machinery
 :mod:`repro.core.decision`) and the scenario/campaign front door:
 
 :mod:`repro.flows.sequential`
-    A Wald-SPRT sequential decision station: per-device log-likelihood
-    accumulation over the incremental code observations of the BIST ramp,
-    stopping each device at its accept/reject boundary and reporting the
-    saved tester-seconds through the existing tester economics.
+    A curtailed sequential station: each device is rejected when its
+    first failing code closes and accepted at the end of the record, so
+    the verdicts stay the fixed flow's, and the codes it never had to
+    observe are priced as saved tester-seconds through the existing
+    tester economics.
 :mod:`repro.flows.spc`
     Wafer-level statistical process control: a p-chart on the per-shard
     reject fraction and a CUSUM on the per-shard mean measured |DNL|,
@@ -33,7 +34,6 @@ excursion.
 from repro.flows.excursions import EXCURSIONS, apply_excursion
 from repro.flows.sequential import (
     SequentialDecision,
-    SequentialPolicy,
     code_pass_matrix,
     sprt_decide,
 )
@@ -44,7 +44,6 @@ __all__ = [
     "EXCURSIONS",
     "PChart",
     "SequentialDecision",
-    "SequentialPolicy",
     "SpcMonitor",
     "apply_excursion",
     "code_pass_matrix",

@@ -37,7 +37,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["EXCURSIONS", "apply_excursion", "excursion_rng"]
+__all__ = ["EXCURSIONS", "apply_excursion", "excursion_perturbs",
+           "excursion_rng"]
 
 #: Registered excursion-generator names (the ``Scenario.excursion`` axis).
 EXCURSIONS = ("drift", "spatial", "burst")
@@ -74,8 +75,6 @@ def excursion_rng(seed: Optional[int],
 def _drift(transitions: np.ndarray, lsb: float, wafer_index: int,
            rng: np.random.Generator) -> np.ndarray:
     """Lot-to-lot drift: jitter sigma grows linearly with the wafer index."""
-    if wafer_index == 0:
-        return transitions
     sigma = DRIFT_SIGMA_PER_WAFER_LSB * wafer_index * lsb
     noise = rng.normal(0.0, sigma, size=transitions.shape)
     return transitions + np.cumsum(noise, axis=1)
@@ -136,6 +135,24 @@ def _burst(transitions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def excursion_perturbs(name: Optional[str], wafer_index: int,
+                       n_devices: int) -> bool:
+    """Whether the named excursion changes a wafer of ``n_devices`` dies.
+
+    Every registered excursion changes every wafer but two: ``drift``
+    leaves wafer 0 as drawn, the baseline it drifts from, and
+    ``spatial`` has no field to vary across a single die.  Only a wafer
+    this returns True for is an excursion the SPC monitor can miss.
+    """
+    if name is None or name == "none":
+        return False
+    if name == "drift":
+        return wafer_index > 0
+    if name == "spatial":
+        return n_devices > 1
+    return True
+
+
 def apply_excursion(name: Optional[str], transitions: np.ndarray,
                     lsb: float, wafer_index: int,
                     seed: Optional[int]) -> np.ndarray:
@@ -157,11 +174,11 @@ def apply_excursion(name: Optional[str], transitions: np.ndarray,
     seed:
         The scenario seed the perturbation stream derives from.
     """
-    if name is None or name == "none":
-        return transitions
-    if name not in EXCURSIONS:
+    if name not in (None, "none") + EXCURSIONS:
         raise ValueError(f"unknown excursion {name!r}; "
                          f"registered: {', '.join(EXCURSIONS)}")
+    if not excursion_perturbs(name, wafer_index, transitions.shape[0]):
+        return transitions
     rng = excursion_rng(seed, wafer_index)
     if name == "drift":
         return _drift(transitions, lsb, wafer_index, rng)

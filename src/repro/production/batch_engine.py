@@ -131,6 +131,26 @@ def _stream_chunk_size(n_transitions: int, n_samples: int) -> int:
     return auto_chunk_size(max(row, 1), budget=STREAM_CHUNK_BUDGET_BYTES)
 
 
+def _stop_codes(failed: np.ndarray, code_pass: np.ndarray,
+                n_codes: int) -> np.ndarray:
+    """Each device's stop under the curtailed flow, in codes.
+
+    ``failed`` marks the devices a code comparison may have rejected and
+    ``code_pass`` holds those devices' per-code decisions in ramp order.
+    A device stops one code past its first failing code, clipped to
+    ``n_codes``.  Every other device stops at ``n_codes``: the tester
+    learns a transition-count or MSB reject only at the end of the
+    record.
+    """
+    stops = np.full(failed.size, n_codes, dtype=code_dtype(n_codes + 1))
+    if code_pass.size:
+        failing = ~code_pass
+        stops[failed] = np.where(
+            failing.any(axis=1),
+            np.minimum(failing.argmax(axis=1) + 1, n_codes), n_codes)
+    return stops
+
+
 @dataclass
 class _ChunkOutcome:
     """Per-device aggregate decisions of one processed chunk."""
@@ -141,27 +161,36 @@ class _ChunkOutcome:
     msb_passed: np.ndarray
     n_transitions: np.ndarray
     measured_max_dnl_lsb: np.ndarray
+    stop_codes: np.ndarray
 
     @classmethod
-    def empty(cls, n_devices: int) -> "_ChunkOutcome":
+    def empty(cls, n_devices: int, n_codes: int) -> "_ChunkOutcome":
         """All-fail scaffold to be filled per device group."""
         return cls(dnl_passed=np.zeros(n_devices, dtype=bool),
                    inl_passed=np.zeros(n_devices, dtype=bool),
                    transitions_ok=np.zeros(n_devices, dtype=bool),
                    msb_passed=np.zeros(n_devices, dtype=bool),
                    n_transitions=np.zeros(n_devices, dtype=np.int64),
-                   measured_max_dnl_lsb=np.full(n_devices, np.nan))
+                   measured_max_dnl_lsb=np.full(n_devices, np.nan),
+                   stop_codes=np.full(n_devices, n_codes,
+                                      dtype=code_dtype(n_codes + 1)))
 
     @classmethod
-    def from_lsb(cls, lsb_res: "BatchLsbResult",
-                 msb_passed: np.ndarray) -> "_ChunkOutcome":
+    def from_lsb(cls, lsb_res: "BatchLsbResult", msb_passed: np.ndarray,
+                 n_codes: int) -> "_ChunkOutcome":
         """Aggregate a full LSB-block result plus the MSB decisions."""
-        return cls(dnl_passed=lsb_res.dnl_passed,
-                   inl_passed=lsb_res.inl_passed,
+        dnl_passed = lsb_res.dnl_passed
+        inl_passed = lsb_res.inl_passed
+        failed = ~(dnl_passed & inl_passed)
+        return cls(dnl_passed=dnl_passed,
+                   inl_passed=inl_passed,
                    transitions_ok=lsb_res.transitions_ok,
                    msb_passed=np.asarray(msb_passed, dtype=bool),
                    n_transitions=lsb_res.n_transitions,
-                   measured_max_dnl_lsb=lsb_res.measured_max_dnl_lsb())
+                   measured_max_dnl_lsb=lsb_res.measured_max_dnl_lsb(),
+                   stop_codes=_stop_codes(
+                       failed, lsb_res.dnl_pass_per_code[failed]
+                       & lsb_res.inl_pass_per_code[failed], n_codes))
 
     def scatter(self, sub: "_ChunkOutcome", mask: np.ndarray) -> None:
         """Write a sub-batch outcome into the rows selected by ``mask``."""
@@ -171,6 +200,7 @@ class _ChunkOutcome:
         self.msb_passed[mask] = sub.msb_passed
         self.n_transitions[mask] = sub.n_transitions
         self.measured_max_dnl_lsb[mask] = sub.measured_max_dnl_lsb
+        self.stop_codes[mask] = sub.stop_codes
 
     def result(self, samples_taken: int,
                limits: CountLimits) -> "BatchBistResult":
@@ -186,6 +216,7 @@ class _ChunkOutcome:
             msb_passed=self.msb_passed,
             n_transitions=self.n_transitions,
             measured_max_dnl_lsb=self.measured_max_dnl_lsb,
+            stop_codes=self.stop_codes,
             samples_taken=samples_taken,
             limits=limits)
 
@@ -452,7 +483,11 @@ class BatchBistResult(ConcatResult):
 
     All arrays have one entry per device; ``passed`` is the accept/reject
     vector matching :attr:`repro.core.engine.BistResult.passed` of the
-    scalar engine run on each device individually.
+    scalar engine run on each device individually.  ``stop_codes`` is
+    where a tester that stops each device at its first failing code
+    would have stopped it: one code past that code in ramp order,
+    clipped to the inner code count, and the inner code count for a
+    device no code comparison rejected.
     """
 
     n_devices: int
@@ -464,6 +499,7 @@ class BatchBistResult(ConcatResult):
     msb_passed: np.ndarray
     n_transitions: np.ndarray
     measured_max_dnl_lsb: np.ndarray
+    stop_codes: np.ndarray
     samples_taken: int
     limits: CountLimits
 
@@ -754,7 +790,7 @@ class BatchBistEngine(BistWaferEngine):
                    & (crossing[:, -1] <= n_samples - 1))
         n_codes_expected = transitions.shape[1]
 
-        outcome = _ChunkOutcome.empty(n_chunk)
+        outcome = _ChunkOutcome.empty(n_chunk, n_codes_expected - 1)
         if regular.all():
             self._regular_outcome(counts, smallest, largest, outcome,
                                   slice(None))
@@ -783,15 +819,18 @@ class BatchBistEngine(BistWaferEngine):
         largest at the row's smallest or largest width ``w``, so the
         measured max |DNL| comes from the extremes and the full row's
         mean.  Wrapping counters and INL specs decide on the full rows.
+        Either way, only a failed row's per-code decisions are searched
+        for its stop.
         """
         if counts.shape[0] == 0:
             return
         cfg = self.config
         limits = self._limits
         step = limits.delta_s_lsb
+        extremes = cfg.counter_saturate and limits.inl_spec_lsb is None
         # Per-code arrays below are (codes, devices): reductions run down
         # the columns.
-        if cfg.counter_saturate and limits.inl_spec_lsb is None:
+        if extremes:
             # Row 0 holds every device's smallest count, row 1 its
             # largest.  The comparisons are element-wise; the INL running
             # sum, which would run along the devices, is not used.
@@ -810,8 +849,18 @@ class BatchBistEngine(BistWaferEngine):
             widths = decision.readings * step
             mean = widths.mean(axis=1)
             widths = widths.T
-        outcome.dnl_passed[mask] = dnl_pass.all(axis=0)
-        outcome.inl_passed[mask] = inl_pass.all(axis=0)
+        dnl_passed = dnl_pass.all(axis=0)
+        inl_passed = inl_pass.all(axis=0)
+        outcome.dnl_passed[mask] = dnl_passed
+        outcome.inl_passed[mask] = inl_passed
+        failed = ~(dnl_passed & inl_passed)
+        if failed.any():
+            # The scaffold already stops every device at the last code.
+            code_pass = (decide_counts(counts[failed], limits).code_pass
+                         if extremes else
+                         decision.dnl_pass[failed] & decision.inl_pass[failed])
+            outcome.stop_codes[mask] = _stop_codes(failed, code_pass,
+                                                   counts.shape[1])
         outcome.n_transitions[mask] = counts.shape[1] + 1
         # Codes step 0, 1, 2, … one at a time, so the upper bits always
         # equal the reference counter: the functionality check passes.
@@ -854,7 +903,7 @@ class BatchBistEngine(BistWaferEngine):
                                         times_p[edge_dev, edge_pos],
                                         odd.sum(axis=1),
                                         n_bits=cfg.n_bits)
-        return _ChunkOutcome.from_lsb(lsb_res, msb_ok)
+        return _ChunkOutcome.from_lsb(lsb_res, msb_ok, crossing.shape[1] - 1)
 
     # ------------------------------------------------------------------ #
     # Stream path: the quantised code matrix, reduced to code changes
@@ -901,4 +950,4 @@ class BatchBistEngine(BistWaferEngine):
         lsb_res = self._lsb._from_edges(
             edge_dev, edge_t, np.bincount(edge_dev, minlength=n_chunk),
             n_bits=cfg.n_bits)
-        return _ChunkOutcome.from_lsb(lsb_res, msb_ok)
+        return _ChunkOutcome.from_lsb(lsb_res, msb_ok, (1 << cfg.n_bits) - 2)

@@ -236,9 +236,10 @@ class ScreeningLine:
         histogram methods and on the effective-bit shortfall
         ``n_bits - ENOB`` for the dynamic method.  Under ``flow="sprt"``
         the first station is the adaptive sequential flow of
-        :mod:`repro.flows`: a Wald-SPRT station deciding each device on
-        its incremental code stream, plus a wafer-level SPC monitor that
-        aborts an excursed wafer's remaining shards.
+        :mod:`repro.flows`: a curtailed station that keeps the full
+        BIST's verdicts and stops each device at its first failing code,
+        plus a wafer-level SPC monitor that aborts an excursed wafer's
+        remaining shards.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -418,14 +419,17 @@ class ScreeningLine:
         n_chips = 0
         n_chips_passed = 0
         chips_whole = devices_per_ic > 1
-        # Adaptive (sequential) flow bookkeeping.  The SPRT policy comes
-        # from the paper's closed-form error model of the scenario; its
-        # per-code conditionals also centre the SPC monitor's p-chart.
+        # Adaptive (sequential) flow bookkeeping.  The paper's
+        # closed-form per-code model of the scenario centres the SPC
+        # monitor's p-chart.
         sprt = scenario.flow == "sprt"
-        policy = per_code = None
+        per_code = None
         if sprt:
-            from repro.campaign.factory import sequential_policy
-            policy, per_code = sequential_policy(scenario)
+            from repro.campaign.factory import per_code_model
+            from repro.flows.excursions import excursion_perturbs
+            from repro.flows.sequential import sprt_decide
+            from repro.flows.spc import monitor_for_model
+            per_code = per_code_model(scenario)
         accounted_in = 0
         total_stop_codes = 0
         total_codes = 0
@@ -455,7 +459,6 @@ class ScreeningLine:
                     # monitor observes shard results in absolute shard
                     # order (independent of workers and chunking) and
                     # aborts the wafer on an excursion.
-                    from repro.flows.spc import monitor_for_model
                     monitor = monitor_for_model(
                         per_code, spec.n_inner_codes, plan.shard_devices,
                         wafer_id=wafer.wafer_id)
@@ -478,7 +481,8 @@ class ScreeningLine:
                         wafer.wafer_id, exc.shard, exc.statistic,
                         exc.value, exc.threshold, devices_done, n_wafer)
                 if (monitor is not None and not wafer_aborted
-                        and scenario.excursion is not None):
+                        and excursion_perturbs(scenario.excursion, w_index,
+                                               n_wafer)):
                     excursions_missed += 1
 
                 # Disposition: the tested prefix takes its measured
@@ -493,24 +497,11 @@ class ScreeningLine:
                         self._bin_metric(result), dtype=float)
 
                 if sprt and result is not None and devices_done > 0:
-                    # Sequential station: re-derive the per-code accept
-                    # stream the full BIST observed and stop each device
-                    # at its Wald boundary; undecided devices keep the
-                    # fixed verdict (flow degenerates bit-exactly).
-                    from repro.flows.sequential import (
-                        code_pass_matrix,
-                        sprt_decide,
-                    )
-                    context = self.engine.prepare(
-                        wafer.transitions[:devices_done],
-                        spec.full_scale, spec.sample_rate)
-                    code_ok = code_pass_matrix(
-                        wafer.transitions[:devices_done],
-                        context.stimulus, self.engine.limits,
-                        saturate=self.config.counter_saturate)
-                    decision = sprt_decide(code_ok, policy,
-                                           fixed_decision=result.passed)
-                    accepted[:devices_done] = decision.accepted
+                    # Sequential station: each tested device keeps the
+                    # engine's verdict and is priced up to its stop, its
+                    # first failing code or the end of the record.
+                    decision = sprt_decide(result.stop_codes,
+                                           spec.n_inner_codes)
                     total_stop_codes += decision.observed_codes
                     total_codes += decision.total_codes
                     stopped_early += decision.n_stopped_early
@@ -579,7 +570,7 @@ class ScreeningLine:
         # tester (the accounted prefix of each wafer) consume insertion
         # time; under the sequential flow the first station then scales
         # that fixed-count time by the fraction of per-code observations
-        # the SPRT actually took before stopping.
+        # taken before each device stopped.
         fixed_seconds = self._insertion_seconds(
             accounted_in, samples_per_device, spec.sample_rate)
         if sprt and total_codes:

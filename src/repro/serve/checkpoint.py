@@ -55,7 +55,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = "repro.serve/2"
+#: Journal format version.  ``/3``: full-BIST shard results carry the
+#: per-device ``stop_codes``, which a ``/2`` result would lack on replay.
+CHECKPOINT_VERSION = "repro.serve/3"
 
 _MISSING = object()
 

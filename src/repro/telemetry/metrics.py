@@ -73,16 +73,19 @@ decisions and the wafer-level SPC verdicts depend only on the drawn
 population, never on the execution geometry:
 
 ``flow.saved_samples``
-    Per-code observations the SPRT stations skipped relative to the
-    fixed full-length test (the paper's tester-time currency).
+    Per-code observations the sequential station skipped relative to the
+    fixed full-length test (the paper's tester-time currency): the codes
+    after each rejected device's first failing code.
 ``flow.devices_stopped_early``
-    Devices whose SPRT crossed a Wald boundary before the last code.
+    Devices rejected at a failing code before the last code.
 ``flow.stop_quartile.q1`` … ``flow.stop_quartile.q4``
-    Histogram of SPRT stop positions by quartile of the code axis — the
+    Histogram of stop positions by quartile of the code axis — the
     deterministic stand-in for a stop-time distribution (q1 = stopped in
-    the first quarter of the codes).
+    the first quarter of the codes; every accepted device counts in q4).
 ``flow.excursions_detected`` / ``flow.excursions_missed``
-    Wafers the SPC monitor aborted, and excursed wafers it let finish.
+    Wafers the SPC monitor aborted, and wafers the excursion changed
+    that it let finish (drift's wafer 0 is drawn clean and never
+    counts).
 ``flow.aborted_devices``
     Devices left untested (and rejected) on aborted wafers.
 

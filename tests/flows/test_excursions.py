@@ -14,10 +14,16 @@ import pytest
 from repro.campaign import Scenario
 from repro.flows.excursions import (
     EXCURSIONS,
+    _burst,
+    _drift,
+    _spatial,
     apply_excursion,
     excursion_bounds,
+    excursion_perturbs,
     excursion_rng,
 )
+from repro.production import ExecutionPlan, ScreeningLine
+from repro.telemetry import Telemetry, metrics_document, telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +125,48 @@ class TestScenarioIntegration:
             should_trip, reason = excursion_bounds(name)
             assert should_trip
             assert reason
+
+
+def _transform(name, transitions, lsb, wafer_index):
+    """The named transform without ``apply_excursion``'s identity
+    shortcut."""
+    rng = excursion_rng(21, wafer_index)
+    if name == "drift":
+        return _drift(transitions, lsb, wafer_index, rng)
+    if name == "spatial":
+        return _spatial(transitions, lsb, rng)
+    return _burst(transitions, rng)
+
+
+class TestPerturbs:
+    @pytest.mark.parametrize("name", EXCURSIONS)
+    @pytest.mark.parametrize("wafer_index", [0, 1, 2])
+    @pytest.mark.parametrize("n_devices", [1, 2, 600])
+    def test_predicate_names_the_wafers_a_transform_changes(
+            self, name, wafer_index, n_devices, clean):
+        transitions, lsb = clean
+        transitions = transitions[:n_devices]
+        changed = _transform(name, transitions, lsb, wafer_index)
+        assert excursion_perturbs(name, wafer_index, n_devices) == \
+            (changed.tobytes() != transitions.tobytes())
+        applied = apply_excursion(name, transitions, lsb, wafer_index, 21)
+        assert applied.tobytes() == changed.tobytes()
+
+    def test_clean_population_is_never_perturbed(self):
+        assert not excursion_perturbs(None, 3, 600)
+        assert not excursion_perturbs("none", 3, 600)
+
+    @pytest.mark.parametrize("n_wafers, missed", [(1, 0), (2, 1)])
+    def test_line_counts_only_perturbed_wafers_as_missed(self, n_wafers,
+                                                         missed):
+        """Drift leaves a lot's wafer 0 as drawn, so the monitor letting
+        it finish is no miss; letting the drifted wafer 1 finish is."""
+        scenario = Scenario(n_devices=256, n_wafers=n_wafers, seed=8,
+                            flow="sprt", excursion="drift")
+        with telemetry_session(Telemetry()) as t:
+            report = ScreeningLine(scenario).screen_lot(
+                scenario.draw_lot(),
+                plan=ExecutionPlan(workers=1, shard_devices=64))
+        counters = metrics_document(t)["counters"]
+        assert report.excursions == 0
+        assert counters["flow.excursions_missed"] == missed

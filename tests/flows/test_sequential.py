@@ -1,125 +1,184 @@
-"""Sequential (SPRT) station: degeneration, savings and error bounds.
+"""Sequential station: engine stops, fixed verdicts and savings.
 
-The three contracts of the tentpole's sequential flow:
+The contracts of the curtailed sequential flow:
 
-* the degenerate policy (both Wald boundaries at infinity) reproduces
-  the fixed-count decision **bit-exactly** with zero saved samples;
-* on the paper's baseline scenario the SPRT saves tester time (>0
-  saved tester-seconds through the TesterModel economics) while its
-  measured escape/yield-loss stay within the binomial model's
-  predicted bounds; and
+* every device's stop is one code past its first failing per-code
+  decision in ramp order (clipped to the inner code count), or the inner
+  code count when no code fails — noise-free against
+  :func:`code_pass_matrix` and the scalar engine, noisy against the
+  scalar engine on the same keyed noise;
+* the station keeps the fixed flow's verdicts, so accept count and type
+  I/II equal the fixed flow's, and prices only the codes before each
+  stop; and
 * the observation stream (:func:`code_pass_matrix`) agrees with the
-  engine's noise-free fixed verdict, so the station decides on the
-  same physics the full BIST measured.
+  engine's noise-free fixed verdict.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.binomial import (
-    BinomialDeviceModel,
-    sequential_escape_bound,
-    wald_error_bounds,
-)
-from repro.campaign import Scenario, sequential_policy
+from repro.campaign import Scenario
 from repro.campaign.factory import make_engine
-from repro.flows.sequential import (
-    SequentialPolicy,
-    code_pass_matrix,
-    sprt_decide,
+from repro.core.engine import BistConfig, BistEngine
+from repro.core.kernel import shared_crossing_indices
+from repro.core.noise import DeviceNoise
+from repro.flows.sequential import code_pass_matrix, sprt_decide
+from repro.production import (
+    BatchBistEngine,
+    ExecutionPlan,
+    ScreeningLine,
+    Wafer,
+    WaferSpec,
 )
-from repro.production import ExecutionPlan, ScreeningLine
 
-#: The baseline process/measurement point every line-level test screens:
-#: the paper's process sigma (0.21 LSB) under the repo's default spec
-#: (DNL 1.0 LSB, 7-bit counter) — a high-yield production regime, so the
-#: analytic escape bound is small enough to be worth asserting against.
+#: The baseline process/measurement point: the paper's process sigma
+#: (0.21 LSB) under the repo's default spec (DNL 1.0 LSB, 7-bit counter).
 BASELINE = dict(n_bits=8, sigma_code_width_lsb=0.21,
                 n_devices=400, n_wafers=2, seed=11)
+
+#: The DNL spec of the line-economics lot: at ±0.5 LSB about two dies in
+#: three fail a code, which is where a curtailed station saves time.
+SPEC_LSB = 0.5
 
 
 @pytest.fixture(scope="module")
 def baseline_reports():
-    """(fixed report, sprt report, policy, per_code) on the same lot."""
-    fixed = Scenario(label="fixed", flow="fixed", **BASELINE)
-    sprt = Scenario(label="sprt", flow="sprt", **BASELINE)
+    """(fixed report, sprt report) on the same ±0.5 LSB lot."""
+    fixed = Scenario(label="fixed", flow="fixed", dnl_spec_lsb=SPEC_LSB,
+                     **BASELINE)
+    sprt = fixed.derive(label="sprt", flow="sprt")
     lot = fixed.draw_lot()
     plan = ExecutionPlan(workers=1, shard_devices=64)
-    report_fixed = ScreeningLine(fixed).screen_lot(
-        lot, plan=plan)
-    report_sprt = ScreeningLine(sprt).screen_lot(
-        lot, plan=plan)
-    policy, per_code = sequential_policy(sprt)
-    return report_fixed, report_sprt, policy, per_code
+    return (ScreeningLine(fixed).screen_lot(lot, plan=plan),
+            ScreeningLine(sprt).screen_lot(lot, plan=plan))
 
 
-class TestPolicy:
-    def test_paper_policy_orders_hypotheses(self):
-        policy = sequential_policy(Scenario(**BASELINE))[0]
-        assert policy.p1 < policy.p0
-        assert policy.llr_pass < 0.0 < policy.llr_fail
-        assert policy.log_accept < 0.0 < policy.log_reject
-        assert 1 <= policy.min_accept_codes <= 16
+def _first_failures(code_ok: np.ndarray, n_codes: int) -> np.ndarray:
+    """One past each row's first False, clipped to ``n_codes``;
+    ``n_codes`` for an all-True row."""
+    failing = ~code_ok
+    return np.where(failing.any(axis=1),
+                    np.minimum(failing.argmax(axis=1) + 1, n_codes),
+                    n_codes)
 
-    def test_fixed_policy_never_stops(self):
-        policy = SequentialPolicy.fixed()
-        assert policy.llr_pass == 0.0 == policy.llr_fail
-        assert policy.min_accept_codes == np.inf
 
-    def test_rejects_inverted_probabilities(self):
-        with pytest.raises(ValueError):
-            SequentialPolicy(p0=0.2, p1=0.9)
-
-    def test_wald_bounds_are_mild_inflations(self):
-        alpha_bound, beta_bound = wald_error_bounds(1e-3, 1e-3)
-        assert 1e-3 < alpha_bound < 1.1e-3
-        assert 1e-3 < beta_bound < 1.1e-3
+def _scalar_stop(engine: BistEngine, device, n_codes: int, rng=None) -> int:
+    """The scalar engine's stop: its first failing per-code decision."""
+    lsb = engine.run(device, rng=rng, keep_record=False).lsb
+    code_ok = lsb.dnl_pass_per_code & lsb.inl_pass_per_code
+    return int(_first_failures(code_ok[None, :], n_codes)[0])
 
 
 class TestSprtDecide:
-    def test_degenerate_policy_is_bit_exact_fixed(self):
-        rng = np.random.default_rng(3)
-        code_ok = rng.random((64, 30)) > 0.1
-        fixed = rng.random(64) > 0.5
-        decision = sprt_decide(code_ok, SequentialPolicy.fixed(),
-                               fixed_decision=fixed)
-        np.testing.assert_array_equal(decision.accepted, fixed)
-        assert decision.saved_codes == 0
-        assert decision.n_stopped_early == 0
-        assert (decision.stop_codes == 30).all()
-
-    def test_all_pass_device_accepts_at_min_accept_codes(self):
-        policy = sequential_policy(Scenario(**BASELINE))[0]
-        decision = sprt_decide(np.ones((1, 100), dtype=bool), policy)
-        assert bool(decision.accepted[0])
-        assert decision.stop_codes[0] == policy.min_accept_codes
-
     def test_early_fail_rejects_immediately(self):
-        policy = sequential_policy(Scenario(**BASELINE))[0]
-        code_ok = np.ones((1, 100), dtype=bool)
-        code_ok[0, 0] = False
-        decision = sprt_decide(code_ok, policy)
-        assert not bool(decision.accepted[0])
-        assert decision.stop_codes[0] == 1
+        decision = sprt_decide(np.array([1, 100]), 100)
+        np.testing.assert_array_equal(decision.decided, [True, False])
+        assert decision.n_stopped_early == 1
+        assert decision.observed_codes == 101
+        assert decision.saved_codes == 99
 
     def test_quartiles_partition_the_batch(self):
-        policy = sequential_policy(Scenario(**BASELINE))[0]
         rng = np.random.default_rng(5)
-        code_ok = rng.random((200, 61)) > 0.02
-        decision = sprt_decide(code_ok, policy)
+        decision = sprt_decide(rng.integers(1, 62, size=200), 61)
         assert decision.stop_quartiles().sum() == 200
         assert decision.observed_codes + decision.saved_codes \
             == decision.total_codes
 
     def test_empty_batch(self):
-        decision = sprt_decide(np.empty((0, 10), dtype=bool),
-                               SequentialPolicy.fixed())
+        decision = sprt_decide(np.empty(0, dtype=np.int16), 10)
         assert decision.n_devices == 0
         assert decision.stop_quartiles().sum() == 0
 
     def test_rejects_non_matrix_input(self):
-        with pytest.raises(ValueError):
-            sprt_decide(np.ones(5, dtype=bool), SequentialPolicy.fixed())
+        with pytest.raises(ValueError, match="one stop per device"):
+            sprt_decide(np.ones((2, 5), dtype=np.int16), 5)
+        with pytest.raises(ValueError, match="within"):
+            sprt_decide(np.array([0, 3]), 5)
+        with pytest.raises(ValueError, match="within"):
+            sprt_decide(np.array([6]), 5)
+
+
+#: Engine configurations of the noise-free stop test: the extremes
+#: branch (saturating counter, no INL spec), an INL spec and a wrapping
+#: counter, which decide on the full rows.
+STOP_CONFIGS = {
+    "saturating": dict(dnl_spec_lsb=0.5),
+    "inl-spec": dict(dnl_spec_lsb=1.0, inl_spec_lsb=0.5),
+    "wrapping": dict(dnl_spec_lsb=1.0, counter_bits=5,
+                     counter_saturate=False),
+}
+
+
+class TestEngineStops:
+    """The engine's stop codes, against references that do not share
+    its stop code."""
+
+    @pytest.mark.parametrize("name", sorted(STOP_CONFIGS))
+    def test_noise_free_stops_match_references(self, name):
+        # sigma 0.6 LSB draws missing codes and folded curves; die 0 is
+        # folded by hand.
+        wafer = Wafer.draw(WaferSpec(n_devices=300,
+                                     sigma_code_width_lsb=0.6), rng=9)
+        transitions = wafer.transitions.copy()
+        transitions[0] = transitions[0, ::-1]
+        wafer = Wafer(spec=wafer.spec, transitions=transitions)
+        config = BistConfig(n_bits=6, **STOP_CONFIGS[name])
+        engine = BatchBistEngine(config)
+        result = engine.run_wafer(wafer)
+        n_codes = transitions.shape[1] - 1
+        stimulus = engine.prepare(transitions).stimulus
+        crossing = shared_crossing_indices(transitions, stimulus)
+        regular = ((np.diff(crossing, axis=1) > 0).all(axis=1)
+                   & (crossing[:, 0] >= 1)
+                   & (crossing[:, -1] <= stimulus.size - 1))
+        assert 0 < regular.sum() < regular.size
+        assert (result.stop_codes < n_codes).any()
+        assert result.stop_codes.dtype == np.int16
+
+        # Regular dies: the first False of the noise-free code matrix.
+        code_ok = code_pass_matrix(transitions, stimulus, engine.limits,
+                                   saturate=config.counter_saturate)
+        np.testing.assert_array_equal(
+            result.stop_codes[regular],
+            _first_failures(code_ok, n_codes)[regular])
+        # Irregular dies: code_pass_matrix fails them from code one, but
+        # the counter stream fails where the scalar engine says.
+        scalar = BistEngine(config)
+        irregular = np.flatnonzero(~regular)
+        expected = [_scalar_stop(scalar, wafer.device(i), n_codes)
+                    for i in irregular[:40]]
+        np.testing.assert_array_equal(result.stop_codes[irregular[:40]],
+                                      expected)
+        assert result.stop_codes[0] > 1
+
+    def test_no_failing_code_runs_the_record(self):
+        """A die rejected on the transition count alone stops at the
+        end of the record."""
+        wafer = Wafer.draw(WaferSpec(n_devices=8), rng=4)
+        transitions = wafer.transitions.copy()
+        transitions[0, -1] = 10.0 * wafer.spec.full_scale
+        wafer = Wafer(spec=wafer.spec, transitions=transitions)
+        result = BatchBistEngine(BistConfig(n_bits=6)).run_wafer(wafer)
+        assert not result.passed[0] and not result.transitions_ok[0]
+        assert result.stop_codes[0] == transitions.shape[1] - 1
+
+    @pytest.mark.parametrize("deglitch", [0, 3])
+    def test_noisy_stops_match_scalar(self, deglitch):
+        wafer = Wafer.draw(WaferSpec(n_devices=40,
+                                     sigma_code_width_lsb=0.3), rng=2)
+        config = BistConfig(n_bits=6, dnl_spec_lsb=0.75,
+                            transition_noise_lsb=0.05,
+                            deglitch_depth=deglitch)
+        result = BatchBistEngine(config).run_wafer(wafer, rng=77)
+        n_codes = wafer.transitions.shape[1] - 1
+        scalar = BistEngine(config)
+        noise = DeviceNoise(77)
+        sample = range(0, 40, 3)
+        expected = [_scalar_stop(scalar, wafer.device(d), n_codes,
+                                 rng=noise.generator(d)) for d in sample]
+        np.testing.assert_array_equal(result.stop_codes[list(sample)],
+                                      expected)
+        assert (result.stop_codes < n_codes).any()
 
 
 class TestObservationStream:
@@ -153,7 +212,7 @@ class TestObservationStream:
 
 class TestLineEconomics:
     def test_sprt_saves_tester_seconds_on_baseline(self, baseline_reports):
-        report_fixed, report_sprt, _, _ = baseline_reports
+        report_fixed, report_sprt = baseline_reports
         assert report_sprt.flow == "sprt"
         assert report_sprt.saved_samples > 0
         assert report_sprt.saved_tester_seconds > 0.0
@@ -161,38 +220,36 @@ class TestLineEconomics:
         assert report_sprt.saved_tester_seconds == pytest.approx(
             report_fixed.tester_seconds - report_sprt.tester_seconds)
 
+    def test_sprt_keeps_the_fixed_verdicts(self, baseline_reports):
+        report_fixed, report_sprt = baseline_reports
+        assert report_sprt.n_accepted == report_fixed.n_accepted
+        assert report_sprt.type_i == report_fixed.type_i
+        assert report_sprt.type_ii == report_fixed.type_ii
+        assert report_sprt.bin_counts == report_fixed.bin_counts
+
+    def test_good_lot_saves_nothing(self):
+        """Only a failing code stops a die early: a lot every die of
+        which passes runs every record to its end."""
+        fixed = Scenario(flow="fixed", **BASELINE)
+        lot = fixed.draw_lot()
+        reports = [ScreeningLine(s).screen_lot(lot)
+                   for s in (fixed, fixed.derive(flow="sprt"))]
+        assert reports[0].n_accepted == reports[0].n_devices
+        assert reports[1].saved_samples == 0
+        assert reports[1].tester_seconds == reports[0].tester_seconds
+
     def test_fixed_flow_report_is_unchanged(self, baseline_reports):
-        report_fixed, _, _, _ = baseline_reports
+        report_fixed, _ = baseline_reports
         assert report_fixed.flow == "fixed"
         assert report_fixed.saved_samples == 0
         assert report_fixed.saved_tester_seconds == 0.0
         assert report_fixed.n_aborted == 0
 
-    def test_errors_within_binomial_model_bounds(self, baseline_reports):
-        report_fixed, report_sprt, policy, per_code = baseline_reports
-        n_codes = Scenario(**BASELINE).wafer_spec().n_inner_codes
-        escape_bound = sequential_escape_bound(per_code, n_codes,
-                                               policy.min_accept_codes)
-        assert report_sprt.type_ii <= escape_bound
-        # Noise-free, the SPRT rejects at the first failing observation,
-        # so it can only reject a subset of what the fixed flow rejects —
-        # plus at most Wald's bound on the design alpha.
-        alpha_bound, _ = wald_error_bounds(policy.alpha, policy.beta)
-        assert report_sprt.type_i <= report_fixed.type_i + alpha_bound
-
     def test_sequential_station_accounts_economics(self, baseline_reports):
-        _, report_sprt, _, _ = baseline_reports
+        _, report_sprt = baseline_reports
         station = report_sprt.stations[0]
         assert station.name == "sequential"
         assert station.accounted == report_sprt.n_devices
         assert station.tester_seconds == pytest.approx(
             report_sprt.tester_seconds)
         assert np.isfinite(station.devices_per_hour)
-
-    def test_escape_bound_degenerates_to_fixed_model(self):
-        per_code = sequential_policy(Scenario(**BASELINE))[1]
-        n_codes = 254
-        fixed_type_ii = BinomialDeviceModel(per_code, n_codes).device() \
-            .type_ii
-        assert sequential_escape_bound(per_code, n_codes, np.inf) \
-            == pytest.approx(fixed_type_ii)

@@ -92,8 +92,8 @@ class TestMonitor:
     def test_model_monitor_passes_clean_baseline(self):
         scenario = Scenario(n_bits=8, sigma_code_width_lsb=0.21,
                             n_devices=256, seed=3, flow="sprt")
-        from repro.campaign import sequential_policy
-        _, per_code = sequential_policy(scenario)
+        from repro.campaign import per_code_model
+        per_code = per_code_model(scenario)
         spec = scenario.wafer_spec()
         monitor = monitor_for_model(per_code, spec.n_inner_codes, 64)
         wafer = scenario.draw_wafer()

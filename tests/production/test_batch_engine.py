@@ -208,13 +208,17 @@ class TestBatchResultBookkeeping:
 
 def _full_row_decisions(counts, limits, saturate):
     """Reference: every code through ``decide_counts``, then the max |DNL|
-    of the readings' widths over their row mean."""
+    of the readings' widths over their row mean, and the stop one code
+    past the first failing code (the code count when none fails)."""
     decision = decide_counts(counts, limits, saturate=saturate)
     widths = decision.readings * limits.delta_s_lsb
     mean = widths.mean(axis=1)
     mean = np.where(mean == 0.0, 1.0, mean)
+    failing = ~decision.code_pass
+    stops = np.where(failing.any(axis=1), failing.argmax(axis=1) + 1,
+                     counts.shape[1])
     return (decision.dnl_pass.all(axis=1), decision.inl_pass.all(axis=1),
-            np.abs(widths / mean[:, None] - 1.0).max(axis=1))
+            np.abs(widths / mean[:, None] - 1.0).max(axis=1), stops)
 
 
 @st.composite
@@ -242,18 +246,20 @@ def _regular_count_rows(draw, counter_saturate=True, inl=False):
 class TestRegularDecisions:
     """The event path's decisions on regular dies equal the full-row
     reference: from the row extremes under a saturating counter without
-    an INL spec, on the full rows otherwise."""
+    an INL spec, on the full rows otherwise.  Either way the stop codes
+    are the full rows' first failing codes."""
 
     @staticmethod
     def _assert_matches_full_row(config, counts):
         engine = BatchBistEngine(config)
-        outcome = _ChunkOutcome.empty(counts.shape[0])
+        outcome = _ChunkOutcome.empty(*counts.shape)
         engine._regular_outcome(counts, counts.min(axis=1),
                                 counts.max(axis=1), outcome, slice(None))
-        dnl, inl, max_dnl = _full_row_decisions(
+        dnl, inl, max_dnl, stops = _full_row_decisions(
             counts, engine.limits, config.counter_saturate)
         np.testing.assert_array_equal(outcome.dnl_passed, dnl)
         np.testing.assert_array_equal(outcome.inl_passed, inl)
+        np.testing.assert_array_equal(outcome.stop_codes, stops)
         assert outcome.measured_max_dnl_lsb.tobytes() == max_dnl.tobytes()
         assert (outcome.n_transitions == counts.shape[1] + 1).all()
         assert outcome.msb_passed.all()

@@ -225,14 +225,16 @@ class TestJournalVerification:
         assert kinds.count("run") == 1
         assert kinds.count("shard") == 3
 
-    def test_other_version_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", ["repro.serve/1",
+                                         "repro.serve/2"])
+    def test_other_version_refused(self, tmp_path, version):
         path = tmp_path / "serve.ckpt"
         _journal_run(path, _engine_run())
         lines = _lines(path)
         header = json.loads(lines[0])
-        header["version"] = "repro.serve/1"
+        header["version"] = version
         path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        with pytest.raises(CheckpointMismatchError, match="repro.serve/1"):
+        with pytest.raises(CheckpointMismatchError, match=version):
             load_checkpoint(str(path))
         server = ServeServer(resume=str(path), stdin=io.StringIO(""),
                              out=io.StringIO())

@@ -406,10 +406,14 @@ N_DIES = 48
 
 
 def _engine(kind: str, noise: float):
-    """One of the four batch engines on a 6-bit converter."""
+    """One of the four batch engines on a 6-bit converter.
+
+    The full BIST screens at ±0.5 LSB, where two dies in three fail a
+    code, so its per-device stop codes vary across the wafer.
+    """
     if kind == "full":
         return BatchBistEngine(BistConfig(
-            n_bits=6, transition_noise_lsb=noise,
+            n_bits=6, dnl_spec_lsb=0.5, transition_noise_lsb=noise,
             deglitch_depth=3 if noise > 0 else 0, seed=21))
     if kind == "partial":
         return BatchPartialBistEngine(PartialBistConfig(
@@ -578,6 +582,70 @@ class TestScreenLotGeometryProperties:
             workers=workers, chunk_size=chunk))
         assert dataclasses.replace(report, wall_seconds=0.0) == reference
 
+    @given(st.booleans(), st.sampled_from([None, "drift", "spatial",
+                                           "burst"]),
+           st.sampled_from([1, 2]), st.integers(1, N_DIES))
+    @settings(max_examples=16, deadline=None)
+    def test_sprt_flow_keeps_the_fixed_verdicts(self, noisy, excursion,
+                                                workers, chunk):
+        """The sequential station changes no verdict: a wafer the SPC
+        monitor lets finish ends with the fixed flow's accept mask, and
+        an aborted wafer keeps the fixed first pass on its tested prefix
+        and rejects its tail."""
+        plan = ExecutionPlan(workers=workers, chunk_size=chunk)
+        line, lot, _ = _line_case("bist", None, noisy, excursion, "fixed")
+        fixed, fixed_first, fixed_done = _screen_masks(line, lot, plan)
+        line, _, _ = _line_case("bist", None, noisy, excursion, "sprt")
+        sprt, _, sprt_done = _screen_masks(line, lot, plan)
+        assert fixed_done == [None] * len(lot)
+        start = 0
+        for wafer, first, done in zip(lot, fixed_first, sprt_done):
+            stop = start + len(wafer)
+            if done is None:
+                np.testing.assert_array_equal(sprt[start:stop],
+                                              fixed[start:stop])
+            else:
+                np.testing.assert_array_equal(sprt[start:start + done],
+                                              first[:done])
+                assert not sprt[start + done:stop].any()
+            start = stop
+
+
+def _screen_masks(line, lot, plan):
+    """Screen ``lot`` and return its final accept mask, and per wafer the
+    first-pass verdicts and the devices tested before an SPC abort
+    (``None`` for a wafer that finished)."""
+    from unittest import mock
+
+    import repro.production.line as line_module
+    from repro.production.execution import ExcursionAbort
+
+    finals, first_pass, done = [], [], []
+    make_result = line_module.PopulationBistResult
+    run_wafer = type(line.engine).run_wafer
+
+    def recording_result(**kwargs):
+        finals.append(kwargs["accepted"])
+        return make_result(**kwargs)
+
+    def recording_run(engine, wafer, **kwargs):
+        try:
+            result = run_wafer(engine, wafer, **kwargs)
+        except ExcursionAbort as exc:
+            first_pass.append(exc.partial.passed)
+            done.append(int(exc.devices_done))
+            raise
+        first_pass.append(result.passed)
+        done.append(None)
+        return result
+
+    with mock.patch.object(line_module, "PopulationBistResult",
+                           recording_result), \
+            mock.patch.object(type(line.engine), "run_wafer",
+                              recording_run):
+        line.screen_lot(lot, rng=9, plan=plan)
+    return finals[0], first_pass, done
+
 
 #: Line stations of the scenario-reading property: (method, noisy, flow).
 READ_STATIONS = [("bist", False, "fixed"), ("bist", True, "fixed"),
@@ -607,8 +675,8 @@ class TestLineReadsItsStations:
 
     The scenario fields that describe the lot the scenario would draw,
     and its seed, must not reach the report of any station.  The process
-    sigma does under ``flow="sprt"`` (the SPRT policy and the SPC centre
-    are derived from it), so only the fixed flow varies it.
+    sigma does under ``flow="sprt"`` (the SPC centre is derived from it),
+    so only the fixed flow varies it.
     """
 
     @given(st.integers(64, 128), st.integers(1, 4096), st.integers(1, 3),
