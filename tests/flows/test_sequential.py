@@ -89,7 +89,7 @@ class TestSprtDecide:
         assert decision.n_devices == 0
         assert decision.stop_quartiles().sum() == 0
 
-    def test_rejects_non_matrix_input(self):
+    def test_rejects_malformed_stops(self):
         with pytest.raises(ValueError, match="one stop per device"):
             sprt_decide(np.ones((2, 5), dtype=np.int16), 5)
         with pytest.raises(ValueError, match="within"):

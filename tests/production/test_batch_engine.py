@@ -280,6 +280,27 @@ class TestRegularDecisions:
         self._assert_matches_full_row(*drawn)
 
 
+class TestLsbBlockStops:
+    """Stops read from the LSB block's packed per-code decisions (the
+    irregular event rows and the stream path)."""
+
+    def test_stop_is_clipped_to_the_code_count(self):
+        """A noisy stream can count more codes than the converter has;
+        a first failing count beyond the last code stops at the last
+        code."""
+        limits = BistConfig(n_bits=2).limits()
+        ideal = int(round(limits.ideal_count))
+        edges = ideal * np.array([1, 2, 3, 4, 5, 8])
+        stream = np.zeros((1, 9 * ideal), dtype=np.int8)
+        stream[0, edges] = 1
+        lsb = BatchLsbProcessor(limits).process(
+            np.bitwise_xor.accumulate(stream, axis=1), n_bits=2)
+        assert lsb.dnl_pass_per_code[0, :4].all()
+        assert not lsb.dnl_pass_per_code[0, 4]
+        outcome = _ChunkOutcome.from_lsb(lsb, np.ones(1, dtype=bool), 2)
+        assert outcome.stop_codes.tolist() == [2]
+
+
 class TestBatchLsbProcessorProperties:
     """Property tests: batch extraction vs scalar block on random streams."""
 
